@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +18,9 @@ import numpy as np
 
 from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
                      propagated_bit_error, steady_state)
-from .netsim import (Idealized, estimate_logical_rate, hypercube_schedule,
-                     randomized_schedule)
+from .netsim import (Componentwise, Idealized, estimate_logical_rate,
+                     hypercube_schedule, randomized_schedule, run_parallel,
+                     substream)
 from .rates import derive_rates
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
@@ -145,21 +145,24 @@ _CONCAT_TAG = re.compile(r"^concat\((\d+),\s*(\d+)\)$")
 _MC_LEVEL = 3  # both Monte Carlo sweep models run the 81-bit register
 
 
-def _point_seed(seed: int, index: int) -> int:
-    """Independent per-point seed; fixed by (seed, index) alone."""
-    state = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2)
-    return int(state[0]) << 32 | int(state[1])
+def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
+             index: int, min_flips: int, max_phases: int) -> SweepRecord:
+    """Simulated logical rate of one grid point, as a record.
 
-
-def _mc_point(model: str, x: float, seed: int, index: int, min_flips: int,
-              max_phases: int) -> SweepRecord:
-    sched = (hypercube_schedule(_MC_LEVEL) if model == "hypercube_mc"
+    Runs the 3^(level+1)-bit register wired by ``model`` (``hypercube_mc``
+    or ``vn_mc``) with Idealized(x) gates, or Componentwise gates at
+    physical rate x when ``use_p`` is set, on substream ``index`` of
+    ``seed``.
+    """
+    sched = (hypercube_schedule(level) if model == "hypercube_mc"
              else randomized_schedule())
-    st = estimate_logical_rate(_MC_LEVEL, sched, Idealized(x),
-                               _point_seed(seed, index),
+    noise = Componentwise.from_p(x) if use_p else Idealized(x)
+    sub = substream(seed, index).generate_state(2)
+    st = estimate_logical_rate(level, sched, noise,
+                               int(sub[0]) << 32 | int(sub[1]),
                                min_flips=min_flips, max_phases=max_phases)
     return SweepRecord(x=x, y=st.p_hat, y_lo=st.ci95[0], y_hi=st.ci95[1],
-                       model=model, n=_MC_LEVEL, seed=seed)
+                       model=model, n=level, seed=seed)
 
 
 def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
@@ -217,13 +220,9 @@ def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
                                            model, _MC_LEVEL, seed,
                                            note="eps outside (0, 0.5)"))
             else:
-                todo.append((model, x, seed, i, min_flips, max_phases))
-        if workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_mc_point, *zip(*todo)))
-        else:
-            done = [_mc_point(*args) for args in todo]
-        records.extend(done)
+                todo.append((model, _MC_LEVEL, False, x, seed, i, min_flips,
+                             max_phases))
+        records.extend(run_parallel(mc_point, todo, workers))
         records.sort(key=lambda r: r.x)
         return records
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -122,10 +121,6 @@ LEVEL2_LABELS: tuple[str, ...] = (
     "one propagated bundle error",
 )
 
-# limit of the per-class erroneous-bundle fraction as eps -> 0 (the lighter
-# refined profile of each class dominates the conditional occupancy)
-_WEIGHT_LIMIT = np.array([0, 1, 2, 3, 2, 3, 4], dtype=float) / 9.0
-
 
 def _profile_or_none(counts) -> tuple[int, int, int] | None:
     """Sorted line-count profile of a grid, or None for a logical failure."""
@@ -160,15 +155,15 @@ class ErrorChain:
     states, fail(eps) the per-state logical-failure probabilities; for every
     eps in [0, 1] each row of trans plus its fail entry sums to one exactly
     (the underlying integer polynomials sum to the constant 1).
-    bit_error_weight(eps) gives the expected fraction of erroneous bundles
-    per state.
+    refined_marks counts the marked (erroneous-bundle) positions of each
+    state of the refined view, or of the chain's own states when it needs
+    no refined view.
     """
 
     name: str
     labels: tuple[str, ...]
     trans_coeffs: np.ndarray = field(repr=False)   # (k, k, D) int64
     fail_coeffs: np.ndarray = field(repr=False)    # (k, D) int64
-    weight_fn: Callable[[float], np.ndarray] = field(repr=False)
     # refined view (None for chains that need no splitting)
     refined_labels: tuple[str, ...] | None = None
     refined_trans_coeffs: np.ndarray | None = field(default=None, repr=False)
@@ -186,10 +181,6 @@ class ErrorChain:
     def fail(self, epsilon: float) -> np.ndarray:
         """Per-state logical failure probabilities at eps."""
         return npoly.polyval(epsilon, self.fail_coeffs.transpose(1, 0))
-
-    def bit_error_weight(self, epsilon: float) -> np.ndarray:
-        """Expected erroneous-bundle fraction per state at eps."""
-        return self.weight_fn(epsilon)
 
 
 @dataclass(frozen=True)
@@ -238,14 +229,13 @@ def build_level2_chain() -> ErrorChain:
 
     _check_substochastic_identity(trans, fail)
 
-    # one erroneous bundle out of the nine in the square
-    weights = np.array([0.0, 1.0 / 9.0])
+    # state B holds one erroneous bundle out of the nine in the square
     return ErrorChain(
         name="level2",
         labels=LEVEL2_LABELS,
         trans_coeffs=trans,
         fail_coeffs=fail,
-        weight_fn=lambda epsilon: weights.copy(),
+        refined_marks=(0, 1),
     )
 
 
@@ -344,27 +334,11 @@ def build_level3_chain() -> ErrorChain:
             trans[ci, REFINED_CLASS[rj]] += refined_trans[ri, rj]
     _check_substochastic_identity(trans, fail)
 
-    marks = np.array(REFINED_MARKS, dtype=float)
-
-    def weight_fn(epsilon: float) -> np.ndarray:
-        if epsilon == 0.0:
-            return _WEIGHT_LIMIT.copy()
-        t10 = npoly.polyval(epsilon, refined_trans.transpose(2, 0, 1))
-        pi10 = _stationary(t10)
-        w = np.empty(7)
-        for c in range(7):
-            sel = np.array(REFINED_CLASS) == c
-            mass = pi10[sel].sum()
-            w[c] = (pi10[sel] @ marks[sel] / 9.0 / mass) if mass > 0 \
-                else _WEIGHT_LIMIT[c]
-        return w
-
     return ErrorChain(
         name="level3",
         labels=LEVEL3_LABELS,
         trans_coeffs=trans,
         fail_coeffs=fail,
-        weight_fn=weight_fn,
         refined_labels=LEVEL3_REFINED_LABELS,
         refined_trans_coeffs=refined_trans,
         refined_fail_coeffs=refined_fail,
@@ -428,21 +402,20 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     """Stationary erroneous-bit fraction eta of the corrected code.
 
-    Weights the stationary state occupancies by the expected fraction of
-    erroneous bundles each state carries.  (A marked position is a wrong
-    bundle in every square, and a wrong bundle is wrong in all three bits,
-    so bundle fraction and bit fraction coincide.)  Intended for the
-    seven-state chain, where the refined view makes the weighting exact;
-    chains without a refined view fall back to their per-state weights.
+    Weights the stationary occupancies of the refined view (of the chain
+    itself when it has none) by each state's count of marked positions
+    out of nine.  (A marked position is a wrong bundle in every square,
+    and a wrong bundle is wrong in all three bits, so bundle fraction and
+    bit fraction coincide.)
     """
     if epsilon == 0.0:
         return 0.0
     if chain.refined_trans_coeffs is not None:
-        t10 = npoly.polyval(epsilon, chain.refined_trans_coeffs.transpose(2, 0, 1))
-        pi10 = _stationary(t10)
-        return float(pi10 @ np.array(chain.refined_marks, dtype=float)) / 9.0
-    ss = steady_state(chain, epsilon)
-    return float(ss.pi @ chain.bit_error_weight(epsilon))
+        t = npoly.polyval(epsilon, chain.refined_trans_coeffs.transpose(2, 0, 1))
+    else:
+        t = chain.trans(epsilon)
+    pi = _stationary(t)
+    return float(pi @ np.array(chain.refined_marks, dtype=float)) / 9.0
 
 
 # --- serialization ------------------------------------------------------------

@@ -18,17 +18,15 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .analysis import (SweepRecord, correction_threshold, sweep,
+from .analysis import (SweepRecord, correction_threshold, mc_point, sweep,
                        universal_threshold)
 from .chains import build_level2_chain, build_level3_chain
 from .encoding import cascade_mc, p_crit, pfail_bound
-from .netsim import (Componentwise, Idealized, estimate_logical_rate,
-                     hypercube_schedule, randomized_schedule)
+from .netsim import run_parallel
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
 # excluded from the provenance header: fields that cannot change the numbers
@@ -159,27 +157,6 @@ def _parse_grid(config: RunConfig) -> list[float]:
     raise ValueError("need --grid, --eps, or --p")
 
 
-def _sim_point(level: int, kind: str, use_p: bool, x: float, seed: int,
-               index: int, min_flips: int, max_phases: int) -> SweepRecord:
-    sched = (hypercube_schedule(level) if kind == "hypercube"
-             else randomized_schedule())
-    noise = Componentwise.from_p(x) if use_p else Idealized(x)
-    sub = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2)
-    st = estimate_logical_rate(level, sched, noise,
-                               int(sub[0]) << 32 | int(sub[1]),
-                               min_flips=min_flips, max_phases=max_phases)
-    tag = "vn_mc" if kind == "randomized" else "hypercube_mc"
-    return SweepRecord(x=x, y=st.p_hat, y_lo=st.ci95[0], y_hi=st.ci95[1],
-                       model=tag, n=level, seed=seed)
-
-
-def _run_points(config: RunConfig, jobs: list[tuple]) -> list[SweepRecord]:
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(_sim_point, *zip(*jobs)))
-    return [_sim_point(*j) for j in jobs]
-
-
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
     if config.model is None:
         raise ValueError("sweep needs --model")
@@ -189,12 +166,13 @@ def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
 
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
+    if config.model not in ("hypercube_mc", "vn_mc"):
+        raise ValueError("simulate needs --model hypercube_mc|vn_mc")
     use_p = config.p is not None and config.eps is None
-    kind = "randomized" if config.model == "vn_mc" else "hypercube"
-    jobs = [(config.level, kind, use_p, x, config.seed, i,
+    jobs = [(config.model, config.level, use_p, x, config.seed, i,
              config.min_flips, config.max_phases)
             for i, x in enumerate(_parse_grid(config))]
-    return _run_points(config, jobs)
+    return run_parallel(mc_point, jobs, config.workers)
 
 
 def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
@@ -242,11 +220,11 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
     xs = _parse_grid(config)
-    jobs = [(3, kind, False, x, config.seed, i, config.min_flips,
+    jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
              config.max_phases)
             for i, x in enumerate(xs)
-            for kind in ("hypercube", "randomized")]
-    records = _run_points(config, jobs)
+            for model in ("hypercube_mc", "vn_mc")]
+    records = run_parallel(mc_point, jobs, config.workers)
     records.sort(key=lambda r: (r.x, r.model))
     return records
 

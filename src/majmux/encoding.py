@@ -10,48 +10,17 @@ direct Monte Carlo of the whole cascade-plus-correction pipeline.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import Idealized, TrialStats, _class_line_flip, _hypercube_phase, \
-    wilson_interval
+from .analysis import _bisect
+from .netsim import (Idealized, TrialStats, _fan_out, _hypercube_phase,
+                     run_parallel, substream, wilson_interval)
 from .rates import derive_rates, epsilon_of_p
 
 CASCADE_DEPTH = 4
-CASCADE_OUTPUTS = 81
 _CHUNK = 8192  # trials per RNG substream; fixed so results never depend on workers
-
-
-def _standard_blocks() -> tuple[int, ...]:
-    return tuple(i % 3 for i in range(CASCADE_OUTPUTS))
-
-
-@dataclass(frozen=True)
-class CascadeSpec:
-    """Wiring of the fan-out cascade into the corrector's register.
-
-    ``block_of[i]`` is the top-level branch (0, 1, or 2) feeding register
-    position ``i``.  Positions are assigned so the top branch lands on the
-    stride-1 trit: each stride-1 triple {3k, 3k+1, 3k+2} then holds one
-    leaf from every branch, and the first correction phase votes across
-    the three independently amplified thirds of the code rather than
-    within one of them.
-    """
-
-    depth: int = CASCADE_DEPTH
-    outputs: int = CASCADE_OUTPUTS
-    block_of: tuple[int, ...] = field(default_factory=_standard_blocks)
-
-    def __post_init__(self):
-        if self.outputs != 3 ** self.depth:
-            raise ValueError("outputs must equal 3**depth")
-        if len(self.block_of) != self.outputs:
-            raise ValueError("block_of must assign every output")
-        for k in range(0, self.outputs, 3):
-            if set(self.block_of[k:k + 3]) != {0, 1, 2}:
-                raise ValueError("each stride-1 triple needs all three blocks")
 
 
 @dataclass(frozen=True)
@@ -108,17 +77,7 @@ def p_crit(tol: float = 1e-6) -> float:
     failure bound is smaller than the raw preparation error; above it the
     correlated build-up during amplification dominates.
     """
-    lo, hi = 1e-6, 0.2
-    g = lambda p: pfail_bound(p).p_fail - p
-    if not (g(lo) < 0.0 < g(hi)):
-        raise RuntimeError("bound does not bracket a crossing on (1e-6, 0.2)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
 
 
 def _amp_layer(bits: np.ndarray, pn, rng: np.random.Generator) -> np.ndarray:
@@ -126,35 +85,33 @@ def _amp_layer(bits: np.ndarray, pn, rng: np.random.Generator) -> np.ndarray:
 
     Per gate: a fault-class draw over the three output lines, preparation
     flips on the two copy targets, and a wire flip per output.  Draw count
-    is fixed, so shards replay identically for a fixed substream.
+    is fixed, so shards replay identically for a fixed substream.  Since
+    each level adds the high digit, the first (top) level's branch ends up
+    on the stride-1 trit: every stride-1 triple {3k, 3k+1, 3k+2} holds one
+    leaf from each top branch, and the first correction phase votes across
+    the three independently amplified thirds of the code.
     """
     r, c = bits.shape
     u = rng.random(bits.shape)
     pick = rng.integers(0, 3, bits.shape)
     prep = (rng.random((2, r, c)) < pn.wire_prep).astype(np.uint8)
     wire = (rng.random((3, r, c)) < pn.wire_prep).astype(np.uint8)
-    out = np.empty((r, 3, c), np.uint8)
-    for j in range(3):
-        o = bits ^ _class_line_flip(u, pick, j, pn.p_c)
-        if j > 0:
-            o = o ^ prep[j - 1]
-        out[:, j, :] = o ^ wire[j]
-    return out.reshape(r, 3 * c)
+    lines = _fan_out(bits, u, pick, prep, wire, pn.p_c)
+    return np.stack(lines, axis=1).reshape(r, 3 * c)
 
 
 def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
-                   input_bit: int, depth: int) -> int:
+                   input_bit: int) -> int:
     """Failures among ``size`` trials on the shard's own RNG substream."""
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(shard,))))
+    rng = np.random.Generator(np.random.Philox(substream(seed, shard)))
     pn = derive_rates(p)[0]
     corrector = Idealized(epsilon_of_p(p)) if p > 0 else Idealized(0.0)
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
     bits = np.full((size, 1), input_bit, np.uint8)
-    for _ in range(depth):
+    for _ in range(CASCADE_DEPTH):
         bits = _amp_layer(bits, pn, rng)
-    n = depth - 1
+    n = CASCADE_DEPTH - 1
     for k in range(phases):
         _hypercube_phase(bits, k % (n + 1), n, corrector, rng)
     half = bits.shape[1] // 2
@@ -163,8 +120,7 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
 
 
 def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
-               input_bit: int = 0, spec: CascadeSpec | None = None,
-               workers: int = 1) -> TrialStats:
+               input_bit: int = 0, workers: int = 1) -> TrialStats:
     """Monte Carlo of the full encode-then-correct pipeline.
 
     Each trial amplifies ``input_bit`` through the four fan-out levels
@@ -185,16 +141,9 @@ def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
         raise ValueError("trials must be >= 1")
     if input_bit not in (0, 1):
         raise ValueError("input_bit must be 0 or 1")
-    spec = spec if spec is not None else CascadeSpec()
-    shards = [(i, min(_CHUNK, trials - i * _CHUNK))
-              for i in range((trials + _CHUNK - 1) // _CHUNK)]
-    args = [(p, seed, i, size, phases, input_bit, spec.depth)
-            for i, size in shards]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fails = sum(pool.map(_cascade_shard, *zip(*args), chunksize=4))
-    else:
-        fails = sum(_cascade_shard(*a) for a in args)
+    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK), phases, input_bit)
+            for i in range((trials + _CHUNK - 1) // _CHUNK)]
+    fails = sum(run_parallel(_cascade_shard, jobs, workers))
     return TrialStats(phases=trials, flips=fails, p_hat=fails / trials,
                       ci95=wilson_interval(fails, trials),
                       upper_bound_only=(fails == 0))

@@ -26,7 +26,8 @@ carried majority, matching the analytic chains).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,8 @@ class Idealized:
     epsilon: float
 
     def __post_init__(self):
-        assert 0.0 <= self.epsilon <= 1.0
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon={self.epsilon} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -60,58 +62,25 @@ class Componentwise:
 GateNoise = Idealized | Componentwise
 
 
-@dataclass
-class CodeRegister:
-    """3^(level+1) code bits plus the logical reference they encode."""
-
-    level: int
-    bits: np.ndarray
-    logical: int
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        assert self.bits.shape == (3 ** (self.level + 1),)
-        assert self.logical in (0, 1)
-
-    @classmethod
-    def zeros(cls, level: int) -> "CodeRegister":
-        return cls(level=level, bits=np.zeros(3 ** (level + 1), np.uint8),
-                   logical=0)
-
-    def majority(self) -> int:
-        """Strict majority of the bits (the size is odd, so always defined)."""
-        return int(2 * int(self.bits.sum()) > self.bits.size)
-
-    def logical_flip(self) -> bool:
-        return self.majority() != self.logical
-
-
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
     """Wiring plan for restorative phases; hypercube schedules carry the
-    cyclic axis order and their position in it."""
+    cyclic axis order."""
 
     kind: str                          # "hypercube" | "randomized"
     axis_order: tuple[int, ...] = ()
-    phase_index: int = 0
 
-    def current_axis(self) -> int:
-        assert self.kind == "hypercube"
-        return self.axis_order[self.phase_index % len(self.axis_order)]
+    def __post_init__(self):
+        if self.kind not in ("hypercube", "randomized"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if sorted(self.axis_order) != list(range(len(self.axis_order))):
+            raise ValueError(f"axis_order {self.axis_order} is not a "
+                             "permutation of the cube axes")
 
-    def advance(self) -> None:
-        self.phase_index += 1
 
-
-def hypercube_schedule(n: int, axis_order: tuple[int, ...] | None = None
-                       ) -> Schedule:
-    """Deterministic schedule cycling the n+1 cube axes (default order 0..n)."""
-    if axis_order is None:
-        axis_order = tuple(range(n + 1))
-    if sorted(axis_order) != sorted(set(axis_order)) or \
-            any(not 0 <= a <= n for a in axis_order):
-        raise ValueError(f"axis_order {axis_order} is not a set of axes <= {n}")
-    return Schedule(kind="hypercube", axis_order=tuple(axis_order))
+def hypercube_schedule(n: int) -> Schedule:
+    """Deterministic schedule cycling the n+1 cube axes in order 0..n."""
+    return Schedule(kind="hypercube", axis_order=tuple(range(n + 1)))
 
 
 def randomized_schedule() -> Schedule:
@@ -186,13 +155,22 @@ def _gate_batch(inputs: np.ndarray, noise: GateNoise,
     u_amp = rng.random(m.shape)
     pick_amp = rng.integers(0, 3, m.shape)
     wire = (rng.random(m.shape + (3,)) < pn.wire_prep).astype(np.uint8)
-    out = np.empty(m.shape + (3,), np.uint8)
-    for j in range(3):
-        o = m ^ _class_line_flip(u_amp, pick_amp, j, pn.p_c)
-        if j > 0:
-            o = o ^ prep[..., j - 1]
-        out[..., j] = o ^ wire[..., j]
-    return out
+    lines = _fan_out(m, u_amp, pick_amp, (prep[..., 0], prep[..., 1]),
+                     (wire[..., 0], wire[..., 1], wire[..., 2]), pn.p_c)
+    return np.stack(lines, axis=-1)
+
+
+def _fan_out(bits: np.ndarray, u: np.ndarray, pick: np.ndarray, prep, wire,
+             p_c: float) -> list[np.ndarray]:
+    """The three output lines of a noisy fan-out gate copying ``bits``.
+
+    u and pick are the gate's fault-class draws (see _class_line_flip);
+    prep[j - 1] flips the ancilla prepared for copy line j > 0 and wire[j]
+    flips output line j.  Callers draw these in their own order and
+    layout, so each keeps its per-seed stream.
+    """
+    return [bits ^ _class_line_flip(u, pick, j, p_c)
+            ^ (prep[j - 1] if j else 0) ^ wire[j] for j in range(3)]
 
 
 def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
@@ -243,48 +221,33 @@ def _randomized_phase(bits: np.ndarray, noise: GateNoise,
     np.put_along_axis(bits, perm, out.reshape(r, size), axis=1)
 
 
-def restorative_phase(reg: CodeRegister, sched: Schedule, noise: GateNoise,
-                      rng: np.random.Generator) -> CodeRegister:
-    """Apply one restorative phase to the register, advancing the schedule.
-
-    For hypercube schedules the phase acts along the schedule's current
-    axis; for randomized schedules a new permutation is drawn.  The
-    register's bits are updated in place and the register returned.
-    """
-    batch = reg.bits[None, :]
-    if sched.kind == "hypercube":
-        _hypercube_phase(batch, sched.current_axis(), reg.level, noise, rng)
-    elif sched.kind == "randomized":
-        _randomized_phase(batch, noise, rng)
-    else:
-        raise ValueError(f"unknown schedule kind {sched.kind!r}")
-    sched.advance()
-    return reg
-
-
 # --- logical rate estimation ----------------------------------------------------
+
+
+_WARMUP = 50    # phases discarded per replica before tallying
+_REPLICAS = 32  # registers run in lockstep
+_SETTLE = 3     # phases a new majority must hold to count as a flip
 
 
 def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
                           seed: int, *, min_flips: int = 100,
-                          max_phases: int = 10_000_000, warmup: int = 50,
-                          replicas: int = 32, settle: int = 3) -> TrialStats:
+                          max_phases: int = 10_000_000) -> TrialStats:
     """Per-phase logical flip rate of the corrected register.
 
-    Runs ``replicas`` independent registers in lockstep (all starting from
-    the all-zero state, each with its own logical reference), discards the
-    first ``warmup`` phases of each, then tallies phases and logical flips
-    until at least ``min_flips`` flips are pooled or the pooled phase count
+    Runs 32 independent registers in lockstep (all starting from the
+    all-zero state, each with its own logical reference), discards the
+    first 50 phases of each, then tallies phases and logical flips until
+    at least ``min_flips`` flips are pooled or the pooled phase count
     reaches ``max_phases``.
 
     A flip is recorded when the strict majority differs from the carried
-    reference and has held for ``settle`` consecutive phases; the reference
-    then becomes the new majority and the chain keeps running.  The settling
+    reference and has held for 3 consecutive phases; the reference then
+    becomes the new majority and the chain keeps running.  The settling
     rule exists because a register passing through the half-way point can
     cross the majority boundary several times within a single transition;
     raw boundary crossings would overcount logical events (and would exceed
     the analytic chains, which bound settled transitions).  The measured
-    rate is flat in ``settle`` over 2..6; the default is 3.
+    rate is flat in the settling length over 2..6.
 
     The run is a single deterministic stream: fixed (seed, parameters)
     reproduce the result bit for bit regardless of how callers schedule it.
@@ -297,10 +260,10 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
         raise ValueError("schedule axis count does not match the code level")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    bits = np.zeros((replicas, size), np.uint8)
-    logical = np.zeros(replicas, np.uint8)
-    prev = np.zeros(replicas, np.uint8)
-    streak = np.zeros(replicas, np.int64)  # consecutive phases at current majority
+    bits = np.zeros((_REPLICAS, size), np.uint8)
+    logical = np.zeros(_REPLICAS, np.uint8)
+    prev = np.zeros(_REPLICAS, np.uint8)
+    streak = np.zeros(_REPLICAS, np.int64)  # consecutive phases at current majority
     half = size // 2
     phases = 0
     flips = 0
@@ -314,10 +277,10 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
         maj = (bits.sum(axis=1, dtype=np.int64) > half).astype(np.uint8)
         streak = np.where(maj == prev, streak + 1, 1)
         prev = maj
-        settled = (streak >= settle) & (maj != logical)
+        settled = (streak >= _SETTLE) & (maj != logical)
         logical = np.where(settled, maj, logical)
-        if phase_idx >= warmup:
-            phases += replicas
+        if phase_idx >= _WARMUP:
+            phases += _REPLICAS
             flips += int(settled.sum())
             if flips >= min_flips or phases >= max_phases:
                 break
@@ -326,3 +289,24 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     return TrialStats(phases=phases, flips=flips, p_hat=p_hat,
                       ci95=wilson_interval(flips, phases),
                       upper_bound_only=(flips == 0))
+
+
+# --- parallel driver ------------------------------------------------------------
+
+
+def substream(seed: int, index: int) -> np.random.SeedSequence:
+    """RNG substream of work item ``index`` (a grid point or a trial
+    shard), fixed by (seed, index) alone."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
+def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, on a process pool when workers > 1.
+
+    Every job seeds itself from its own substream, so the results are the
+    same for any worker count and any execution order.
+    """
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]

@@ -59,7 +59,8 @@ class PhysicalNoise:
     wire_prep: float  # per wire or preparation location, (2/3) p
 
     def __post_init__(self):
-        assert 0.0 <= self.p <= 1.0
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p={self.p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,11 @@ def single_triple_map(eta: float, epsilon: float) -> float:
 
     Returns:
         The per-line error probability after one restoration step.
+
+    Raises:
+        ValueError: if eta or epsilon is outside [0, 1].
     """
-    assert 0.0 <= eta <= 1.0 and 0.0 <= epsilon <= 1.0
+    if not (0.0 <= eta <= 1.0 and 0.0 <= epsilon <= 1.0):
+        raise ValueError(f"eta={eta}, epsilon={epsilon}: both must be in [0, 1]")
     g = 3.0 * eta * eta - 2.0 * eta ** 3
     return (1.0 - epsilon) * g + epsilon * (1.0 - g)

@@ -35,8 +35,7 @@ def test_threshold_separates_regimes():
 def test_dead_chain_has_no_threshold():
     dead = ErrorChain(name="dead", labels=L2.labels,
                       trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=np.zeros_like(L2.fail_coeffs),
-                      weight_fn=L2.weight_fn)
+                      fail_coeffs=np.zeros_like(L2.fail_coeffs))
     with pytest.raises(RuntimeError):
         correction_threshold(dead)
 

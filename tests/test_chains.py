@@ -164,6 +164,13 @@ def test_propagated_bit_error_monotone():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_propagated_bit_error_level2_is_one_mark_in_nine():
+    assert propagated_bit_error(L2, 0.0) == 0.0
+    for eps in (0.01, 0.1, 0.2):
+        assert propagated_bit_error(L2, eps) == \
+            steady_state(L2, eps).pi[1] / 9.0
+
+
 def test_propagated_bit_error_matches_trajectory_oracle():
     eps = 0.05
     analytic = propagated_bit_error(L3, eps)
@@ -205,6 +212,5 @@ def test_parse_round_trip():
 def test_dead_chain_has_zero_failure():
     dead = ErrorChain(name="dead", labels=L2.labels,
                       trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=np.zeros_like(L2.fail_coeffs),
-                      weight_fn=L2.weight_fn)
+                      fail_coeffs=np.zeros_like(L2.fail_coeffs))
     assert steady_state(dead, 0.1).p_ss == 0.0

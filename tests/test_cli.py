@@ -150,6 +150,30 @@ def test_simulate_accepts_physical_rate(capsys):
     assert 0.0 <= recs[0].y < 0.1
 
 
+def test_simulate_rejects_unknown_model(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    for model in (["--model", "bogus"], []):
+        assert main(["simulate", *model, "--eps", "0.1",
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_rejects_bad_gate_error(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    argv = ["simulate", "--model", "hypercube_mc", "--level", "1",
+            "--eps", "1.5", "--out", str(out)]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    # the check must not be an assert, which -O strips
+    proc = subprocess.run([sys.executable, "-O", "-m", "majmux.cli", *argv],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert not out.exists()
+
+
 def test_level_out_of_range_exits_2(capsys):
     rc = main(["simulate", "--model", "vn_mc", "--eps", "0.1",
                "--level", "6"])
@@ -175,14 +199,18 @@ def test_malformed_grid_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs():
+def _src_env():
     src_dir = os.path.dirname(os.path.dirname(majmux.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "majmux.cli", "sweep", "--model", "level2",
          "--eps", "0.1"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     _, recs = parse_table(proc.stdout)
     assert recs[0].y == pytest.approx(0.013320770977, rel=1e-9)

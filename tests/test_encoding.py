@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from majmux.encoding import (CASCADE_DEPTH, CASCADE_OUTPUTS, CascadeSpec,
-                             EncodeBound, cascade_mc, p_crit, pfail_bound)
+from majmux.encoding import (CASCADE_DEPTH, EncodeBound, _amp_layer,
+                             cascade_mc, p_crit, pfail_bound)
 from majmux.rates import derive_rates
 
 MEAS_SLOPE = 32.0 / 63.0
@@ -74,21 +74,17 @@ def test_crossing_tolerance_drives_bisection():
     assert abs(p_crit(tol=1e-4) - p_crit(tol=1e-7)) < 1e-4
 
 
-def test_default_spec_wiring():
-    spec = CascadeSpec()
-    assert CASCADE_OUTPUTS == 3**CASCADE_DEPTH == 81
-    assert spec.block_of[:6] == (0, 1, 2, 0, 1, 2)
-    for k in range(0, 81, 3):
-        assert set(spec.block_of[k:k + 3]) == {0, 1, 2}
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        CascadeSpec(depth=3)  # outputs no longer match
-    with pytest.raises(ValueError):
-        CascadeSpec(block_of=(0, 1, 2))
-    with pytest.raises(ValueError):
-        CascadeSpec(block_of=tuple([0] * 81))
+def test_amp_layer_puts_top_branch_on_stride1_trit():
+    # a noisy top level makes its three branches differ; noiseless lower
+    # levels then copy each branch onto every position i with i % 3 == branch
+    rng = np.random.default_rng(8)
+    top = _amp_layer(np.zeros((4000, 1), np.uint8), derive_rates(0.2)[0], rng)
+    assert (top != top[:, :1]).any()
+    bits = top
+    for _ in range(CASCADE_DEPTH - 1):
+        bits = _amp_layer(bits, derive_rates(0.0)[0], rng)
+    assert bits.shape == (4000, 81)
+    assert np.array_equal(bits, top[:, np.arange(81) % 3])
 
 
 def test_mc_validation():

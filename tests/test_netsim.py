@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
-from majmux.netsim import (CodeRegister, Componentwise, Idealized, Schedule,
-                           TrialStats, apply_maj3, estimate_logical_rate,
+from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
+                           apply_maj3, estimate_logical_rate,
                            hypercube_schedule, randomized_schedule,
-                           restorative_phase, wilson_interval,
-                           _gate_batch, _randomized_phase)
+                           wilson_interval,
+                           _gate_batch, _hypercube_phase, _randomized_phase)
 from majmux.rates import epsilon_of_p
 
 
@@ -69,74 +69,52 @@ def test_componentwise_lines_not_fully_correlated():
     assert diff > 0.01  # preps and wires act per line
 
 
-def test_register_validation():
-    reg = CodeRegister.zeros(2)
-    assert reg.bits.shape == (27,)
-    assert reg.majority() == 0
-    assert not reg.logical_flip()
-    reg.bits[:14] = 1
-    assert reg.majority() == 1
-    assert reg.logical_flip()
-    with pytest.raises(AssertionError):
-        CodeRegister(level=2, bits=np.zeros(9, np.uint8), logical=0)
-    with pytest.raises(AssertionError):
-        CodeRegister(level=1, bits=np.zeros(9, np.uint8), logical=2)
+def test_idealized_rejects_bad_epsilon():
+    for bad in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            Idealized(bad)
 
 
 def test_hypercube_schedule_cycles_axes():
-    sched = hypercube_schedule(2)
-    seen = []
-    for _ in range(7):
-        seen.append(sched.current_axis())
-        sched.advance()
-    assert seen == [0, 1, 2, 0, 1, 2, 0]
-    custom = hypercube_schedule(2, axis_order=(2, 0, 1))
-    assert custom.current_axis() == 2
+    assert hypercube_schedule(2).axis_order == (0, 1, 2)
+    assert randomized_schedule().axis_order == ()
+    assert Schedule(kind="hypercube", axis_order=(2, 0, 1)).axis_order[0] == 2
     with pytest.raises(ValueError):
-        hypercube_schedule(2, axis_order=(0, 0, 1))
+        Schedule(kind="hypercube", axis_order=(0, 0, 1))
     with pytest.raises(ValueError):
-        hypercube_schedule(1, axis_order=(0, 2))
+        Schedule(kind="hypercube", axis_order=(0, 2))
+    with pytest.raises(ValueError):
+        estimate_logical_rate(2, hypercube_schedule(1), Idealized(0.1), seed=0)
 
 
 def test_unknown_schedule_kind_rejected():
-    reg = CodeRegister.zeros(1)
     with pytest.raises(ValueError):
-        restorative_phase(reg, Schedule(kind="bogus"), Idealized(0.0),
-                          np.random.default_rng(0))
+        Schedule(kind="bogus")
+
+
+def _phase(ones, axis, eps):
+    """One axis phase on a 9-bit register holding 1s at ``ones``."""
+    bits = np.zeros((1, 9), np.uint8)
+    bits[0, ones] = 1
+    _hypercube_phase(bits, axis, 1, Idealized(eps), np.random.default_rng(0))
+    return bits[0]
 
 
 def test_single_error_cleared_by_one_noiseless_phase():
     for axis in (0, 1):
         for pos in range(9):
-            reg = CodeRegister.zeros(1)
-            reg.bits[pos] = 1
-            sched = hypercube_schedule(1, axis_order=(axis,))
-            restorative_phase(reg, sched, Idealized(0.0),
-                              np.random.default_rng(0))
-            assert not reg.bits.any(), (axis, pos)
+            assert not _phase([pos], axis, 0.0).any(), (axis, pos)
 
 
 def test_aligned_triple_needs_the_other_axis():
     # indices 3,4,5 form one axis-0 gate: that phase keeps them, the
     # axis-1 phase splits them across gates and votes them out
-    reg = CodeRegister.zeros(1)
-    reg.bits[3:6] = 1
-    sched = hypercube_schedule(1, axis_order=(0,))
-    restorative_phase(reg, sched, Idealized(0.0), np.random.default_rng(0))
-    assert reg.bits.sum() == 3
-
-    reg = CodeRegister.zeros(1)
-    reg.bits[3:6] = 1
-    sched = hypercube_schedule(1, axis_order=(1,))
-    restorative_phase(reg, sched, Idealized(0.0), np.random.default_rng(0))
-    assert reg.bits.sum() == 0
+    assert _phase([3, 4, 5], 0, 0.0).sum() == 3
+    assert _phase([3, 4, 5], 1, 0.0).sum() == 0
 
 
 def test_certain_failure_phase_flips_whole_register():
-    reg = CodeRegister.zeros(1)
-    restorative_phase(reg, hypercube_schedule(1), Idealized(1.0),
-                      np.random.default_rng(0))
-    assert reg.bits.sum() == 9
+    assert _phase([], 0, 1.0).sum() == 9
 
 
 def test_randomized_phase_clears_sparse_errors():

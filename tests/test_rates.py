@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from majmux.rates import (EPSILON_PER_P, EPSILON_PER_P_ALT, derive_rates,
-                          epsilon_of_p, jvn_stable_eta, single_triple_map)
+from majmux.rates import (EPSILON_PER_P, EPSILON_PER_P_ALT, PhysicalNoise,
+                          derive_rates, epsilon_of_p, jvn_stable_eta,
+                          single_triple_map)
 
 
 def test_zero_noise_gives_zero_rates():
@@ -66,6 +67,9 @@ def test_rejects_out_of_range_p():
         derive_rates(-1e-12)
     with pytest.raises(ValueError):
         derive_rates(1.0000001)
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            PhysicalNoise(p=bad, p_c=0.0, wire_prep=0.0)
 
 
 def test_stable_eta_endpoints():
@@ -104,3 +108,10 @@ def test_map_trivial_points():
 
 def test_map_hand_value():
     assert single_triple_map(0.2, 0.1) == pytest.approx(0.1832, abs=1e-12)
+
+
+def test_map_rejects_out_of_range_input():
+    for eta, eps in ((-0.1, 0.1), (1.5, 0.1), (0.2, -0.1), (0.2, 1.5),
+                     (math.nan, 0.1)):
+        with pytest.raises(ValueError):
+            single_triple_map(eta, eps)
