@@ -96,8 +96,9 @@ def _amp_layer(bits: np.ndarray, pn, rng: np.random.Generator) -> np.ndarray:
     pick = rng.integers(0, 3, bits.shape)
     prep = (rng.random((2, r, c)) < pn.wire_prep).astype(np.uint8)
     wire = (rng.random((3, r, c)) < pn.wire_prep).astype(np.uint8)
-    lines = _fan_out(bits, u, pick, prep, wire, pn.p_c)
-    return np.stack(lines, axis=1).reshape(r, 3 * c)
+    out = np.empty((r, 3, c), np.uint8)
+    _fan_out(bits, u, pick, prep, wire, pn.p_c, [out[:, j] for j in range(3)])
+    return out.reshape(r, 3 * c)
 
 
 def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,

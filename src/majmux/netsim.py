@@ -133,44 +133,51 @@ def _class_line_flip(u: np.ndarray, pick: np.ndarray, line: int,
     return hit.astype(np.uint8)
 
 
-def _gate_batch(inputs: np.ndarray, noise: GateNoise,
-                rng: np.random.Generator) -> np.ndarray:
-    """Apply noisy MAJ3 gates to a (..., 3) batch of input triples.
+def _gate_batch(lines, noise: GateNoise, rng: np.random.Generator) -> None:
+    """Apply noisy MAJ3 gates in place to three equal-shape line views.
 
-    Every gate consumes a fixed number of random draws for its noise model,
-    so schedules replay identically for a fixed seed.
+    Gate k reads ``lines[0][k], lines[1][k], lines[2][k]`` and writes its
+    three outputs back to the same places.  Every gate consumes a fixed
+    number of random draws for its noise model, so schedules replay
+    identically for a fixed seed.
     """
-    m = (inputs.sum(axis=-1, dtype=np.int64) >= 2).astype(np.uint8)
+    a, b, c = lines
+    m = (a & b) | (c & (a | b))
     if isinstance(noise, Idealized):
-        flip = (rng.random(m.shape) < noise.epsilon).astype(np.uint8)
-        return np.repeat((m ^ flip)[..., None], 3, axis=-1)
+        m ^= rng.random(m.shape) < noise.epsilon
+        for line in lines:
+            line[...] = m
+        return
 
     pn = noise.noise
     # vote gate: only its first line feeds the fan-out
     u_vote = rng.random(m.shape)
     pick_vote = rng.integers(0, 3, m.shape)
-    m = m ^ _class_line_flip(u_vote, pick_vote, 0, pn.p_c)
+    m ^= _class_line_flip(u_vote, pick_vote, 0, pn.p_c)
     # fan-out gate: prepared ancillas, class fault, output wires
     prep = (rng.random(m.shape + (2,)) < pn.wire_prep).astype(np.uint8)
     u_amp = rng.random(m.shape)
     pick_amp = rng.integers(0, 3, m.shape)
     wire = (rng.random(m.shape + (3,)) < pn.wire_prep).astype(np.uint8)
-    lines = _fan_out(m, u_amp, pick_amp, (prep[..., 0], prep[..., 1]),
-                     (wire[..., 0], wire[..., 1], wire[..., 2]), pn.p_c)
-    return np.stack(lines, axis=-1)
+    _fan_out(m, u_amp, pick_amp, (prep[..., 0], prep[..., 1]),
+             (wire[..., 0], wire[..., 1], wire[..., 2]), pn.p_c, lines)
 
 
 def _fan_out(bits: np.ndarray, u: np.ndarray, pick: np.ndarray, prep, wire,
-             p_c: float) -> list[np.ndarray]:
-    """The three output lines of a noisy fan-out gate copying ``bits``.
+             p_c: float, out) -> None:
+    """Write the three output lines of a noisy fan-out gate copying ``bits``
+    into the views ``out``.
 
     u and pick are the gate's fault-class draws (see _class_line_flip);
     prep[j - 1] flips the ancilla prepared for copy line j > 0 and wire[j]
     flips output line j.  Callers draw these in their own order and
     layout, so each keeps its per-seed stream.
     """
-    return [bits ^ _class_line_flip(u, pick, j, p_c)
-            ^ (prep[j - 1] if j else 0) ^ wire[j] for j in range(3)]
+    for j, line in enumerate(out):
+        flip = _class_line_flip(u, pick, j, p_c) ^ wire[j]
+        if j:
+            flip ^= prep[j - 1]
+        np.bitwise_xor(bits, flip, out=line)
 
 
 def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
@@ -185,9 +192,9 @@ def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
     Returns:
         The three output bits.
     """
-    arr = np.asarray(inputs, dtype=np.uint8).reshape(1, 3)
-    out = _gate_batch(arr, noise, rng)[0]
-    return (int(out[0]), int(out[1]), int(out[2]))
+    arr = np.array(inputs, dtype=np.uint8).reshape(1, 3)
+    _gate_batch([arr[:, j] for j in range(3)], noise, rng)
+    return (int(arr[0, 0]), int(arr[0, 1]), int(arr[0, 2]))
 
 
 # --- phase kernels ------------------------------------------------------------
@@ -202,11 +209,8 @@ def _hypercube_phase(bits: np.ndarray, axis: int, n: int, noise: GateNoise,
     """
     r, size = bits.shape
     low = 3 ** axis
-    high = size // (3 * low)
-    view = bits.reshape(r, high, 3, low)
-    triples = np.ascontiguousarray(view.transpose(0, 1, 3, 2))
-    out = _gate_batch(triples, noise, rng)
-    view[:] = out.transpose(0, 1, 3, 2)
+    view = bits.reshape(r, size // (3 * low), 3, low)
+    _gate_batch([view[:, :, j] for j in range(3)], noise, rng)
 
 
 def _randomized_phase(bits: np.ndarray, noise: GateNoise,
@@ -216,9 +220,9 @@ def _randomized_phase(bits: np.ndarray, noise: GateNoise,
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
     perm = np.argsort(rng.random((r, size)), axis=1)
-    shuffled = np.take_along_axis(bits, perm, axis=1)
-    out = _gate_batch(shuffled.reshape(r, size // 3, 3), noise, rng)
-    np.put_along_axis(bits, perm, out.reshape(r, size), axis=1)
+    shuffled = np.take_along_axis(bits, perm, axis=1).reshape(r, size // 3, 3)
+    _gate_batch([shuffled[..., j] for j in range(3)], noise, rng)
+    np.put_along_axis(bits, perm, shuffled.reshape(r, size), axis=1)
 
 
 # --- logical rate estimation ----------------------------------------------------

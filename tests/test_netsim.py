@@ -25,10 +25,16 @@ def test_certain_failure_inverts_majority():
     assert apply_maj3((0, 1, 0), Idealized(1.0), rng) == (1, 1, 1)
 
 
+def _gates(triples, noise, rng):
+    """Outputs of one noisy gate per row of an (n, 3) input array."""
+    _gate_batch([triples[:, j] for j in range(3)], noise, rng)
+    return triples
+
+
 def test_idealized_outputs_move_together():
     rng = np.random.default_rng(5)
     triples = rng.integers(0, 2, (20_000, 3)).astype(np.uint8)
-    out = _gate_batch(triples, Idealized(0.3), rng)
+    out = _gates(triples, Idealized(0.3), rng)
     assert np.all(out[..., 0] == out[..., 1])
     assert np.all(out[..., 0] == out[..., 2])
 
@@ -48,7 +54,7 @@ def test_componentwise_line_marginals():
     n = 10_000_000
     rng = np.random.default_rng(42)
     triples = np.zeros((n, 3), np.uint8)
-    out = _gate_batch(triples, noise, rng)
+    out = _gates(triples, noise, rng)
     cls = 4.0 / 7.0 * pn.p_c  # marginal line hit of one gate-fault draw
     expect0 = _odd_parity([cls, cls, pn.wire_prep])
     expect12 = _odd_parity([cls, cls, pn.wire_prep, pn.wire_prep])
@@ -64,7 +70,7 @@ def test_componentwise_line_marginals():
 def test_componentwise_lines_not_fully_correlated():
     rng = np.random.default_rng(9)
     triples = np.zeros((2_000_000, 3), np.uint8)
-    out = _gate_batch(triples, Componentwise.from_p(0.05), rng)
+    out = _gates(triples, Componentwise.from_p(0.05), rng)
     diff = (out[:, 0] != out[:, 1]).mean()
     assert diff > 0.01  # preps and wires act per line
 
