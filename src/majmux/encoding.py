@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _bisect
-from .netsim import (Idealized, TrialStats, _fan_out, _hypercube_phase,
-                     run_parallel, substream, wilson_interval)
+from .netsim import (Idealized, TrialStats, _fan_out_faults, _gate_masks,
+                     _hypercube_phase, run_parallel, substream,
+                     wilson_interval)
 from .rates import derive_rates, epsilon_of_p
 
 CASCADE_DEPTH = 4
@@ -81,24 +82,21 @@ def p_crit(tol: float = 1e-6) -> float:
 
 
 def _amp_layer(bits: np.ndarray, pn, rng: np.random.Generator) -> np.ndarray:
-    """One fan-out level: (R, C) -> (R, 3C), new branch trit on the high digit.
+    """One fan-out level: (C, R) -> (3C, R), new branch trit on the high digit.
 
-    Per gate: a fault-class draw over the three output lines, preparation
-    flips on the two copy targets, and a wire flip per output.  Draw count
-    is fixed, so shards replay identically for a fixed substream.  Since
-    each level adds the high digit, the first (top) level's branch ends up
-    on the stride-1 trit: every stride-1 triple {3k, 3k+1, 3k+2} holds one
-    leaf from each top branch, and the first correction phase votes across
-    the three independently amplified thirds of the code.
+    Each of the C * R gates copies its bit onto three lines, XOR the
+    fan-out faults of _fan_out_faults, drawn for the whole level at once.
+    Since each level adds the high digit, the first (top) level's branch
+    ends up on the stride-1 trit: every stride-1 triple {3k, 3k+1, 3k+2}
+    holds one leaf from each top branch, and the first correction phase
+    votes across the three independently amplified thirds of the code.
     """
-    r, c = bits.shape
-    u = rng.random(bits.shape)
-    pick = rng.integers(0, 3, bits.shape)
-    prep = (rng.random((2, r, c)) < pn.wire_prep).astype(np.uint8)
-    wire = (rng.random((3, r, c)) < pn.wire_prep).astype(np.uint8)
-    out = np.empty((r, 3, c), np.uint8)
-    _fan_out(bits, u, pick, prep, wire, pn.p_c, [out[:, j] for j in range(3)])
-    return out.reshape(r, 3 * c)
+    c, r = bits.shape
+    mask = np.zeros((1, 3, c * r), np.uint8)
+    _fan_out_faults(mask, pn, rng)
+    lines = mask.reshape(3, c, r)
+    lines ^= bits
+    return lines.reshape(3 * c, r)
 
 
 def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
@@ -109,14 +107,15 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
     corrector = Idealized(epsilon_of_p(p)) if p > 0 else Idealized(0.0)
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
-    bits = np.full((size, 1), input_bit, np.uint8)
+    bits = np.full((1, size), input_bit, np.uint8)
     for _ in range(CASCADE_DEPTH):
         bits = _amp_layer(bits, pn, rng)
     n = CASCADE_DEPTH - 1
     for k in range(phases):
-        _hypercube_phase(bits, k % (n + 1), n, corrector, rng)
-    half = bits.shape[1] // 2
-    maj = (bits.sum(axis=1, dtype=np.int64) > half).astype(np.uint8)
+        mask = _gate_masks(corrector, rng, 1, bits.size // 3)[0]
+        _hypercube_phase(bits, k % (n + 1), mask)
+    half = bits.shape[0] // 2
+    maj = (bits.sum(axis=0, dtype=np.int64) > half).astype(np.uint8)
     return int((maj != input_bit).sum())
 
 

@@ -17,6 +17,10 @@ vote gate and the fan-out gate each draw an error class flipping exactly
 (1/7) p_c, and every prepared ancilla and output wire flips independently
 with probability (2/3) p.
 
+Gate noise is sampled sparsely: each layer's faults become uint8 XOR
+masks on the noiseless bitwise majority, built from the Bernoulli
+successes alone (see the gate kernels below).
+
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
 the chain keeps running (the rate measured is per-phase flips of the
@@ -113,71 +117,90 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 
 
 # --- gate kernels -------------------------------------------------------------
+#
+# A noisy gate layer is its noiseless logic plus a sampled error: every
+# output line is the bitwise majority of the gate's inputs XOR a uint8
+# mask.  Masks are built from the sparse Bernoulli hits of _fault_hits, so
+# their cost grows with the number of faults, not with the number of gates.
 
-_CLASS1 = 3.0 / 7.0  # exactly one line wrong, share of p_c
-_CLASS2 = 6.0 / 7.0  # cumulative: one or two lines wrong
+_VOTE_LINE0 = 4.0 / 7.0  # share of vote-gate faults that hit line 0
+# Fan-out fault classes: row v = 3 * slot + pick of 21 equally likely draws.
+# Slots 0-2 flip line ``pick`` only, slots 3-5 every line but ``pick``, and
+# slot 6 all three: classes of 3/7, 3/7 and 1/7 of p_c with a uniform pick.
+_FAN_OUT_FLIPS = np.array(
+    [[(slot < 3 and j == pick) or (3 <= slot < 6 and j != pick) or slot == 6
+      for j in range(3)] for slot in range(7) for pick in range(3)],
+    np.uint8)
 
 
-def _class_line_flip(u: np.ndarray, pick: np.ndarray, line: int,
-                     p_c: float) -> np.ndarray:
-    """Whether a gate-fault class draw flips the given output line.
+def _fault_hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """Distinct flat indices of the successes among n Bernoulli(p) slots.
 
-    u is the class uniform: exactly-one wrong on [0, 3/7 p_c), exactly-two
-    on [3/7 p_c, 6/7 p_c), all-three on [6/7 p_c, p_c).  pick selects which
-    single line (class one) or which spared line (class two).
+    Draws the success count from Binomial(n, p), then that many distinct
+    slots uniformly: exactly the law of n independent Bernoulli(p) draws,
+    at a cost that grows with p * n rather than n.
     """
-    one = u < _CLASS1 * p_c
-    two = (u >= _CLASS1 * p_c) & (u < _CLASS2 * p_c)
-    three = (u >= _CLASS2 * p_c) & (u < p_c)
-    hit = (one & (pick == line)) | (two & (pick != line)) | three
-    return hit.astype(np.uint8)
+    return rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False)
 
 
-def _gate_batch(lines, noise: GateNoise, rng: np.random.Generator) -> None:
-    """Apply noisy MAJ3 gates in place to three equal-shape line views.
+def _flip_gates(mask: np.ndarray, hits: np.ndarray, lines) -> None:
+    """XOR ``lines[j]`` into line j of the gates at ``hits`` (flat indices
+    over blocks * gates) of ``mask`` (blocks, 3, gates)."""
+    gates = mask.shape[2]
+    flat = mask.reshape(-1)
+    line0 = hits + 2 * gates * (hits // gates)
+    for j, flip in enumerate(lines):
+        flat[line0 + j * gates] ^= flip
 
-    Gate k reads ``lines[0][k], lines[1][k], lines[2][k]`` and writes its
-    three outputs back to the same places.  Every gate consumes a fixed
-    number of random draws for its noise model, so schedules replay
-    identically for a fixed seed.
+
+def _fan_out_faults(mask: np.ndarray, pn: PhysicalNoise,
+                    rng: np.random.Generator) -> None:
+    """XOR the faults of noisy fan-out gates into ``mask`` (blocks, 3, gates).
+
+    Per gate: a fault class with probability p_c (see _FAN_OUT_FLIPS), a
+    flip of the ancilla prepared for each of lines 1 and 2, and a flip of
+    each output wire, the last two with probability wire_prep each.
+    """
+    blocks, _, gates = mask.shape
+    flat = mask.reshape(-1)
+    hits = _fault_hits(rng, pn.p_c, blocks * gates)
+    _flip_gates(mask, hits, _FAN_OUT_FLIPS[rng.integers(0, 21, hits.size)].T)
+    preps = _fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
+    flat[preps + (preps // (2 * gates) + 1) * gates] ^= 1
+    flat[_fault_hits(rng, pn.wire_prep, flat.size)] ^= 1
+
+
+def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
+                gates: int) -> np.ndarray:
+    """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates.
+
+    Entry [b, j, g] flips output line j of gate g in layer b.  An
+    Idealized fault flips all three lines.  A Componentwise gate is a vote
+    gate whose line 0 feeds a fan-out gate: a vote fault on that line
+    (4/7 of its faults) is copied to all three lines, then the fan-out
+    adds its own faults.
+    """
+    mask = np.zeros((blocks, 3, gates), np.uint8)
+    if isinstance(noise, Idealized):
+        every_line = noise.epsilon
+    else:
+        every_line = _VOTE_LINE0 * noise.noise.p_c
+    _flip_gates(mask, _fault_hits(rng, every_line, blocks * gates), (1, 1, 1))
+    if isinstance(noise, Componentwise):
+        _fan_out_faults(mask, noise.noise, rng)
+    return mask
+
+
+def _maj3_layer(lines, mask: np.ndarray) -> None:
+    """Noisy MAJ3 gates in place on three equal-shape line views.
+
+    Gate k reads ``lines[0][k], lines[1][k], lines[2][k]``; line j then
+    holds their majority XOR ``mask[j]`` (shape (3, gates)).
     """
     a, b, c = lines
     m = (a & b) | (c & (a | b))
-    if isinstance(noise, Idealized):
-        m ^= rng.random(m.shape) < noise.epsilon
-        for line in lines:
-            line[...] = m
-        return
-
-    pn = noise.noise
-    # vote gate: only its first line feeds the fan-out
-    u_vote = rng.random(m.shape)
-    pick_vote = rng.integers(0, 3, m.shape)
-    m ^= _class_line_flip(u_vote, pick_vote, 0, pn.p_c)
-    # fan-out gate: prepared ancillas, class fault, output wires
-    prep = (rng.random(m.shape + (2,)) < pn.wire_prep).astype(np.uint8)
-    u_amp = rng.random(m.shape)
-    pick_amp = rng.integers(0, 3, m.shape)
-    wire = (rng.random(m.shape + (3,)) < pn.wire_prep).astype(np.uint8)
-    _fan_out(m, u_amp, pick_amp, (prep[..., 0], prep[..., 1]),
-             (wire[..., 0], wire[..., 1], wire[..., 2]), pn.p_c, lines)
-
-
-def _fan_out(bits: np.ndarray, u: np.ndarray, pick: np.ndarray, prep, wire,
-             p_c: float, out) -> None:
-    """Write the three output lines of a noisy fan-out gate copying ``bits``
-    into the views ``out``.
-
-    u and pick are the gate's fault-class draws (see _class_line_flip);
-    prep[j - 1] flips the ancilla prepared for copy line j > 0 and wire[j]
-    flips output line j.  Callers draw these in their own order and
-    layout, so each keeps its per-seed stream.
-    """
-    for j, line in enumerate(out):
-        flip = _class_line_flip(u, pick, j, p_c) ^ wire[j]
-        if j:
-            flip ^= prep[j - 1]
-        np.bitwise_xor(bits, flip, out=line)
+    for line, flip in zip(lines, mask):
+        np.bitwise_xor(m, flip.reshape(m.shape), out=line)
 
 
 def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
@@ -187,42 +210,47 @@ def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
     Args:
         inputs: three 0/1 values.
         noise: Idealized(epsilon) or Componentwise(PhysicalNoise).
-        rng: numpy Generator; a fixed number of draws is consumed.
+        rng: numpy Generator the gate's faults are drawn from.
 
     Returns:
         The three output bits.
     """
     arr = np.array(inputs, dtype=np.uint8).reshape(1, 3)
-    _gate_batch([arr[:, j] for j in range(3)], noise, rng)
+    _maj3_layer([arr[:, j] for j in range(3)],
+                _gate_masks(noise, rng, 1, 1)[0])
     return (int(arr[0, 0]), int(arr[0, 1]), int(arr[0, 2]))
 
 
 # --- phase kernels ------------------------------------------------------------
 
 
-def _hypercube_phase(bits: np.ndarray, axis: int, n: int, noise: GateNoise,
-                     rng: np.random.Generator) -> None:
-    """One layer of 3^n parallel MAJ3 gates along a cube axis, in place.
+def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
+    """One layer of parallel MAJ3 gates along a cube axis, in place.
 
-    bits has shape (replicas, 3^(n+1)); trit ``axis`` of the flat index
-    (stride 3^axis) selects the position within each gate's triple.
+    bits has shape (3^(n+1), replicas), replicas on the fast axis; trit
+    ``axis`` of the bit index (stride 3^axis) selects the position within
+    each gate's triple.  mask is the layer's (3, bits.size // 3) output
+    mask (see _gate_masks).
     """
-    r, size = bits.shape
+    size, r = bits.shape
     low = 3 ** axis
-    view = bits.reshape(r, size // (3 * low), 3, low)
-    _gate_batch([view[:, :, j] for j in range(3)], noise, rng)
+    view = bits.reshape(size // (3 * low), 3, low * r)
+    _maj3_layer([view[:, j] for j in range(3)], mask)
 
 
-def _randomized_phase(bits: np.ndarray, noise: GateNoise,
+def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
                       rng: np.random.Generator) -> None:
-    """One multiplexing phase: fresh permutation, MAJ3 on each triple."""
-    r, size = bits.shape
+    """One multiplexing phase: each replica of the (size, replicas)
+    register draws a fresh permutation and applies MAJ3 to each triple."""
+    size, r = bits.shape
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
     perm = np.argsort(rng.random((r, size)), axis=1)
-    shuffled = np.take_along_axis(bits, perm, axis=1).reshape(r, size // 3, 3)
-    _gate_batch([shuffled[..., j] for j in range(3)], noise, rng)
-    np.put_along_axis(bits, perm, shuffled.reshape(r, size), axis=1)
+    flat = bits.reshape(-1)
+    at = (perm * r + np.arange(r)[:, None]).reshape(r, size // 3, 3)
+    shuffled = flat[at]
+    _maj3_layer([shuffled[..., j] for j in range(3)], mask)
+    flat[at] = shuffled
 
 
 # --- logical rate estimation ----------------------------------------------------
@@ -231,6 +259,7 @@ def _randomized_phase(bits: np.ndarray, noise: GateNoise,
 _WARMUP = 50    # phases discarded per replica before tallying
 _REPLICAS = 32  # registers run in lockstep
 _SETTLE = 3     # phases a new majority must hold to count as a flip
+_BLOCK = 64     # phases whose gate masks are drawn in one go
 
 
 def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
@@ -264,7 +293,7 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
         raise ValueError("schedule axis count does not match the code level")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    bits = np.zeros((_REPLICAS, size), np.uint8)
+    bits = np.zeros((size, _REPLICAS), np.uint8)
     logical = np.zeros(_REPLICAS, np.uint8)
     prev = np.zeros(_REPLICAS, np.uint8)
     streak = np.zeros(_REPLICAS, np.int64)  # consecutive phases at current majority
@@ -273,12 +302,15 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     flips = 0
     phase_idx = 0
     while True:
+        if phase_idx % _BLOCK == 0:
+            masks = _gate_masks(noise, rng, _BLOCK, bits.size // 3)
+        mask = masks[phase_idx % _BLOCK]
         if sched.kind == "hypercube":
             axis = sched.axis_order[phase_idx % len(sched.axis_order)]
-            _hypercube_phase(bits, axis, n, noise, rng)
+            _hypercube_phase(bits, axis, mask)
         else:
-            _randomized_phase(bits, noise, rng)
-        maj = (bits.sum(axis=1, dtype=np.int64) > half).astype(np.uint8)
+            _randomized_phase(bits, mask, rng)
+        maj = (bits.sum(axis=0, dtype=np.int64) > half).astype(np.uint8)
         streak = np.where(maj == prev, streak + 1, 1)
         prev = maj
         settled = (streak >= _SETTLE) & (maj != logical)

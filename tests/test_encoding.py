@@ -78,13 +78,27 @@ def test_amp_layer_puts_top_branch_on_stride1_trit():
     # a noisy top level makes its three branches differ; noiseless lower
     # levels then copy each branch onto every position i with i % 3 == branch
     rng = np.random.default_rng(8)
-    top = _amp_layer(np.zeros((4000, 1), np.uint8), derive_rates(0.2)[0], rng)
-    assert (top != top[:, :1]).any()
+    top = _amp_layer(np.zeros((1, 4000), np.uint8), derive_rates(0.2)[0], rng)
+    assert (top != top[:1]).any()
     bits = top
     for _ in range(CASCADE_DEPTH - 1):
         bits = _amp_layer(bits, derive_rates(0.0)[0], rng)
-    assert bits.shape == (4000, 81)
-    assert np.array_equal(bits, top[:, np.arange(81) % 3])
+    assert bits.shape == (81, 4000)
+    assert np.array_equal(bits, top[np.arange(81) % 3])
+
+
+def test_amp_layer_line_marginals():
+    # line 0: fault class XOR wire; lines 1-2 add their prepared ancilla
+    pn = derive_rates(0.02)[0]
+    n = 10_000_000
+    out = _amp_layer(np.zeros((1, n), np.uint8), pn, np.random.default_rng(6))
+    cls = 4.0 / 7.0 * pn.p_c
+    w = pn.wire_prep
+    expect0 = cls * (1 - w) + (1 - cls) * w
+    expect12 = expect0 * (1 - w) + (1 - expect0) * w
+    for line, expect in ((0, expect0), (1, expect12), (2, expect12)):
+        got = out[line].mean()
+        assert abs(got - expect) <= 4 * _sigma(expect, n), (line, got, expect)
 
 
 def test_mc_validation():

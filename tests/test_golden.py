@@ -2,7 +2,10 @@
 
 Each file in ``tests/data/golden`` was written by the command next to its
 name.  Any change to a draw order, a seed derivation, a kernel or the
-rendering shows up here as a byte difference.
+rendering shows up here as a byte difference.  A change that moves the
+per-seed numbers on purpose rewrites every file from ``CASES`` with
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import pathlib
@@ -45,3 +48,9 @@ def test_artifact_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        assert main(argv + ["--out", str(GOLDEN / name)]) == 0
+        print("wrote", GOLDEN / name)

@@ -5,8 +5,9 @@ from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
                            apply_maj3, estimate_logical_rate,
                            hypercube_schedule, randomized_schedule,
-                           wilson_interval,
-                           _gate_batch, _hypercube_phase, _randomized_phase)
+                           wilson_interval, _FAN_OUT_FLIPS, _fault_hits,
+                           _gate_masks, _hypercube_phase, _maj3_layer,
+                           _randomized_phase)
 from majmux.rates import epsilon_of_p
 
 
@@ -27,16 +28,39 @@ def test_certain_failure_inverts_majority():
 
 def _gates(triples, noise, rng):
     """Outputs of one noisy gate per row of an (n, 3) input array."""
-    _gate_batch([triples[:, j] for j in range(3)], noise, rng)
+    mask = _gate_masks(noise, rng, 1, len(triples))[0]
+    _maj3_layer([triples[:, j] for j in range(3)], mask)
     return triples
+
+
+@pytest.mark.parametrize("n", [0, 1, 864, 221184])
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.047, 0.5, 1.0])
+def test_fault_hits_are_distinct_bernoulli_successes(p, n):
+    rng = np.random.default_rng(17)
+    hits = _fault_hits(rng, p, n)
+    assert len(np.unique(hits)) == len(hits)
+    assert np.all((hits >= 0) & (hits < n))
+    sig = np.sqrt(n * p * (1 - p))
+    assert abs(len(hits) - n * p) <= 4 * sig
+
+
+def test_fan_out_fault_classes():
+    # 21 equally likely draws: 9 flip one line, 9 flip two, 3 flip all
+    # three (3/7, 3/7, 1/7), and every line is hit by 12 of them (4/7)
+    per_draw = _FAN_OUT_FLIPS.sum(axis=1)
+    assert [int((per_draw == k).sum()) for k in (1, 2, 3)] == [9, 9, 3]
+    assert _FAN_OUT_FLIPS.sum(axis=0).tolist() == [12, 12, 12]
 
 
 def test_idealized_outputs_move_together():
     rng = np.random.default_rng(5)
     triples = rng.integers(0, 2, (20_000, 3)).astype(np.uint8)
+    expect = (triples.sum(axis=1) >= 2).astype(np.uint8)
     out = _gates(triples, Idealized(0.3), rng)
     assert np.all(out[..., 0] == out[..., 1])
     assert np.all(out[..., 0] == out[..., 2])
+    wrong = (out[:, 0] != expect).mean()
+    assert abs(wrong - 0.3) <= 4 * np.sqrt(0.3 * 0.7 / 20_000)
 
 
 def _odd_parity(probs):
@@ -52,14 +76,12 @@ def test_componentwise_line_marginals():
     noise = Componentwise.from_p(p)
     pn = noise.noise
     n = 10_000_000
-    rng = np.random.default_rng(42)
-    triples = np.zeros((n, 3), np.uint8)
-    out = _gates(triples, noise, rng)
+    out = _gate_masks(noise, np.random.default_rng(42), 1, n)[0]
     cls = 4.0 / 7.0 * pn.p_c  # marginal line hit of one gate-fault draw
     expect0 = _odd_parity([cls, cls, pn.wire_prep])
     expect12 = _odd_parity([cls, cls, pn.wire_prep, pn.wire_prep])
     for line, expect in ((0, expect0), (1, expect12), (2, expect12)):
-        got = out[:, line].mean()
+        got = out[line].mean()
         sig = np.sqrt(expect * (1 - expect) / n)
         assert abs(got - expect) <= 4 * sig, (line, got, expect)
     # the analytic per-line budget is a first-order upper bound
@@ -100,10 +122,11 @@ def test_unknown_schedule_kind_rejected():
 
 def _phase(ones, axis, eps):
     """One axis phase on a 9-bit register holding 1s at ``ones``."""
-    bits = np.zeros((1, 9), np.uint8)
-    bits[0, ones] = 1
-    _hypercube_phase(bits, axis, 1, Idealized(eps), np.random.default_rng(0))
-    return bits[0]
+    bits = np.zeros((9, 1), np.uint8)
+    bits[ones, 0] = 1
+    mask = _gate_masks(Idealized(eps), np.random.default_rng(0), 1, 3)[0]
+    _hypercube_phase(bits, axis, mask)
+    return bits[:, 0]
 
 
 def test_single_error_cleared_by_one_noiseless_phase():
@@ -125,15 +148,15 @@ def test_certain_failure_phase_flips_whole_register():
 
 def test_randomized_phase_clears_sparse_errors():
     rng = np.random.default_rng(33)
-    bits = np.zeros((4, 9), np.uint8)
-    bits[:, 0] = 1
-    _randomized_phase(bits, Idealized(0.0), rng)
+    bits = np.zeros((9, 4), np.uint8)
+    bits[0] = 1
+    _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0], rng)
     assert bits.sum() == 0
 
 
 def test_randomized_phase_size_must_be_triples():
     with pytest.raises(ValueError):
-        _randomized_phase(np.zeros((1, 8), np.uint8), Idealized(0.0),
+        _randomized_phase(np.zeros((8, 1), np.uint8), np.zeros((3, 2), np.uint8),
                           np.random.default_rng(0))
 
 
