@@ -152,11 +152,16 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
     Runs the 3^(level+1)-bit register wired by ``model`` (``hypercube_mc``
     or ``vn_mc``) with Idealized(x) gates, or Componentwise gates at
     physical rate x when ``use_p`` is set, on substream ``index`` of
-    ``seed``.
+    ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
+    note; one outside [0, 1], like a physical rate outside its domain,
+    raises ValueError.
     """
     sched = (hypercube_schedule(level) if model == "hypercube_mc"
              else randomized_schedule())
     noise = Componentwise.from_p(x) if use_p else Idealized(x)
+    if not use_p and not 0.0 < x < 0.5:
+        return SweepRecord(x, math.nan, math.nan, math.nan, model, level,
+                           seed, note="eps outside (0, 0.5)")
     sub = substream(seed, index).generate_state(2)
     st = estimate_logical_rate(level, sched, noise,
                                int(sub[0]) << 32 | int(sub[1]),
@@ -174,8 +179,8 @@ def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
     of the analytic chains, eps in [0, 0.25]), ``concat(t,L)`` (the
     concatenation baseline, eps in [0, 1]), and ``hypercube_mc`` /
     ``vn_mc`` (bit-level estimates on the 81-bit register with idealized
-    gates, eps in (0, 0.5)).  Off-domain points come back as NaN records
-    with an explanatory note.
+    gates, eps in (0, 0.5); see ``mc_point``).  Off-domain points come
+    back as NaN records with an explanatory note.
 
     Monte Carlo points run on independent substreams derived from (seed,
     point index), so records are identical for any ``workers`` value and
@@ -213,17 +218,8 @@ def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
         return records
 
     if model in ("hypercube_mc", "vn_mc"):
-        todo = []
-        for i, x in enumerate(xs):
-            if not 0.0 < x < 0.5:
-                records.append(SweepRecord(x, math.nan, math.nan, math.nan,
-                                           model, _MC_LEVEL, seed,
-                                           note="eps outside (0, 0.5)"))
-            else:
-                todo.append((model, _MC_LEVEL, False, x, seed, i, min_flips,
-                             max_phases))
-        records.extend(run_parallel(mc_point, todo, workers))
-        records.sort(key=lambda r: r.x)
-        return records
+        jobs = [(model, _MC_LEVEL, False, x, seed, i, min_flips, max_phases)
+                for i, x in enumerate(xs)]
+        return run_parallel(mc_point, jobs, workers)
 
     raise ValueError(f"unknown model {model!r}")

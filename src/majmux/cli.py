@@ -144,6 +144,8 @@ def _emit(config: RunConfig, records: list[SweepRecord]) -> None:
 
 
 def _parse_grid(config: RunConfig) -> list[float]:
+    if config.eps is not None and config.p is not None:
+        raise ValueError("give --eps or --p, not both")
     if config.grid is not None:
         try:
             lo, hi, steps = config.grid.split(":")
@@ -264,8 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", help="model tag (see command help)")
-        p.add_argument("--level", type=int, default=2,
-                       help="code level n; the register has 3^(n+1) bits")
+        if name == "simulate":
+            p.add_argument("--level", type=int, default=2,
+                           help="code level n; the register has 3^(n+1) bits")
         p.add_argument("--eps", type=float, help="per-output gate error")
         p.add_argument("--p", type=float, help="physical component error")
         p.add_argument("--grid", help="lo:hi:steps inclusive linear grid")
@@ -289,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.level < 1 or args.level > 5:
+    if args.command == "simulate" and not 1 <= args.level <= 5:
         print("error: --level must be in 1..5", file=sys.stderr)
         return 2
     return run(RunConfig(**vars(args)))

@@ -174,6 +174,34 @@ def test_simulate_rejects_bad_gate_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_eps_with_p(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main(["simulate", "--model", "hypercube_mc", "--level", "1",
+                 "--eps", "0.1", "--p", "0.3", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_level_only_on_simulate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "hypercube_mc", "--level", "1",
+              "--eps", "0.1"])
+    assert exc.value.code == 2
+    assert "--level" in capsys.readouterr().err
+
+
+def test_sweep_and_simulate_share_the_eps_domain(tmp_path):
+    rows = {}
+    for cmd in (["sweep"], ["simulate", "--level", "3"]):
+        out = tmp_path / f"{cmd[0]}.csv"
+        assert main([*cmd, "--model", "vn_mc", "--eps", "0.7",
+                     "--out", str(out)]) == 0
+        rows[cmd[0]] = out.read_text().splitlines()[1:]
+    assert rows["sweep"] == rows["simulate"]
+    _, recs = parse_table(out.read_text())
+    assert math.isnan(recs[0].y)
+
+
 def test_level_out_of_range_exits_2(capsys):
     rc = main(["simulate", "--model", "vn_mc", "--eps", "0.1",
                "--level", "6"])
