@@ -110,10 +110,9 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
     bits = np.full((1, size), input_bit, np.uint8)
     for _ in range(CASCADE_DEPTH):
         bits = _amp_layer(bits, pn, rng)
-    n = CASCADE_DEPTH - 1
     for k in range(phases):
         mask = _gate_masks(corrector, rng, 1, bits.size // 3)[0]
-        _hypercube_phase(bits, k % (n + 1), mask)
+        _hypercube_phase(bits, k % CASCADE_DEPTH, mask)
     half = bits.shape[0] // 2
     maj = (bits.sum(axis=0, dtype=np.int64) > half).astype(np.uint8)
     return int((maj != input_bit).sum())

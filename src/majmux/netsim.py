@@ -17,9 +17,10 @@ vote gate and the fan-out gate each draw an error class flipping exactly
 (1/7) p_c, and every prepared ancilla and output wire flips independently
 with probability (2/3) p.
 
-Gate noise is sampled sparsely: each layer's faults become uint8 XOR
-masks on the noiseless bitwise majority, built from the Bernoulli
-successes alone (see the gate kernels below).
+Gate noise is sampled sparsely: a gate layer is its noiseless bitwise
+majority XOR a uint8 mask per output line, and the masks are built from
+the Bernoulli successes alone, so their cost grows with the number of
+faults, not with the number of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -117,11 +118,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
 
 
 # --- gate kernels -------------------------------------------------------------
-#
-# A noisy gate layer is its noiseless logic plus a sampled error: every
-# output line is the bitwise majority of the gate's inputs XOR a uint8
-# mask.  Masks are built from the sparse Bernoulli hits of _fault_hits, so
-# their cost grows with the number of faults, not with the number of gates.
 
 _VOTE_LINE0 = 4.0 / 7.0  # share of vote-gate faults that hit line 0
 # Fan-out fault classes: row v = 3 * slot + pick of 21 equally likely draws.
