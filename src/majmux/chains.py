@@ -187,8 +187,9 @@ class ErrorChain:
 class SteadyState:
     """Stationary occupancies conditioned on no logical failure."""
 
-    pi: np.ndarray  # over non-failure states, sums to 1
-    p_ss: float     # per-phase logical failure probability, pi . fail
+    pi: np.ndarray   # over non-failure states, sums to 1
+    p_ss: float      # per-phase logical failure probability, pi . fail
+    residual: float  # max |pi M - pi| for the row-normalized matrix M
 
 
 # --- chain builders -----------------------------------------------------------
@@ -297,19 +298,20 @@ def build_level3_chain() -> ErrorChain:
             enumerated classes, or if two configurations of one class
             disagree on their transition polynomials.
     """
-    rows = np.stack([_level3_row(q) for q in REFINED_PROFILES])
-
     # exhaustive self-check: every one of the 512 patterns is either logical
-    # or reproduces its profile's row exactly
+    # or reproduces its profile's row exactly.  A pattern's row depends only
+    # on its line counts, so each distinct count vector is built and
+    # compared once, naming one pattern that has it.
+    witness: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for bits in itertools.product((0, 1), repeat=9):
-        grid = np.array(bits, dtype=np.int64).reshape(3, 3)
-        counts = tuple(int(c) for c in grid.sum(axis=1))
-        prof = _profile_or_none(counts)  # raises if unclassifiable
-        if prof is None:
-            continue
-        got = _level3_row(counts)
-        want = rows[_PROFILE_INDEX[prof]]
-        if not np.array_equal(got, want):
+        counts = (sum(bits[:3]), sum(bits[3:6]), sum(bits[6:]))
+        if _profile_or_none(counts) is not None:  # raises if unclassifiable
+            witness.setdefault(counts, bits)
+    row_of = {counts: _level3_row(counts) for counts in witness}
+    rows = np.stack([row_of[q] for q in REFINED_PROFILES])
+    for counts, bits in witness.items():
+        prof = _profile_or_none(counts)
+        if not np.array_equal(row_of[counts], rows[_PROFILE_INDEX[prof]]):
             raise RuntimeError(
                 f"configuration {bits} disagrees with its class row "
                 f"(profile {prof}); enumeration is inconsistent")
@@ -358,32 +360,45 @@ def _check_substochastic_identity(trans: np.ndarray, fail: np.ndarray) -> None:
 # --- steady state -------------------------------------------------------------
 
 
-def _stationary(trans: np.ndarray, tol: float = 1e-15,
-                max_iter: int = 10 ** 6) -> np.ndarray:
-    """Stationary distribution of the row-normalized substochastic matrix."""
+def _stationary(trans: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stationary law of the row-normalized substochastic matrix.
+
+    Grassmann-Taksar-Heyman state reduction (Oper. Res. 33:1107, 1985):
+    states k-1..1 are censored out one at a time, and the column of each is
+    divided by its row's mass to the states still kept, never by one minus
+    its diagonal, so no step subtracts and the relative accuracy holds as
+    eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Returns pi
+    and the residual max |pi M - pi| for the row-normalized M.
+    """
     rowsums = trans.sum(axis=1)
     if np.any(rowsums <= 0.0):
         raise ValueError("a row of the transition matrix has no survivors; "
                          "cannot condition on non-failure")
     m = trans / rowsums[:, None]
-    k = m.shape[0]
-    v = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        w = v @ m
-        w /= w.sum()
-        if np.max(np.abs(w - v)) < tol:
-            return w
-        v = w
-    raise RuntimeError(
-        f"power iteration did not converge; residual {np.max(np.abs(w - v)):.3e}")
+    a = m.copy()
+    for n in range(len(a) - 1, 0, -1):
+        s = a[n, :n].sum()
+        if s <= 0.0:
+            raise ValueError(f"state {n} cannot reach a lower state; "
+                             "the chain is reducible")
+        a[:n, n] /= s
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    pi = np.ones(len(a))
+    for j in range(1, len(a)):
+        pi[j] = pi[:j] @ a[:j, j]
+    pi /= pi.sum()
+    return pi, float(np.max(np.abs(pi @ m - pi)))
 
 
 def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     """Stationary state of the chain at eps, conditioned on survival.
 
-    Power-iterates the row-normalized transition matrix until the occupancy
-    vector changes by less than 1e-15 in max norm, then reports
-    p_ss = pi . fail(eps), the per-phase logical failure probability.
+    Convention: pi is the stationary law of the row-normalized transition
+    matrix M = T / rowsum(T), the chain whose every step is conditioned on
+    that step's survival; it is not the quasi-stationary (Perron)
+    distribution of T.  pi comes from a direct GTH solve (no iteration),
+    p_ss = pi . fail(eps) is the per-phase logical failure probability and
+    residual is max |pi M - pi|.
 
     Args:
         chain: a chain from build_level2_chain or build_level3_chain.
@@ -392,11 +407,12 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     if epsilon == 0.0:
         pi = np.zeros(chain.n_states)
         pi[0] = 1.0
-        return SteadyState(pi=pi, p_ss=0.0)
+        return SteadyState(pi=pi, p_ss=0.0, residual=0.0)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    pi = _stationary(chain.trans(epsilon))
-    return SteadyState(pi=pi, p_ss=float(pi @ chain.fail(epsilon)))
+    pi, residual = _stationary(chain.trans(epsilon))
+    return SteadyState(pi=pi, p_ss=float(pi @ chain.fail(epsilon)),
+                       residual=residual)
 
 
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
@@ -414,7 +430,7 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
         t = npoly.polyval(epsilon, chain.refined_trans_coeffs.transpose(2, 0, 1))
     else:
         t = chain.trans(epsilon)
-    pi = _stationary(t)
+    pi, _ = _stationary(t)
     return float(pi @ np.array(chain.refined_marks, dtype=float)) / 9.0
 
 

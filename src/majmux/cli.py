@@ -143,6 +143,16 @@ def _emit(config: RunConfig, records: list[SweepRecord]) -> None:
         raise
 
 
+# the x options each command reads; the parser registers only these
+_X_OPTIONS = {
+    "sweep": ("eps", "grid"),
+    "simulate": ("eps", "p", "grid"),
+    "threshold": (),
+    "encode": ("p", "grid"),
+    "compare-vn": ("eps", "grid"),
+}
+
+
 def _parse_grid(config: RunConfig) -> list[float]:
     if config.eps is not None and config.p is not None:
         raise ValueError("give --eps or --p, not both")
@@ -156,7 +166,8 @@ def _parse_grid(config: RunConfig) -> list[float]:
     for single in (config.eps, config.p):
         if single is not None:
             return [single]
-    raise ValueError("need --grid, --eps, or --p")
+    raise ValueError("need " + " or ".join(
+        f"--{name}" for name in _X_OPTIONS[config.command]))
 
 
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
@@ -264,14 +275,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare-vn": "hypercube wiring vs randomized multiplexing at 81 bits",
     }
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviations: an unregistered --p must not resolve to --pcrit
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--model", help="model tag (see command help)")
         if name == "simulate":
             p.add_argument("--level", type=int, default=2,
                            help="code level n; the register has 3^(n+1) bits")
-        p.add_argument("--eps", type=float, help="per-output gate error")
-        p.add_argument("--p", type=float, help="physical component error")
-        p.add_argument("--grid", help="lo:hi:steps inclusive linear grid")
+        if "eps" in _X_OPTIONS[name]:
+            p.add_argument("--eps", type=float, help="per-output gate error")
+        if "p" in _X_OPTIONS[name]:
+            p.add_argument("--p", type=float, help="physical component error")
+        if "grid" in _X_OPTIONS[name]:
+            p.add_argument("--grid", help="lo:hi:steps inclusive linear grid")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--min-flips", type=int, default=100, dest="min_flips")
         p.add_argument("--max-phases", type=int, default=10_000_000,

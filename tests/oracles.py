@@ -12,10 +12,15 @@ Rules (81-bit corrector, one step):
     over the nine gates;
   * the per-square failure counts become the line counts of the next grid;
   * two or more squares with two or more failures is a logical error.
+
+``stationary_reference`` is the exact-arithmetic counterpart for the
+steady state: it evaluates a chain's integer coefficients at 50 digits and
+solves the stationary equations with mpmath.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 PROFILES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (3, 0, 0),
@@ -96,3 +101,35 @@ def trajectory_mark_fraction(eps: float, steps: int,
             tallied += 1
     means = sums / tallied
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
+
+
+def stationary_reference(trans_coeffs: np.ndarray, fail_coeffs: np.ndarray,
+                         eps: float):
+    """Stationary law and failure rate of a chain, to 50 digits.
+
+    Same definition as the product: pi is the stationary law of the
+    row-normalized transition matrix M = T / rowsum(T), and the rate is
+    pi . fail.  T and fail are evaluated from the integer coefficients at
+    the exact binary value of ``eps``; pi solves pi (M - I) = 0 with its
+    last equation replaced by sum(pi) = 1.  Returns (pi, p_ss) as mpf.
+    """
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+
+        def poly(cs):
+            return mpmath.fsum(int(c) * e ** i for i, c in enumerate(cs))
+
+        k = trans_coeffs.shape[0]
+        t = [[poly(trans_coeffs[i, j]) for j in range(k)] for i in range(k)]
+        a = mpmath.matrix(k, k)
+        for i in range(k):
+            rowsum = mpmath.fsum(t[i])
+            for j in range(k):
+                a[j, i] = t[i][j] / rowsum - (1 if i == j else 0)
+        for i in range(k):
+            a[k - 1, i] = 1
+        b = mpmath.matrix(k, 1)
+        b[k - 1] = 1
+        pi = mpmath.lu_solve(a, b)
+        p_ss = mpmath.fsum(pi[i] * poly(fail_coeffs[i]) for i in range(k))
+        return [pi[i] for i in range(k)], p_ss

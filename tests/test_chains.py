@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from majmux import chains
 from majmux.chains import (REFINED_CLASS, REFINED_MARKS, REFINED_PROFILES,
                            ErrorChain, build_level2_chain, build_level3_chain,
                            parse_chain_text, pattern_class,
@@ -44,8 +45,33 @@ def test_level2_steady_state_anchors():
 
 
 def test_level3_steady_state_anchor():
+    # the 50-digit value of the same definition (oracles.stationary_reference)
     assert steady_state(L3, 0.01).p_ss == pytest.approx(
-        2.7344090266792545e-11, rel=1e-10)
+        2.7344090258511613e-11, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.01, 0.05, 0.149])
+def test_steady_state_matches_50_digit_reference(eps):
+    for chain in (L2, L3):
+        _, p_ss = oracles.stationary_reference(chain.trans_coeffs,
+                                               chain.fail_coeffs, eps)
+        assert steady_state(chain, eps).p_ss == pytest.approx(
+            float(p_ss), rel=1e-13, abs=0)
+    pi, _ = oracles.stationary_reference(L3.refined_trans_coeffs,
+                                         L3.refined_fail_coeffs, eps)
+    eta = sum(p * m for p, m in zip(pi, L3.refined_marks)) / 9
+    assert propagated_bit_error(L3, eps) == pytest.approx(
+        float(eta), rel=1e-13, abs=0)
+
+
+def test_steady_state_reports_small_residual():
+    for chain in (L2, L3):
+        for eps in np.linspace(0.001, 0.25, 60):
+            ss = steady_state(chain, eps)
+            m = chain.trans(eps)
+            m /= m.sum(axis=1)[:, None]
+            assert ss.residual == np.max(np.abs(ss.pi @ m - ss.pi))
+            assert ss.residual <= 1e-15
 
 
 def test_level3_low_noise_scaling():
@@ -104,6 +130,21 @@ def test_refined_lumping_reproduces_class_chain():
                                               abs=1e-12)
 
 
+def test_level3_self_check_catches_a_permuted_count_vector(monkeypatch):
+    real_row = chains._level3_row
+
+    def skewed(counts):
+        row = real_row(counts)
+        if counts == (0, 1, 0):  # a permutation of profile (1, 0, 0)
+            row = row.copy()
+            row[0, 1] += 1
+        return row
+
+    monkeypatch.setattr(chains, "_level3_row", skewed)
+    with pytest.raises(RuntimeError, match=r"profile \(1, 0, 0\)"):
+        build_level3_chain.__wrapped__()
+
+
 def test_pattern_class_examples():
     def cls(rows):
         return pattern_class(np.array(rows, dtype=int))
@@ -147,7 +188,7 @@ def test_steady_state_at_zero_noise():
     for chain in (L2, L3):
         ss = steady_state(chain, 0.0)
         assert ss.pi[0] == 1.0
-        assert ss.p_ss == 0.0
+        assert ss.p_ss == 0.0 and ss.residual == 0.0
         assert ss.pi.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -214,3 +255,13 @@ def test_dead_chain_has_zero_failure():
                       trans_coeffs=L2.trans_coeffs,
                       fail_coeffs=np.zeros_like(L2.fail_coeffs))
     assert steady_state(dead, 0.1).p_ss == 0.0
+
+
+def test_reducible_chain_is_rejected():
+    # both states are absorbing, so the stationary law is not unique
+    trans = np.zeros_like(L2.trans_coeffs)
+    trans[0, 0, 0] = trans[1, 1, 0] = 1
+    stuck = ErrorChain(name="stuck", labels=L2.labels, trans_coeffs=trans,
+                       fail_coeffs=np.zeros_like(L2.fail_coeffs))
+    with pytest.raises(ValueError, match="reducible"):
+        steady_state(stuck, 0.1)

@@ -36,7 +36,7 @@ def test_sweep_stdout_csv(capsys):
     assert main(["sweep", "--model", "level3", "--eps", "0.01"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# config:")
-    assert "2.7344090266792545e-11" in out
+    assert "2.7344090258511611e-11" in out
     cfg, records = parse_table(out)
     assert cfg.command == "sweep" and cfg.model == "level3"
     assert len(records) == 1
@@ -188,6 +188,20 @@ def test_level_only_on_simulate(capsys):
               "--eps", "0.1"])
     assert exc.value.code == 2
     assert "--level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-vn", "--p", "0.11"],
+    ["encode", "--eps", "0.02"],
+    ["sweep", "--model", "level3", "--p", "0.01"],
+    ["threshold", "--model", "level3", "--eps", "0.1"],
+    ["threshold", "--model", "level3", "--grid", "0.1:0.2:2"],
+])
+def test_command_rejects_x_option_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_sweep_and_simulate_share_the_eps_domain(tmp_path):
