@@ -18,9 +18,9 @@ from .netsim import (Componentwise, GateNoise, Idealized, Schedule,
                      TrialStats, apply_maj3, estimate_logical_rate,
                      hypercube_schedule, randomized_schedule,
                      wilson_interval)
-from .rates import (EPSILON_PER_P, EPSILON_PER_P_ALT, EncodingRates,
-                    Maj3Rates, PhysicalNoise, derive_rates, epsilon_of_p,
-                    jvn_stable_eta, single_triple_map)
+from .rates import (EPSILON_PER_P, EncodingRates, Maj3Rates, PhysicalNoise,
+                    derive_rates, epsilon_of_p, jvn_stable_eta,
+                    single_triple_map)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "Componentwise", "GateNoise", "Idealized", "Schedule", "TrialStats",
     "ErrorChain", "SteadyState", "EncodeBound",
     "SweepRecord", "EncodingRates", "Maj3Rates", "PhysicalNoise",
-    "EPSILON_PER_P", "EPSILON_PER_P_ALT", "LEVEL2_LABELS", "LEVEL3_LABELS",
+    "EPSILON_PER_P", "LEVEL2_LABELS", "LEVEL3_LABELS",
     "apply_maj3", "build_level2_chain", "build_level3_chain",
     "cascade_mc", "concat_baseline", "correction_threshold", "derive_rates",
     "epsilon_of_p", "estimate_logical_rate", "feedback_constants",

@@ -3,8 +3,9 @@
 Everything here is a thin consumer of the analytic chains and the derived
 rates: bisection roots of the self-consistency conditions (storage and
 computation thresholds), the power-law baselines for conventional code
-concatenation, the measurement and feedback error constants, and a grid
-sweep that turns any of the supported models into plot-ready records.
+concatenation, the measurement and feedback error constants, a grid sweep
+that turns an analytic model into plot-ready records, and the Monte Carlo
+point function behind ``simulate`` and ``compare-vn``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
                      propagated_bit_error, steady_state)
 from .netsim import (Componentwise, Idealized, estimate_logical_rate,
-                     hypercube_schedule, randomized_schedule, run_parallel,
-                     substream)
+                     hypercube_schedule, randomized_schedule, substream)
 from .rates import derive_rates
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
@@ -142,7 +142,6 @@ def feedback_constants(p: float) -> tuple[float, float]:
 
 
 _CONCAT_TAG = re.compile(r"^concat\((\d+),\s*(\d+)\)$")
-_MC_LEVEL = 3  # both Monte Carlo sweep models run the 81-bit register
 
 
 def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
@@ -170,21 +169,16 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
                        model=model, n=level, seed=seed)
 
 
-def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
-          min_flips: int = 100, max_phases: int = 10_000_000,
-          workers: int = 1) -> list[SweepRecord]:
-    """Evaluate a model over a strictly increasing parameter grid.
+def sweep(model: str, grid: Sequence[float], *,
+          seed: int = 0) -> list[SweepRecord]:
+    """Evaluate an analytic model over a strictly increasing grid.
 
     Supported models: ``level2`` and ``level3`` (stationary logical rate
-    of the analytic chains, eps in [0, 0.25]), ``concat(t,L)`` (the
-    concatenation baseline, eps in [0, 1]), and ``hypercube_mc`` /
-    ``vn_mc`` (bit-level estimates on the 81-bit register with idealized
-    gates, eps in (0, 0.5); see ``mc_point``).  Off-domain points come
-    back as NaN records with an explanatory note.
-
-    Monte Carlo points run on independent substreams derived from (seed,
-    point index), so records are identical for any ``workers`` value and
-    any execution order.
+    of the analytic chains, eps in [0, 0.25]) and ``concat(t,L)`` (the
+    concatenation baseline, eps in [0, 1]).  Off-domain points come back
+    as NaN records with an explanatory note; ``seed`` is carried only for
+    provenance.  Monte Carlo grids (``hypercube_mc``, ``vn_mc``) are
+    ``mc_point`` runs, ``majmux simulate --level 3`` on the command line.
     """
     xs = list(grid)
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -218,8 +212,6 @@ def sweep(model: str, grid: Sequence[float], *, seed: int = 0,
         return records
 
     if model in ("hypercube_mc", "vn_mc"):
-        jobs = [(model, _MC_LEVEL, False, x, seed, i, min_flips, max_phases)
-                for i, x in enumerate(xs)]
-        return run_parallel(mc_point, jobs, workers)
-
+        raise ValueError(f"sweep is analytic-only; run {model} grids with "
+                         "simulate --level 3")
     raise ValueError(f"unknown model {model!r}")

@@ -3,10 +3,11 @@
 Every command emits one table with the fixed columns
 ``x,y,y_lo,y_hi,model,n,seed`` (CSV with a one-line JSON config header, or
 the equivalent JSON document), sorted by x, floats rendered with 17
-significant digits.  A fixed config and seed reproduce the output byte for
-byte at any worker count: parallelism only distributes work whose
-substreams are already pinned to grid positions.  Files are written
-atomically; a failing run never leaves a partial artifact.
+significant digits.  ``_OPTIONS`` alone decides which options a command
+accepts and which its header records.  A fixed config and seed reproduce
+the output byte for byte at any worker count: parallelism only distributes
+work whose substreams are already pinned to grid positions.  Files are
+written atomically; a failing run never leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +30,31 @@ from .encoding import cascade_mc, p_crit, pfail_bound
 from .netsim import run_parallel
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
-# excluded from the provenance header: fields that cannot change the numbers
-_VOLATILE = ("workers", "out")
+# the options each command reads, besides _RECORDED and _VOLATILE
+_OPTIONS = {
+    "sweep": ("model", "eps", "grid"),
+    "simulate": ("model", "level", "eps", "p", "grid", "min_flips",
+                 "max_phases"),
+    "threshold": ("model",),
+    "encode": ("p", "grid", "trials", "pcrit", "bound"),
+    "compare-vn": ("eps", "grid", "min_flips", "max_phases"),
+}
+# every command takes these too; only _RECORDED goes into the header
+_RECORDED = ("seed", "format")
+_VOLATILE = ("workers", "out")  # cannot change the numbers
+# option pairs that pick different encode modes
+_CONFLICTS = (("pcrit", "bound"), ("pcrit", "p"), ("pcrit", "grid"),
+              ("pcrit", "trials"), ("bound", "trials"))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation, fully serializable.
 
-    The header embedded in every artifact is this config minus the fields
-    that cannot affect the numbers (workers, out); re-parsing the header
-    reconstructs a config equivalent to the original.
+    The header embedded in every artifact is the command and the options
+    it reads, minus the fields that cannot affect the numbers (workers,
+    out); re-parsing the header reconstructs a config equivalent to the
+    original.
     """
 
     command: str
@@ -52,7 +67,6 @@ class RunConfig:
     min_flips: int = 100
     max_phases: int = 10_000_000
     trials: int = 100_000
-    phases: int = 12
     pcrit: bool = False
     bound: bool = False
     format: str = "csv"
@@ -60,17 +74,17 @@ class RunConfig:
     workers: int = 1
 
     def header(self) -> dict:
-        d = asdict(self)
-        for k in _VOLATILE:
-            del d[k]
-        return d
+        return {k: getattr(self, k)
+                for k in ("command", *_OPTIONS[self.command], *_RECORDED)}
 
     @classmethod
     def from_header(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown header fields: {sorted(unknown)}")
+        command = d.get("command")
+        if command not in _OPTIONS:
+            raise ValueError(f"unknown command {command!r}")
+        unread = set(d) - set(cls(command).header())
+        if unread:
+            raise ValueError(f"{command} does not read {sorted(unread)}")
         return cls(**d)
 
 
@@ -143,19 +157,11 @@ def _emit(config: RunConfig, records: list[SweepRecord]) -> None:
         raise
 
 
-# the x options each command reads; the parser registers only these
-_X_OPTIONS = {
-    "sweep": ("eps", "grid"),
-    "simulate": ("eps", "p", "grid"),
-    "threshold": (),
-    "encode": ("p", "grid"),
-    "compare-vn": ("eps", "grid"),
-}
-
-
 def _parse_grid(config: RunConfig) -> list[float]:
-    if config.eps is not None and config.p is not None:
-        raise ValueError("give --eps or --p, not both")
+    given = [f"--{k}" for k in ("eps", "p", "grid")
+             if getattr(config, k) is not None]
+    if len(given) > 1:
+        raise ValueError(f"give only one of {', '.join(given)}")
     if config.grid is not None:
         try:
             lo, hi, steps = config.grid.split(":")
@@ -163,27 +169,24 @@ def _parse_grid(config: RunConfig) -> list[float]:
         except ValueError as err:
             raise ValueError(f"bad --grid {config.grid!r}: {err}") from None
         return [float(x) for x in pts]
-    for single in (config.eps, config.p):
-        if single is not None:
-            return [single]
+    if given:
+        return [config.eps if config.eps is not None else config.p]
     raise ValueError("need " + " or ".join(
-        f"--{name}" for name in _X_OPTIONS[config.command]))
+        f"--{k}" for k in ("eps", "p", "grid")
+        if k in _OPTIONS[config.command]))
 
 
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
     if config.model is None:
         raise ValueError("sweep needs --model")
-    return sweep(config.model, _parse_grid(config), seed=config.seed,
-                 min_flips=config.min_flips, max_phases=config.max_phases,
-                 workers=config.workers)
+    return sweep(config.model, _parse_grid(config), seed=config.seed)
 
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
     if config.model not in ("hypercube_mc", "vn_mc"):
         raise ValueError("simulate needs --model hypercube_mc|vn_mc")
-    use_p = config.p is not None and config.eps is None
-    jobs = [(config.model, config.level, use_p, x, config.seed, i,
-             config.min_flips, config.max_phases)
+    jobs = [(config.model, config.level, config.p is not None, x,
+             config.seed, i, config.min_flips, config.max_phases)
             for i, x in enumerate(_parse_grid(config))]
     return run_parallel(mc_point, jobs, config.workers)
 
@@ -224,7 +227,7 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
                                        seed=config.seed))
         else:
             st = cascade_mc(x, seed=config.seed, trials=config.trials,
-                            phases=config.phases, workers=config.workers)
+                            workers=config.workers)
             records.append(SweepRecord(x=x, y=st.p_hat, y_lo=st.ci95[0],
                                        y_hi=st.ci95[1], model="cascade_mc",
                                        n=3, seed=config.seed))
@@ -262,55 +265,60 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+# how argparse reads each option
+_ARGS = {
+    "model": dict(help="model tag (see command help)"),
+    "level": dict(type=int, help="code level n; 3^(n+1) register bits"),
+    "eps": dict(type=float, help="per-output gate error"),
+    "p": dict(type=float, help="physical component error"),
+    "grid": dict(help="lo:hi:steps inclusive linear grid"),
+    "min_flips": dict(type=int, help="logical flips that end a point"),
+    "max_phases": dict(type=int, help="register-phases that cap a point"),
+    "trials": dict(type=int, help="Monte Carlo trials"),
+    "pcrit": dict(action="store_true", help="critical rate and its bound"),
+    "bound": dict(action="store_true", help="analytic bound, no Monte Carlo"),
+    "seed": dict(type=int, help="root of every substream"),
+    "workers": dict(type=int, help="processes; the output stays the same"),
+    "format": dict(choices=("csv", "json"), help="artifact format"),
+    "out": dict(help="output path (default: stdout)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="majmux",
         description="Noisy majority-vote networks: simulation and analysis.")
     sub = ap.add_subparsers(dest="command", required=True)
     commands = {
-        "sweep": "evaluate a model over a parameter grid",
+        "sweep": "evaluate an analytic model over a parameter grid",
         "simulate": "bit-level logical rate of the corrected register",
         "threshold": "self-consistency thresholds (level2, level3, universal)",
         "encode": "fan-out cascade: failure bound, p_crit, or Monte Carlo",
         "compare-vn": "hypercube wiring vs randomized multiplexing at 81 bits",
     }
     for name, help_text in commands.items():
-        # no abbreviations: an unregistered --p must not resolve to --pcrit
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--model", help="model tag (see command help)")
-        if name == "simulate":
-            p.add_argument("--level", type=int, default=2,
-                           help="code level n; the register has 3^(n+1) bits")
-        if "eps" in _X_OPTIONS[name]:
-            p.add_argument("--eps", type=float, help="per-output gate error")
-        if "p" in _X_OPTIONS[name]:
-            p.add_argument("--p", type=float, help="physical component error")
-        if "grid" in _X_OPTIONS[name]:
-            p.add_argument("--grid", help="lo:hi:steps inclusive linear grid")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--min-flips", type=int, default=100, dest="min_flips")
-        p.add_argument("--max-phases", type=int, default=10_000_000,
-                       dest="max_phases")
-        p.add_argument("--trials", type=int, default=100_000,
-                       help="encode: Monte Carlo trials")
-        p.add_argument("--phases", type=int, default=12,
-                       help="encode: correction phases before scoring")
-        p.add_argument("--pcrit", action="store_true",
-                       help="encode: print the critical rate and exit")
-        p.add_argument("--bound", action="store_true",
-                       help="encode: evaluate the analytic bound, no MC")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="output path (default: stdout)")
+        # no abbreviations: an unregistered --p must not resolve to --pcrit;
+        # an option left out is absent here and takes its RunConfig default
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for opt in (*_OPTIONS[name], *_RECORDED, *_VOLATILE):
+            p.add_argument("--" + opt.replace("_", "-"), dest=opt,
+                           **_ARGS[opt])
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "simulate" and not 1 <= args.level <= 5:
+    given = vars(_build_parser().parse_args(argv))
+    for a, b in _CONFLICTS:
+        if a in given and b in given:
+            print(f"error: --{a} and --{b} pick different encode modes",
+                  file=sys.stderr)
+            return 2
+    config = RunConfig(**given)
+    if config.command == "simulate" and not 1 <= config.level <= 5:
         print("error: --level must be in 1..5", file=sys.stderr)
         return 2
-    return run(RunConfig(**vars(args)))
+    return run(config)
 
 
 if __name__ == "__main__":

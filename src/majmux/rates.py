@@ -30,10 +30,6 @@ from dataclasses import dataclass
 #: canonical per-output MAJ3 error budget, epsilon = EPSILON_PER_P * p
 EPSILON_PER_P = 148.0 / 63.0
 
-#: alternate constant (52/21 = 2.476...) quoted in some summaries of the same
-#: budget; kept only so those numbers can be reproduced, never used internally
-EPSILON_PER_P_ALT = 52.0 / 21.0
-
 _CLASSICAL_SHARE = 8.0 / 9.0      # p_c / p
 _WIRE_PREP_SHARE = 2.0 / 3.0      # per wire or prep location
 _GATE_MARGINAL = 4.0 / 7.0        # per-line marginal of one gate fault, in p_c

@@ -187,8 +187,8 @@ def test_c11_monte_carlo_output_independent_of_workers(tmp_path):
         (["simulate", "--model", "vn_mc", "--level", "2",
           "--eps", "0.12", "--min-flips", "40", "--seed", "5"],
          ("1", "2")),
-        (["sweep", "--model", "vn_mc", "--grid", "0.1:0.12:2",
-          "--min-flips", "30", "--seed", "8"],
+        (["simulate", "--model", "vn_mc", "--level", "3",
+          "--grid", "0.1:0.12:2", "--min-flips", "30", "--seed", "8"],
          ("1", "2")),
         (["compare-vn", "--grid", "0.1:0.12:2", "--min-flips", "30",
           "--seed", "3"],
@@ -202,5 +202,5 @@ def test_c11_monte_carlo_output_independent_of_workers(tmp_path):
         assert main(base + ["--workers", w_a, "--out", str(a)]) == 0
         assert main(base + ["--workers", w_b, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), base
-    print("[PASS] c11 simulate, sweep, compare-vn, and encode artifacts "
+    print("[PASS] c11 simulate, compare-vn, and encode artifacts "
           "byte-identical across worker counts")

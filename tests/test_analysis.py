@@ -5,9 +5,10 @@ import pytest
 
 from majmux.analysis import (MEASUREMENT_SLOPE, SweepRecord, concat_baseline,
                              correction_threshold, feedback_constants,
-                             p_target, sweep, universal_threshold)
+                             mc_point, p_target, sweep, universal_threshold)
 from majmux.chains import (ErrorChain, build_level2_chain, build_level3_chain,
                            propagated_bit_error, steady_state)
+from majmux.netsim import run_parallel
 from majmux.rates import derive_rates, epsilon_of_p
 
 L2 = build_level2_chain()
@@ -132,12 +133,22 @@ def test_sweep_validates_grid_and_model():
         sweep("level2", [0.2, 0.1])
     with pytest.raises(ValueError):
         sweep("voodoo", [0.1])
+    for model in ("hypercube_mc", "vn_mc"):
+        with pytest.raises(ValueError, match="simulate --level 3"):
+            sweep(model, [0.1])
+
+
+def _mc_grid(model, grid, seed, min_flips, workers=1):
+    """An 81-bit Idealized grid as `simulate --level 3 --grid` runs it."""
+    jobs = [(model, 3, False, x, seed, i, min_flips, 10_000_000)
+            for i, x in enumerate(grid)]
+    return run_parallel(mc_point, jobs, workers)
 
 
 def test_sweep_mc_worker_invariant_and_sorted():
     grid = [0.10, 0.13]
-    a = sweep("vn_mc", grid, seed=5, min_flips=60)
-    b = sweep("vn_mc", grid, seed=5, min_flips=60, workers=2)
+    a = _mc_grid("vn_mc", grid, seed=5, min_flips=60)
+    b = _mc_grid("vn_mc", grid, seed=5, min_flips=60, workers=2)
     assert a == b
     assert [r.x for r in a] == grid
     for r in a:
@@ -147,7 +158,7 @@ def test_sweep_mc_worker_invariant_and_sorted():
 
 
 def test_sweep_mc_seed_matters_and_domain_noted():
-    recs = sweep("hypercube_mc", [0.0, 0.12], seed=1, min_flips=40)
+    recs = _mc_grid("hypercube_mc", [0.0, 0.12], seed=1, min_flips=40)
     assert math.isnan(recs[0].y) and recs[0].note != ""
-    other = sweep("hypercube_mc", [0.12], seed=2, min_flips=40)
+    other = _mc_grid("hypercube_mc", [0.12], seed=2, min_flips=40)
     assert other[0].y != recs[1].y

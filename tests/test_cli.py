@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import majmux
-from majmux.cli import RunConfig, _fmt, main, parse_table
+from majmux.cli import _OPTIONS, RunConfig, _fmt, main, parse_table
 from majmux.encoding import pfail_bound
 
 
@@ -190,30 +190,109 @@ def test_level_only_on_simulate(capsys):
     assert "--level" in capsys.readouterr().err
 
 
+# a value each option parses; flags take none.  No command reads --phases:
+# encode runs its fixed 12 correction phases.
+_VALUES = {"model": ["level3"], "level": ["1"], "eps": ["0.1"], "p": ["0.02"],
+           "grid": ["0.1:0.2:2"], "min_flips": ["3"], "max_phases": ["64"],
+           "trials": ["5"], "pcrit": [], "bound": [], "phases": ["12"]}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 @pytest.mark.parametrize("argv", [
     ["compare-vn", "--p", "0.11"],
     ["encode", "--eps", "0.02"],
     ["sweep", "--model", "level3", "--p", "0.01"],
     ["threshold", "--model", "level3", "--eps", "0.1"],
     ["threshold", "--model", "level3", "--grid", "0.1:0.2:2"],
-])
+] + [[command, _flag(name), *_VALUES[name]]
+     for command, reads in _OPTIONS.items()
+     for name in _VALUES if name not in reads])
 def test_command_rejects_x_option_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_sweep_and_simulate_share_the_eps_domain(tmp_path):
+def test_header_holds_the_command_and_its_options():
+    for command, reads in _OPTIONS.items():
+        header = RunConfig(command, workers=3, out="x.csv").header()
+        assert set(header) == {"command", *reads, "seed", "format"}
+        unread = next(k for k in _VALUES if k not in reads)
+        with pytest.raises(ValueError, match=command):
+            RunConfig.from_header({**header, unread: header.get(unread)})
+        for volatile in ("workers", "out"):
+            with pytest.raises(ValueError):
+                RunConfig.from_header({**header, volatile: None})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "level3", "--eps", "0.5"],
+    ["simulate", "--model", "vn_mc", "--eps", "0.1"],
+    ["simulate", "--model", "vn_mc", "--p", "0.02"],
+    ["encode", "--p", "0.02"],
+    ["encode", "--bound", "--p", "0.02"],
+])
+def test_grid_with_a_single_point_is_an_error(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main([*argv, "--grid", "0.01:0.02:2", "--out", str(out)]) == 1
+    assert "give only one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pcrit", "--bound"],
+    ["--pcrit", "--p", "0.02"],
+    ["--pcrit", "--grid", "0.01:0.02:2"],
+    ["--pcrit", "--trials", "7"],
+    ["--bound", "--p", "0.02", "--trials", "7"],
+    ["--bound", "--grid", "0.01:0.02:2", "--trials", "100000"],
+])
+def test_encode_modes_are_exclusive(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main(["encode", *argv, "--out", str(out)]) == 2
+    assert "encode modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--model", "level2", "--trials", "5", "--pcrit",
+     "--min-flips", "3"],
+    ["encode", "--pcrit", "--p", "0.02", "--bound"],
+    ["compare-vn", "--eps", "0.1", "--model", "bogus"],
+    ["sweep", "--model", "level3", "--grid", "0.01:0.02:2", "--eps", "0.5"],
+    ["encode", "--bound", "--grid", "0.01:0.02:2", "--trials", "7",
+     "--model", "bogus"],
+    ["sweep", "--model", "concat(6,2)", "--eps", "0.1", "--min-flips", "3",
+     "--pcrit", "--bound"],
+])
+def test_ignored_options_fail_the_run(argv, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    try:
+        rc = main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc != 0
+    assert not out.exists()
+
+
+def test_sweep_and_simulate_share_the_eps_domain(tmp_path, capsys):
+    assert main(["sweep", "--model", "vn_mc", "--eps", "0.1"]) == 1
+    assert "simulate --level 3" in capsys.readouterr().err
     rows = {}
-    for cmd in (["sweep"], ["simulate", "--level", "3"]):
+    for cmd in (["simulate", "--model", "vn_mc", "--level", "3"],
+                ["compare-vn"]):
         out = tmp_path / f"{cmd[0]}.csv"
-        assert main([*cmd, "--model", "vn_mc", "--eps", "0.7",
-                     "--out", str(out)]) == 0
-        rows[cmd[0]] = out.read_text().splitlines()[1:]
-    assert rows["sweep"] == rows["simulate"]
-    _, recs = parse_table(out.read_text())
-    assert math.isnan(recs[0].y)
+        assert main([*cmd, "--eps", "0.7", "--out", str(out)]) == 0
+        rows[cmd[0]] = out.read_text().splitlines()[2:]
+        _, recs = parse_table(out.read_text())
+        assert all(math.isnan(r.y) and r.n == 3 for r in recs)
+    assert rows["simulate"] == [r for r in rows["compare-vn"]
+                                if ",vn_mc," in r]
 
 
 def test_level_out_of_range_exits_2(capsys):

@@ -29,12 +29,14 @@ CASES = {
     "simulate_vn_p.csv": [
         "simulate", "--model", "vn_mc", "--level", "2", "--p", "0.05",
         "--min-flips", "30", "--max-phases", "32000", "--seed", "2"],
+    # Monte Carlo grids on the 81-bit register, named for the `sweep`
+    # models they replace; `sweep` wrote the same data rows
     "sweep_hypercube.csv": [
-        "sweep", "--model", "hypercube_mc", "--grid", "0.1:0.12:2",
-        "--min-flips", "30", "--seed", "7"],
+        "simulate", "--model", "hypercube_mc", "--level", "3",
+        "--grid", "0.1:0.12:2", "--min-flips", "30", "--seed", "7"],
     "sweep_vn.csv": [
-        "sweep", "--model", "vn_mc", "--grid", "0.1:0.12:2",
-        "--min-flips", "30", "--seed", "8"],
+        "simulate", "--model", "vn_mc", "--level", "3",
+        "--grid", "0.1:0.12:2", "--min-flips", "30", "--seed", "8"],
     "compare_vn.csv": [
         "compare-vn", "--grid", "0.1:0.12:2", "--min-flips", "30",
         "--seed", "3"],

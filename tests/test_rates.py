@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from majmux.rates import (EPSILON_PER_P, EPSILON_PER_P_ALT, PhysicalNoise,
-                          derive_rates, epsilon_of_p, jvn_stable_eta,
-                          single_triple_map)
+from majmux.rates import (EPSILON_PER_P, PhysicalNoise, derive_rates,
+                          epsilon_of_p, jvn_stable_eta, single_triple_map)
 
 
 def test_zero_noise_gives_zero_rates():
@@ -47,7 +46,6 @@ def test_epsilon_zero_near_published_ratio():
 
 def test_alternate_constant_exposed():
     assert EPSILON_PER_P == 148.0 / 63.0
-    assert EPSILON_PER_P_ALT == 52.0 / 21.0
     assert epsilon_of_p(0.01) == derive_rates(0.01)[1].epsilon
 
 
