@@ -15,9 +15,8 @@ from .chains import (LEVEL2_LABELS, LEVEL3_LABELS, ErrorChain, SteadyState,
                      propagated_bit_error, serialize_chain, steady_state)
 from .encoding import EncodeBound, cascade_mc, p_crit, pfail_bound
 from .netsim import (Componentwise, GateNoise, Idealized, Schedule,
-                     TrialStats, apply_maj3, estimate_logical_rate,
-                     hypercube_schedule, randomized_schedule,
-                     wilson_interval)
+                     TrialStats, estimate_logical_rate, hypercube_schedule,
+                     randomized_schedule, wilson_interval)
 from .rates import (EPSILON_PER_P, EncodingRates, Maj3Rates, PhysicalNoise,
                     derive_rates, epsilon_of_p, jvn_stable_eta,
                     single_triple_map)
@@ -29,7 +28,7 @@ __all__ = [
     "ErrorChain", "SteadyState", "EncodeBound",
     "SweepRecord", "EncodingRates", "Maj3Rates", "PhysicalNoise",
     "EPSILON_PER_P", "LEVEL2_LABELS", "LEVEL3_LABELS",
-    "apply_maj3", "build_level2_chain", "build_level3_chain",
+    "build_level2_chain", "build_level3_chain",
     "cascade_mc", "concat_baseline", "correction_threshold", "derive_rates",
     "epsilon_of_p", "estimate_logical_rate", "feedback_constants",
     "hypercube_schedule", "jvn_stable_eta", "p_crit", "p_target",

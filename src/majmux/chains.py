@@ -70,7 +70,6 @@ def _ppad(a: np.ndarray, width: int) -> np.ndarray:
 
 
 _ONE = np.array([1], dtype=np.int64)
-_ZERO = np.array([0], dtype=np.int64)
 _EPS = np.array([0, 1], dtype=np.int64)
 
 # gate failure probability by propagated-input count m (see module docstring)
@@ -437,6 +436,17 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
 # --- serialization ------------------------------------------------------------
 
 
+def _rows(prefix: str, labels, trans: np.ndarray, fail: np.ndarray
+          ) -> list[str]:
+    """The label, trans and fail lines of one view of a chain."""
+    k = len(labels)
+    return ([f"{prefix}label {i} {lab}" for i, lab in enumerate(labels)]
+            + [f"{prefix}trans {i} {j} " + " ".join(map(str, trans[i, j]))
+               for i in range(k) for j in range(k)]
+            + [f"{prefix}fail {i} " + " ".join(map(str, fail[i]))
+               for i in range(k)])
+
+
 def serialize_chain(chain: ErrorChain) -> str:
     """Render a chain as a line-oriented text table.
 
@@ -446,90 +456,18 @@ def serialize_chain(chain: ErrorChain) -> str:
     with a refined view repeat the sections with a ``refined_`` prefix plus
     ``refined_marks i m`` rows.
     """
-    k = chain.n_states
-    width = chain.trans_coeffs.shape[2]
     lines = [
         "# majmux error chain; integer polynomial coefficients in eps,",
         "# constant term first",
         f"chain {chain.name}",
-        f"states {k}",
-        f"degree {width - 1}",
+        f"states {chain.n_states}",
+        f"degree {chain.trans_coeffs.shape[2] - 1}",
+        *_rows("", chain.labels, chain.trans_coeffs, chain.fail_coeffs),
     ]
-    for i, lab in enumerate(chain.labels):
-        lines.append(f"label {i} {lab}")
-    for i in range(k):
-        for j in range(k):
-            coeffs = " ".join(str(c) for c in chain.trans_coeffs[i, j])
-            lines.append(f"trans {i} {j} {coeffs}")
-    for i in range(k):
-        lines.append(f"fail {i} " + " ".join(str(c) for c in chain.fail_coeffs[i]))
     if chain.refined_trans_coeffs is not None:
-        r = len(chain.refined_labels)
-        lines.append(f"refined_states {r}")
-        for i, lab in enumerate(chain.refined_labels):
-            lines.append(f"refined_label {i} {lab}")
-        for i in range(r):
-            for j in range(r):
-                coeffs = " ".join(str(c) for c in chain.refined_trans_coeffs[i, j])
-                lines.append(f"refined_trans {i} {j} {coeffs}")
-        for i in range(r):
-            lines.append(f"refined_fail {i} "
-                         + " ".join(str(c) for c in chain.refined_fail_coeffs[i]))
-        for i, mk in enumerate(chain.refined_marks):
-            lines.append(f"refined_marks {i} {mk}")
+        lines.append(f"refined_states {len(chain.refined_labels)}")
+        lines += _rows("refined_", chain.refined_labels,
+                       chain.refined_trans_coeffs, chain.refined_fail_coeffs)
+        lines += [f"refined_marks {i} {mk}"
+                  for i, mk in enumerate(chain.refined_marks)]
     return "\n".join(lines) + "\n"
-
-
-def parse_chain_text(text: str) -> dict:
-    """Parse serialize_chain output back into arrays (for round-trip tests)."""
-    out: dict = {"labels": {}, "refined_labels": {}}
-    trans: dict = {}
-    fail: dict = {}
-    rtrans: dict = {}
-    rfail: dict = {}
-    rmarks: dict = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        tag, rest = line.split(" ", 1)
-        if tag in ("chain",):
-            out["name"] = rest
-        elif tag in ("states", "degree", "refined_states"):
-            out[tag] = int(rest)
-        elif tag == "label":
-            i, lab = rest.split(" ", 1)
-            out["labels"][int(i)] = lab
-        elif tag == "refined_label":
-            i, lab = rest.split(" ", 1)
-            out["refined_labels"][int(i)] = lab
-        elif tag in ("trans", "refined_trans"):
-            i, j, *cs = rest.split(" ")
-            (trans if tag == "trans" else rtrans)[(int(i), int(j))] = \
-                np.array([int(c) for c in cs], dtype=np.int64)
-        elif tag in ("fail", "refined_fail"):
-            i, *cs = rest.split(" ")
-            (fail if tag == "fail" else rfail)[int(i)] = \
-                np.array([int(c) for c in cs], dtype=np.int64)
-        elif tag == "refined_marks":
-            i, mk = rest.split(" ")
-            rmarks[int(i)] = int(mk)
-        else:
-            raise ValueError(f"unknown line tag {tag!r}")
-    k = out["states"]
-    width = out["degree"] + 1
-    out["trans_coeffs"] = np.zeros((k, k, width), dtype=np.int64)
-    for (i, j), cs in trans.items():
-        out["trans_coeffs"][i, j] = cs
-    out["fail_coeffs"] = np.zeros((k, width), dtype=np.int64)
-    for i, cs in fail.items():
-        out["fail_coeffs"][i] = cs
-    if rtrans:
-        r = out["refined_states"]
-        out["refined_trans_coeffs"] = np.zeros((r, r, width), dtype=np.int64)
-        for (i, j), cs in rtrans.items():
-            out["refined_trans_coeffs"][i, j] = cs
-        out["refined_fail_coeffs"] = np.zeros((r, width), dtype=np.int64)
-        for i, cs in rfail.items():
-            out["refined_fail_coeffs"][i] = cs
-        out["refined_marks"] = tuple(rmarks[i] for i in range(r))
-    return out

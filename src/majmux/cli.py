@@ -4,10 +4,12 @@ Every command emits one table with the fixed columns
 ``x,y,y_lo,y_hi,model,n,seed`` (CSV with a one-line JSON config header, or
 the equivalent JSON document), sorted by x, floats rendered with 17
 significant digits.  ``_OPTIONS`` alone decides which options a command
-accepts and which its header records.  A fixed config and seed reproduce
-the output byte for byte at any worker count: parallelism only distributes
-work whose substreams are already pinned to grid positions.  Files are
-written atomically; a failing run never leaves a partial artifact.
+accepts and which its header records (one row per ``encode`` mode), and
+``main`` and ``RunConfig.from_header`` both check a config by it through
+``_checked``.  A fixed config and seed reproduce the output byte for byte
+at any worker count: parallelism only distributes work whose substreams
+are already pinned to grid positions.  Files are written atomically; a
+failing run never leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -30,21 +32,46 @@ from .encoding import cascade_mc, p_crit, pfail_bound
 from .netsim import run_parallel
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
-# the options each command reads, besides _RECORDED and _VOLATILE
+# the options each row reads, besides _RECORDED and _VOLATILE; a row
+# "command --flag" is the mode that a set flag picks
 _OPTIONS = {
     "sweep": ("model", "eps", "grid"),
     "simulate": ("model", "level", "eps", "p", "grid", "min_flips",
                  "max_phases"),
     "threshold": ("model",),
-    "encode": ("p", "grid", "trials", "pcrit", "bound"),
+    "encode": ("p", "grid", "trials"),
+    "encode --bound": ("bound", "p", "grid"),
+    "encode --pcrit": ("pcrit",),
     "compare-vn": ("eps", "grid", "min_flips", "max_phases"),
 }
 # every command takes these too; only _RECORDED goes into the header
 _RECORDED = ("seed", "format")
 _VOLATILE = ("workers", "out")  # cannot change the numbers
-# option pairs that pick different encode modes
-_CONFLICTS = (("pcrit", "bound"), ("pcrit", "p"), ("pcrit", "grid"),
-              ("pcrit", "trials"), ("bound", "trials"))
+
+
+def _row(fields) -> str:
+    """The _OPTIONS row that a command's fields (a dict) pick."""
+    command = fields.get("command")
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
+    modes = [row for row in _OPTIONS if row.startswith(f"{command} --")
+             and fields.get(row.split(" --")[1])]
+    return modes[0] if modes else command
+
+
+def _checked(fields: dict, accepted: tuple[str, ...]) -> "RunConfig":
+    """The config of typed options or header keys, refused unless its row
+    reads every key (``accepted`` keys aside) and every value is valid."""
+    row = _row(fields)
+    unread = set(fields) - {"command", *_OPTIONS[row], *accepted}
+    if unread:
+        raise ValueError(f"{row} does not read {sorted(unread)}")
+    config = RunConfig(**fields)
+    if config.level not in range(1, 6):
+        raise ValueError("--level must be in 1..5")
+    if config.format not in ("csv", "json"):
+        raise ValueError("--format must be csv or json")
+    return config
 
 
 @dataclass(frozen=True)
@@ -52,9 +79,9 @@ class RunConfig:
     """One CLI invocation, fully serializable.
 
     The header embedded in every artifact is the command and the options
-    it reads, minus the fields that cannot affect the numbers (workers,
-    out); re-parsing the header reconstructs a config equivalent to the
-    original.
+    of its _OPTIONS row, minus the fields that cannot affect the numbers
+    (workers, out); re-parsing the header reconstructs a config equivalent
+    to the original.
     """
 
     command: str
@@ -74,18 +101,12 @@ class RunConfig:
     workers: int = 1
 
     def header(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("command", *_OPTIONS[self.command], *_RECORDED)}
+        keys = ("command", *_OPTIONS[_row(vars(self))], *_RECORDED)
+        return {k: getattr(self, k) for k in keys}
 
     @classmethod
     def from_header(cls, d: dict) -> "RunConfig":
-        command = d.get("command")
-        if command not in _OPTIONS:
-            raise ValueError(f"unknown command {command!r}")
-        unread = set(d) - set(cls(command).header())
-        if unread:
-            raise ValueError(f"{command} does not read {sorted(unread)}")
-        return cls(**d)
+        return _checked(d, _RECORDED)
 
 
 def _fmt(v) -> str:
@@ -173,16 +194,18 @@ def _parse_grid(config: RunConfig) -> list[float]:
         return [config.eps if config.eps is not None else config.p]
     raise ValueError("need " + " or ".join(
         f"--{k}" for k in ("eps", "p", "grid")
-        if k in _OPTIONS[config.command]))
+        if k in _OPTIONS[_row(vars(config))]))
 
 
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
+    """Evaluate an analytic model over a parameter grid."""
     if config.model is None:
         raise ValueError("sweep needs --model")
     return sweep(config.model, _parse_grid(config), seed=config.seed)
 
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
+    """Bit-level logical rate of the corrected register."""
     if config.model not in ("hypercube_mc", "vn_mc"):
         raise ValueError("simulate needs --model hypercube_mc|vn_mc")
     jobs = [(config.model, config.level, config.p is not None, x,
@@ -192,6 +215,7 @@ def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
 
 
 def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
+    """Self-consistency thresholds (level2, level3, universal)."""
     if config.model == "universal":
         p_star, eps_star = universal_threshold()
         print(f"universal threshold: p* = {p_star:.17g} "
@@ -211,6 +235,7 @@ def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
 
 
 def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
+    """Fan-out cascade: failure bound, p_crit, or Monte Carlo."""
     if config.pcrit:
         root = p_crit()
         print(f"encoding critical rate: p_crit = {root:.17g}",
@@ -235,6 +260,7 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
 
 
 def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
+    """Hypercube wiring vs randomized multiplexing at 81 bits."""
     xs = _parse_grid(config)
     jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
              config.max_phases)
@@ -279,7 +305,7 @@ _ARGS = {
     "bound": dict(action="store_true", help="analytic bound, no Monte Carlo"),
     "seed": dict(type=int, help="root of every substream"),
     "workers": dict(type=int, help="processes; the output stays the same"),
-    "format": dict(choices=("csv", "json"), help="artifact format"),
+    "format": dict(help="artifact format: csv or json"),
     "out": dict(help="output path (default: stdout)"),
 }
 
@@ -289,19 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="majmux",
         description="Noisy majority-vote networks: simulation and analysis.")
     sub = ap.add_subparsers(dest="command", required=True)
-    commands = {
-        "sweep": "evaluate an analytic model over a parameter grid",
-        "simulate": "bit-level logical rate of the corrected register",
-        "threshold": "self-consistency thresholds (level2, level3, universal)",
-        "encode": "fan-out cascade: failure bound, p_crit, or Monte Carlo",
-        "compare-vn": "hypercube wiring vs randomized multiplexing at 81 bits",
-    }
-    for name, help_text in commands.items():
+    for name, fn in _COMMANDS.items():
         # no abbreviations: an unregistered --p must not resolve to --pcrit;
         # an option left out is absent here and takes its RunConfig default
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+        p = sub.add_parser(name, help=fn.__doc__, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
-        for opt in (*_OPTIONS[name], *_RECORDED, *_VOLATILE):
+        reads = [opt for row, opts in _OPTIONS.items()
+                 if row.split(" --")[0] == name for opt in opts]
+        for opt in dict.fromkeys((*reads, *_RECORDED, *_VOLATILE)):
             p.add_argument("--" + opt.replace("_", "-"), dest=opt,
                            **_ARGS[opt])
     return ap
@@ -309,14 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     given = vars(_build_parser().parse_args(argv))
-    for a, b in _CONFLICTS:
-        if a in given and b in given:
-            print(f"error: --{a} and --{b} pick different encode modes",
-                  file=sys.stderr)
-            return 2
-    config = RunConfig(**given)
-    if config.command == "simulate" and not 1 <= config.level <= 5:
-        print("error: --level must be in 1..5", file=sys.stderr)
+    try:
+        config = _checked(given, _RECORDED + _VOLATILE)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     return run(config)
 

@@ -199,24 +199,6 @@ def _maj3_layer(lines, mask: np.ndarray) -> None:
         np.bitwise_xor(m, flip.reshape(m.shape), out=line)
 
 
-def apply_maj3(inputs, noise: GateNoise, rng: np.random.Generator
-               ) -> tuple[int, int, int]:
-    """One noisy MAJ3 application to a triple of bits.
-
-    Args:
-        inputs: three 0/1 values.
-        noise: Idealized(epsilon) or Componentwise(PhysicalNoise).
-        rng: numpy Generator the gate's faults are drawn from.
-
-    Returns:
-        The three output bits.
-    """
-    arr = np.array(inputs, dtype=np.uint8).reshape(1, 3)
-    _maj3_layer([arr[:, j] for j in range(3)],
-                _gate_masks(noise, rng, 1, 1)[0])
-    return (int(arr[0, 0]), int(arr[0, 1]), int(arr[0, 2]))
-
-
 # --- phase kernels ------------------------------------------------------------
 
 
@@ -267,7 +249,7 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     all-zero state, each with its own logical reference), discards the
     first 50 phases of each, then tallies phases and logical flips until
     at least ``min_flips`` flips are pooled or the pooled phase count
-    reaches ``max_phases``.
+    reaches ``max_phases`` (n >= 0 and both budgets >= 1, or ValueError).
 
     A flip is recorded when the strict majority differs from the carried
     reference and has held for 3 consecutive phases; the reference then
@@ -285,6 +267,9 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
         TrialStats; ``upper_bound_only`` is set when the phase budget was
         exhausted with no flips at all (p_hat = 0, interval is one-sided).
     """
+    if n < 0 or min_flips < 1 or max_phases < 1:
+        raise ValueError(f"need n >= 0 and a budget >= 1: {n=}, "
+                         f"{min_flips=}, {max_phases=}")
     size = 3 ** (n + 1)
     if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
         raise ValueError("schedule axis count does not match the code level")

@@ -4,9 +4,8 @@ import pytest
 from majmux import chains
 from majmux.chains import (REFINED_CLASS, REFINED_MARKS, REFINED_PROFILES,
                            ErrorChain, build_level2_chain, build_level3_chain,
-                           parse_chain_text, pattern_class,
-                           propagated_bit_error, serialize_chain,
-                           steady_state)
+                           pattern_class, propagated_bit_error,
+                           serialize_chain, steady_state)
 
 import oracles
 
@@ -233,21 +232,43 @@ def test_serialized_level3_matches_golden_file(tmp_path):
 
 
 def test_parse_round_trip():
-    d = parse_chain_text(serialize_chain(L3))
-    assert d["name"] == L3.name
-    assert d["states"] == L3.n_states
-    assert tuple(d["labels"][i] for i in range(7)) == L3.labels
-    np.testing.assert_array_equal(d["trans_coeffs"], L3.trans_coeffs)
-    np.testing.assert_array_equal(d["fail_coeffs"], L3.fail_coeffs)
-    np.testing.assert_array_equal(d["refined_trans_coeffs"],
-                                  L3.refined_trans_coeffs)
-    np.testing.assert_array_equal(d["refined_fail_coeffs"],
-                                  L3.refined_fail_coeffs)
-    assert tuple(d["refined_marks"]) == L3.refined_marks
+    # each line of the text, read back, is the chain's own entry
+    for chain in (L2, L3):
+        lines = [line.split(" ", 1)
+                 for line in serialize_chain(chain).splitlines()
+                 if not line.startswith("#")]
 
-    d2 = parse_chain_text(serialize_chain(L2))
-    assert d2["states"] == 2
-    np.testing.assert_array_equal(d2["trans_coeffs"], L2.trans_coeffs)
+        def rows(tag):
+            return [rest for t, rest in lines if t == tag]
+
+        assert rows("chain") == [chain.name]
+        assert rows("states") == [str(chain.n_states)]
+        assert rows("degree") == [str(chain.trans_coeffs.shape[2] - 1)]
+        tags = {"chain", "states", "degree", "label", "trans", "fail"}
+        views = [("", chain.labels, chain.trans_coeffs, chain.fail_coeffs)]
+        if chain.refined_trans_coeffs is not None:
+            tags |= {"refined_states", "refined_label", "refined_trans",
+                     "refined_fail", "refined_marks"}
+            views.append(("refined_", chain.refined_labels,
+                          chain.refined_trans_coeffs,
+                          chain.refined_fail_coeffs))
+            assert rows("refined_states") == [str(len(chain.refined_labels))]
+            assert rows("refined_marks") == [
+                f"{i} {m}" for i, m in enumerate(chain.refined_marks)]
+        assert {t for t, _ in lines} == tags
+        for prefix, labels, trans, fail in views:
+            k = len(labels)
+            assert rows(prefix + "label") == [
+                f"{i} {lab}" for i, lab in enumerate(labels)]
+            t = np.array([r.split() for r in rows(prefix + "trans")],
+                         dtype=np.int64)
+            np.testing.assert_array_equal(t[:, :2], list(np.ndindex(k, k)))
+            np.testing.assert_array_equal(t[:, 2:].reshape(trans.shape),
+                                          trans)
+            f = np.array([r.split() for r in rows(prefix + "fail")],
+                         dtype=np.int64)
+            np.testing.assert_array_equal(f[:, 0], np.arange(k))
+            np.testing.assert_array_equal(f[:, 1:], fail)
 
 
 def test_dead_chain_has_zero_failure():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,14 @@ import sys
 import pytest
 
 import majmux
-from majmux.cli import _OPTIONS, RunConfig, _fmt, main, parse_table
+from majmux.cli import (_OPTIONS, RunConfig, _build_parser, _fmt, main,
+                        parse_table, run)
 from majmux.encoding import pfail_bound
+
+# each command and the options of all its _OPTIONS rows
+_READS = {}
+for _row, _opts in _OPTIONS.items():
+    _READS.setdefault(_row.split(" --")[0], set()).update(_opts)
 
 
 def test_fmt_keeps_full_float_precision():
@@ -19,17 +26,47 @@ def test_fmt_keeps_full_float_precision():
     assert _fmt("level3") == "level3"
 
 
-def test_header_round_trip_drops_volatile_fields():
+# one small run per _OPTIONS row
+_RUNS = {
+    "sweep": ["sweep", "--model", "level3", "--grid", "0.01:0.02:2"],
+    "simulate": ["simulate", "--model", "hypercube_mc", "--level", "1",
+                 "--eps", "0.1", "--min-flips", "5", "--seed", "3"],
+    "threshold": ["threshold", "--model", "level2"],
+    "encode": ["encode", "--p", "0.02", "--trials", "3000", "--seed", "2"],
+    "encode --bound": ["encode", "--bound", "--grid", "0.005:0.02:4"],
+    "encode --pcrit": ["encode", "--pcrit", "--seed", "5"],
+    "compare-vn": ["compare-vn", "--eps", "0.12", "--min-flips", "5"],
+}
+
+
+def test_header_round_trip_drops_volatile_fields(tmp_path):
     cfg = RunConfig(command="sweep", model="level3", eps=0.01,
                     workers=8, out="foo.csv")
     back = RunConfig.from_header(cfg.header())
     assert back.header() == cfg.header()
     assert back.workers == 1 and back.out is None
+    # the header alone re-runs every row's artifact byte for byte
+    assert set(_RUNS) == set(_OPTIONS)
+    for row, argv in _RUNS.items():
+        for fmt in ("csv", "json"):
+            first, again = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+            assert main([*argv, "--format", fmt, "--workers", "2",
+                         "--out", str(first)]) == 0, row
+            config, _ = parse_table(first.read_text())
+            assert run(dataclasses.replace(config, out=str(again))) == 0
+            assert again.read_bytes() == first.read_bytes(), row
 
 
 def test_header_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        RunConfig.from_header({"command": "sweep", "bogus": 1})
+    for header in (
+            {"command": "sweep", "bogus": 1},
+            {"command": "bogus"},
+            {"command": "encode --bound", "bound": True},
+            # pcrit and bound together, with keys neither mode reads
+            {"command": "encode", "pcrit": True, "bound": True, "p": 0.02,
+             "trials": 5, "grid": None, "seed": 0, "format": "csv"}):
+        with pytest.raises(ValueError):
+            RunConfig.from_header(header)
 
 
 def test_sweep_stdout_csv(capsys):
@@ -208,7 +245,7 @@ def _flag(name):
     ["threshold", "--model", "level3", "--eps", "0.1"],
     ["threshold", "--model", "level3", "--grid", "0.1:0.2:2"],
 ] + [[command, _flag(name), *_VALUES[name]]
-     for command, reads in _OPTIONS.items()
+     for command, reads in _READS.items()
      for name in _VALUES if name not in reads])
 def test_command_rejects_x_option_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -219,12 +256,15 @@ def test_command_rejects_x_option_it_does_not_read(argv, capsys):
 
 
 def test_header_holds_the_command_and_its_options():
-    for command, reads in _OPTIONS.items():
-        header = RunConfig(command, workers=3, out="x.csv").header()
+    for row, reads in _OPTIONS.items():
+        command, *modes = row.split(" --")
+        header = RunConfig(command, **dict.fromkeys(modes, True), workers=3,
+                           out="x.csv").header()
         assert set(header) == {"command", *reads, "seed", "format"}
-        unread = next(k for k in _VALUES if k not in reads)
-        with pytest.raises(ValueError, match=command):
-            RunConfig.from_header({**header, unread: header.get(unread)})
+        assert RunConfig.from_header(header).header() == header
+        for unread in (k for k in _VALUES if k not in reads):
+            with pytest.raises(ValueError, match=row):
+                RunConfig.from_header({**header, unread: header.get(unread)})
         for volatile in ("workers", "out"):
             with pytest.raises(ValueError):
                 RunConfig.from_header({**header, volatile: None})
@@ -251,12 +291,21 @@ def test_grid_with_a_single_point_is_an_error(argv, tmp_path, capsys):
     ["--pcrit", "--trials", "7"],
     ["--bound", "--p", "0.02", "--trials", "7"],
     ["--bound", "--grid", "0.01:0.02:2", "--trials", "100000"],
+    ["--pcrit", "--trials", "5"],
+    ["--pcrit", "--bound", "--p", "0.02", "--trials", "5"],
 ])
 def test_encode_modes_are_exclusive(argv, tmp_path, capsys):
     out = tmp_path / "artifact.csv"
     assert main(["encode", *argv, "--out", str(out)]) == 2
-    assert "encode modes" in capsys.readouterr().err
+    assert "does not read" in capsys.readouterr().err
     assert not out.exists()
+    with pytest.raises(ValueError, match="does not read"):
+        RunConfig.from_header(_typed(["encode", *argv]))
+
+
+def _typed(argv):
+    """The options ``argv`` types, as a header would record them."""
+    return vars(_build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,11 +344,37 @@ def test_sweep_and_simulate_share_the_eps_domain(tmp_path, capsys):
                                 if ",vn_mc," in r]
 
 
-def test_level_out_of_range_exits_2(capsys):
-    rc = main(["simulate", "--model", "vn_mc", "--eps", "0.1",
-               "--level", "6"])
-    assert rc == 2
-    assert "--level" in capsys.readouterr().err
+def test_level_out_of_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    for level in ("6", "-1", "9", "0"):
+        argv = ["simulate", "--model", "vn_mc", "--eps", "0.1",
+                "--level", level]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "--level" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="--level"):
+            RunConfig.from_header(_typed(argv))
+
+
+def test_format_other_than_csv_or_json_exits_2(tmp_path, capsys):
+    out = tmp_path / "artifact.xml"
+    for argv in _RUNS.values():
+        assert main([*argv, "--format", "xml", "--out", str(out)]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="--format"):
+            RunConfig.from_header({**_typed(argv), "format": "xml"})
+
+
+@pytest.mark.parametrize("budget", [
+    ["--max-phases", "0"], ["--min-flips", "0"], ["--min-flips", "-3"]])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "hypercube_mc", "--level", "2"], ["compare-vn"]])
+def test_empty_run_budget_is_an_error(command, budget, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    assert main([*command, "--eps", "0.1", *budget, "--out", str(out)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_error_leaves_no_partial_file(tmp_path, capsys):

@@ -3,27 +3,12 @@ import pytest
 
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
-                           apply_maj3, estimate_logical_rate,
-                           hypercube_schedule, randomized_schedule,
-                           wilson_interval, _FAN_OUT_FLIPS, _fault_hits,
+                           estimate_logical_rate, hypercube_schedule,
+                           randomized_schedule, wilson_interval,
+                           _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
                            _randomized_phase)
 from majmux.rates import epsilon_of_p
-
-
-def test_noiseless_gate_is_majority_on_all_lines():
-    rng = np.random.default_rng(0)
-    noise = Idealized(0.0)
-    assert apply_maj3((1, 1, 0), noise, rng) == (1, 1, 1)
-    assert apply_maj3((0, 0, 1), noise, rng) == (0, 0, 0)
-    assert apply_maj3((1, 0, 1), noise, rng) == (1, 1, 1)
-    assert apply_maj3((0, 0, 0), noise, rng) == (0, 0, 0)
-
-
-def test_certain_failure_inverts_majority():
-    rng = np.random.default_rng(0)
-    assert apply_maj3((1, 1, 0), Idealized(1.0), rng) == (0, 0, 0)
-    assert apply_maj3((0, 1, 0), Idealized(1.0), rng) == (1, 1, 1)
 
 
 def _gates(triples, noise, rng):
@@ -31,6 +16,20 @@ def _gates(triples, noise, rng):
     mask = _gate_masks(noise, rng, 1, len(triples))[0]
     _maj3_layer([triples[:, j] for j in range(3)], mask)
     return triples
+
+
+def test_noiseless_gate_is_majority_on_all_lines():
+    rng = np.random.default_rng(0)
+    triples = np.array([(1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 0, 0)], np.uint8)
+    out = _gates(triples, Idealized(0.0), rng)
+    assert out.tolist() == [[1, 1, 1], [0, 0, 0], [1, 1, 1], [0, 0, 0]]
+
+
+def test_certain_failure_inverts_majority():
+    rng = np.random.default_rng(0)
+    out = _gates(np.array([(1, 1, 0), (0, 1, 0)], np.uint8), Idealized(1.0),
+                 rng)
+    assert out.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 864, 221184])
@@ -113,6 +112,15 @@ def test_hypercube_schedule_cycles_axes():
         Schedule(kind="hypercube", axis_order=(0, 2))
     with pytest.raises(ValueError):
         estimate_logical_rate(2, hypercube_schedule(1), Idealized(0.1), seed=0)
+
+
+@pytest.mark.parametrize("n, budget", [
+    (-1, {}), (2, {"min_flips": 0}), (2, {"min_flips": -3}),
+    (2, {"max_phases": 0})])
+def test_estimator_rejects_an_empty_run(n, budget):
+    with pytest.raises(ValueError, match="budget"):
+        estimate_logical_rate(n, hypercube_schedule(n), Idealized(0.1), 0,
+                              **budget)
 
 
 def test_unknown_schedule_kind_rejected():
