@@ -19,8 +19,9 @@ import numpy as np
 
 from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
                      propagated_bit_error, steady_state)
-from .netsim import (Componentwise, Idealized, estimate_logical_rate,
-                     hypercube_schedule, randomized_schedule, substream)
+from .netsim import (Componentwise, Idealized, check_budget,
+                     estimate_logical_rate, hypercube_schedule,
+                     randomized_schedule, substream)
 from .rates import derive_rates
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
@@ -152,9 +153,10 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
     or ``vn_mc``) with Idealized(x) gates, or Componentwise gates at
     physical rate x when ``use_p`` is set, on substream ``index`` of
     ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
-    note; one outside [0, 1], like a physical rate outside its domain,
-    raises ValueError.
+    note; one outside [0, 1], like a physical rate outside its domain or
+    an empty run budget, raises ValueError.
     """
+    check_budget(level, min_flips, max_phases)
     sched = (hypercube_schedule(level) if model == "hypercube_mc"
              else randomized_schedule())
     noise = Componentwise.from_p(x) if use_p else Idealized(x)

@@ -52,7 +52,7 @@ _VOLATILE = ("workers", "out")  # cannot change the numbers
 def _row(fields) -> str:
     """The _OPTIONS row that a command's fields (a dict) pick."""
     command = fields.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     modes = [row for row in _OPTIONS if row.startswith(f"{command} --")
              and fields.get(row.split(" --")[1])]
@@ -66,6 +66,14 @@ def _checked(fields: dict, accepted: tuple[str, ...]) -> "RunConfig":
     unread = set(fields) - {"command", *_OPTIONS[row], *accepted}
     if unread:
         raise ValueError(f"{row} does not read {sorted(unread)}")
+    for key, value in fields.items():
+        if key == "command" or (value is None
+                                and getattr(RunConfig, key) is None):
+            continue  # the command picked the row; None is an unset option
+        kind = _ARGS[key].get("type", bool if "action" in _ARGS[key] else str)
+        if type(value) is not kind:  # bool is an int, but not here
+            raise ValueError(f"--{key.replace('_', '-')} must be "
+                             f"{kind.__name__}, got {value!r}")
     config = RunConfig(**fields)
     if config.level not in range(1, 6):
         raise ValueError("--level must be in 1..5")

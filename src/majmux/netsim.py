@@ -114,7 +114,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials
                          + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at 0 or all successes center -/+ half is 0 or 1 up to rounding
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 # --- gate kernels -------------------------------------------------------------
@@ -234,10 +237,17 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
 # --- logical rate estimation ----------------------------------------------------
 
 
-_WARMUP = 50    # phases discarded per replica before tallying
-_REPLICAS = 32  # registers run in lockstep
-_SETTLE = 3     # phases a new majority must hold to count as a flip
-_BLOCK = 64     # phases whose gate masks are drawn in one go
+_WARMUP = 50          # phases discarded per replica before tallying
+_LANES = 20_736       # register bits stepped per phase (81 bits x 256)
+_SETTLE = 3           # phases a new majority must hold to count as a flip
+_MASK_BYTES = 165_888  # gate-mask bytes drawn in one go
+
+
+def check_budget(n: int, min_flips: int, max_phases: int) -> None:
+    """Raise ValueError unless n >= 0 and both run budgets are >= 1."""
+    if n < 0 or min_flips < 1 or max_phases < 1:
+        raise ValueError(f"need n >= 0 and a budget >= 1: {n=}, "
+                         f"{min_flips=}, {max_phases=}")
 
 
 def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
@@ -245,11 +255,15 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
                           max_phases: int = 10_000_000) -> TrialStats:
     """Per-phase logical flip rate of the corrected register.
 
-    Runs 32 independent registers in lockstep (all starting from the
-    all-zero state, each with its own logical reference), discards the
-    first 50 phases of each, then tallies phases and logical flips until
-    at least ``min_flips`` flips are pooled or the pooled phase count
-    reaches ``max_phases`` (n >= 0 and both budgets >= 1, or ValueError).
+    Runs independent registers in lockstep, as many as fill 20,736 bits
+    (at least one): 256 at n=3, 768 at n=2, 85 at n=4.  All start from the
+    all-zero state, each with its own logical reference.  The first 50
+    phases of each are discarded; then phases and logical flips are
+    tallied until at least ``min_flips`` flips are pooled or the pooled
+    phase count reaches ``max_phases`` (n >= 0 and both budgets >= 1, or
+    ValueError).  The cap is exact: the last phase tallies only as many
+    replicas, in column order, as the cap has room for.  ``min_flips`` can
+    be overshot by the flips of one phase of all replicas.
 
     A flip is recorded when the strict majority differs from the carried
     reference and has held for 3 consecutive phases; the reference then
@@ -267,25 +281,27 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
         TrialStats; ``upper_bound_only`` is set when the phase budget was
         exhausted with no flips at all (p_hat = 0, interval is one-sided).
     """
-    if n < 0 or min_flips < 1 or max_phases < 1:
-        raise ValueError(f"need n >= 0 and a budget >= 1: {n=}, "
-                         f"{min_flips=}, {max_phases=}")
+    check_budget(n, min_flips, max_phases)
     size = 3 ** (n + 1)
     if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
         raise ValueError("schedule axis count does not match the code level")
+    replicas = max(1, _LANES // size)
+    # mask memory, not the width, bounds how many phases are drawn at once
+    block = max(1, _MASK_BYTES // (size * replicas))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    bits = np.zeros((size, _REPLICAS), np.uint8)
-    logical = np.zeros(_REPLICAS, np.uint8)
-    prev = np.zeros(_REPLICAS, np.uint8)
-    streak = np.zeros(_REPLICAS, np.int64)  # consecutive phases at current majority
+    # replica state is one column of each array, so a clone is a take
+    bits = np.zeros((size, replicas), np.uint8)
+    logical = np.zeros(replicas, np.uint8)
+    prev = np.zeros(replicas, np.uint8)
+    streak = np.zeros(replicas, np.int64)  # consecutive phases at current majority
     half = size // 2
     phases = 0
     flips = 0
     phase_idx = 0
     while True:
-        if phase_idx % _BLOCK == 0:
-            masks = _gate_masks(noise, rng, _BLOCK, bits.size // 3)
-        mask = masks[phase_idx % _BLOCK]
+        if phase_idx % block == 0:
+            masks = _gate_masks(noise, rng, block, bits.size // 3)
+        mask = masks[phase_idx % block]
         if sched.kind == "hypercube":
             axis = sched.axis_order[phase_idx % len(sched.axis_order)]
             _hypercube_phase(bits, axis, mask)
@@ -297,8 +313,9 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
         settled = (streak >= _SETTLE) & (maj != logical)
         logical = np.where(settled, maj, logical)
         if phase_idx >= _WARMUP:
-            phases += _REPLICAS
-            flips += int(settled.sum())
+            tally = min(replicas, max_phases - phases)
+            phases += tally
+            flips += int(settled[:tally].sum())
             if flips >= min_flips or phases >= max_phases:
                 break
         phase_idx += 1

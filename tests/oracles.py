@@ -1,8 +1,10 @@
 """Independent Monte Carlo oracles for the analytic chains.
 
 These re-implement the bundle-level correction rules directly from their
-verbal statement, with numpy Bernoulli draws instead of polynomial
-algebra, so the chain construction and the oracle share no code paths.
+verbal statement, with numpy draws instead of polynomial algebra, so the
+chain construction and the oracle share no code paths.  A square's three
+gates are independent, so ``step_distribution`` draws each square's
+failure count at once from their convolved (Poisson-binomial) law.
 
 Rules (81-bit corrector, one step):
   * the propagated state is a 3x3 grid of marks, identical in all squares;
@@ -39,20 +41,26 @@ def fail_prob(m: int, eps: float) -> float:
     return 1.0
 
 
-def _classify_counts(counts: np.ndarray) -> np.ndarray:
-    """Map per-square failure counts (N, 3) to class 0..6 or LOGICAL."""
-    heavy = (counts >= 2).sum(axis=1)
-    out = np.full(len(counts), LOGICAL, dtype=np.int64)
-    alive = heavy < 2
-    srt = -np.sort(-counts[alive], axis=1)
-    lut = np.full((4, 4, 4), -1, dtype=np.int64)
-    for q, c in _PROFILE_TO_CLASS.items():
-        lut[q] = c
-    cls = lut[srt[:, 0], srt[:, 1], srt[:, 2]]
-    if (cls < 0).any():
-        raise RuntimeError("surviving pattern fit no class")
-    out[alive] = cls
-    return out
+def _outcome(counts: tuple[int, int, int]) -> int:
+    """Class 0..6 or LOGICAL of one step's per-square failure counts."""
+    if sum(c >= 2 for c in counts) >= 2:
+        return LOGICAL
+    return _PROFILE_TO_CLASS[tuple(sorted(counts, reverse=True))]
+
+
+# outcome of per-square failure counts (c0, c1, c2), at 16 c0 + 4 c1 + c2
+_OUTCOME = np.array([_outcome((c // 16, c // 4 % 4, c % 4))
+                     for c in range(64)])
+
+
+def _square_failures(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Failure count of a square whose three gates fail independently
+    with ``probs``, by inverting its 4-point Poisson-binomial law at the
+    uniforms ``u``."""
+    law = np.array([1.0])
+    for q in probs:
+        law = np.convolve(law, [1.0 - q, q])
+    return np.searchsorted(np.cumsum(law)[:3], u, side="right")
 
 
 def step_distribution(profile: tuple[int, int, int], eps: float, steps: int,
@@ -60,15 +68,17 @@ def step_distribution(profile: tuple[int, int, int], eps: float, steps: int,
                       chunk: int = 1_000_000) -> np.ndarray:
     """Empirical one-step outcome frequencies from a given line profile.
 
-    Returns length-8 frequencies over (class 0..6, logical).
+    Each step draws the three squares' failure counts, one uniform per
+    square.  Returns length-8 frequencies over (class 0..6, logical).
     """
     probs = np.array([fail_prob(m, eps) for m in profile])
     counts = np.zeros(8, dtype=np.int64)
     left = steps
     while left > 0:
         n = min(chunk, left)
-        fails = rng.random((n, 3, 3)) < probs[None, None, :]
-        counts += np.bincount(_classify_counts(fails.sum(axis=2)), minlength=8)
+        c = _square_failures(probs, rng.random((n, 3)))
+        counts += np.bincount(_OUTCOME[16 * c[:, 0] + 4 * c[:, 1] + c[:, 2]],
+                              minlength=8)
         left -= n
     return counts / steps
 

@@ -61,6 +61,7 @@ def test_header_rejects_unknown_fields():
     for header in (
             {"command": "sweep", "bogus": 1},
             {"command": "bogus"},
+            {"command": ["sweep"]},
             {"command": "encode --bound", "bound": True},
             # pcrit and bound together, with keys neither mode reads
             {"command": "encode", "pcrit": True, "bound": True, "p": 0.02,
@@ -375,6 +376,38 @@ def test_empty_run_budget_is_an_error(command, budget, tmp_path, capsys):
     assert main([*command, "--eps", "0.1", *budget, "--out", str(out)]) == 1
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "vn_mc", "--level", "3"], ["compare-vn"]])
+def test_empty_run_budget_fails_a_nan_point_too(command, tmp_path, capsys):
+    # at eps 0.7 the point is a NaN row and nothing runs; the bad budget
+    # is refused there as it is at 0.1
+    out = tmp_path / "artifact.csv"
+    for eps in ("0.7", "0.1"):
+        for budget in (["--min-flips", "0"], ["--max-phases", "0"]):
+            assert main([*command, "--eps", eps, *budget,
+                         "--out", str(out)]) == 1
+            assert "budget" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("header, argv", [
+    ({"command": "sweep", "model": "level3", "eps": "0.1"},
+     ["sweep", "--model", "level3", "--eps", "0.1x"]),
+    ({"command": "simulate", "model": "vn_mc", "eps": 0.1, "min_flips": "5"},
+     ["simulate", "--model", "vn_mc", "--eps", "0.1", "--min-flips", "5.0"]),
+    ({"command": "simulate", "model": "vn_mc", "eps": 0.1, "level": True},
+     ["simulate", "--model", "vn_mc", "--eps", "0.1", "--level", "true"]),
+    ({"command": "encode", "pcrit": 1}, ["encode", "--pcrit", "1"]),
+])
+def test_header_value_of_the_wrong_type(header, argv, capsys):
+    # refused where the command line exits 2, not with a TypeError in run
+    with pytest.raises(ValueError, match="must be"):
+        RunConfig.from_header(header)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_error_leaves_no_partial_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from majmux import netsim
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
                            estimate_logical_rate, hypercube_schedule,
@@ -178,6 +179,16 @@ def test_wilson_interval_basics():
     assert lo0 <= 1e-12 and 0.0 < hi0 < 0.05
 
 
+def test_wilson_interval_endpoints_are_exact():
+    # center -/+ half rounds to a tiny positive lower bound (4.3e-19 at
+    # n = 500) or an upper bound just under 1 for thousands of n
+    for n in range(1, 20_001):
+        lo, hi = wilson_interval(0, n)
+        assert lo == 0.0 and 0.0 < hi < 1.0, n
+        lo, hi = wilson_interval(n, n)
+        assert 0.0 < lo < 1.0 and hi == 1.0, n
+
+
 def test_estimator_deterministic_in_seed():
     sched = hypercube_schedule(2)
     a = estimate_logical_rate(2, sched, Idealized(0.12), seed=7,
@@ -197,6 +208,35 @@ def test_estimator_bound_flag_when_no_flips():
     assert stats.upper_bound_only
     assert stats.p_hat == 0.0
     assert stats.ci95[0] == 0.0
+
+
+@pytest.mark.parametrize("sched", [hypercube_schedule, randomized_schedule])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_estimator_cap_is_exact(n, sched):
+    # budgets that are not multiples of the lockstep width
+    for max_phases in (1, 500, 48_001):
+        stats = estimate_logical_rate(
+            n, sched(n) if sched is hypercube_schedule else sched(),
+            Idealized(0.1), seed=n, min_flips=10 ** 9, max_phases=max_phases)
+        assert stats.phases == max_phases
+
+
+def test_estimator_mask_memory_is_bounded(monkeypatch):
+    # the masks of one draw stay at the 64 x 81 x 32 bytes of a narrow
+    # lockstep, however wide the register or the lockstep grows
+    drawn = []
+
+    def recording(*args):
+        masks = _gate_masks(*args)
+        drawn.append(masks.nbytes)
+        return masks
+
+    monkeypatch.setattr(netsim, "_gate_masks", recording)
+    for n in range(1, 6):
+        drawn.clear()
+        estimate_logical_rate(n, hypercube_schedule(n), Idealized(0.1),
+                              seed=0, min_flips=10 ** 9, max_phases=1)
+        assert drawn and max(drawn) <= 165_888, (n, drawn)
 
 
 def test_estimator_rate_increases_with_noise():
