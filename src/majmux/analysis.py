@@ -29,6 +29,13 @@ _BISECT_TOL = 1e-6
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 
+# the model tags: each analytic chain by its code level n and builder, each
+# Monte Carlo wiring by its schedule for a code level
+CHAIN_MODELS = {"level2": (2, build_level2_chain),
+                "level3": (3, build_level3_chain)}
+MC_MODELS = {"hypercube_mc": hypercube_schedule,
+             "vn_mc": lambda level: randomized_schedule()}
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -149,16 +156,18 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
              index: int, min_flips: int, max_phases: int) -> SweepRecord:
     """Simulated logical rate of one grid point, as a record.
 
-    Runs the 3^(level+1)-bit register wired by ``model`` (``hypercube_mc``
-    or ``vn_mc``) with Idealized(x) gates, or Componentwise gates at
-    physical rate x when ``use_p`` is set, on substream ``index`` of
-    ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
-    note; one outside [0, 1], like a physical rate outside its domain or
-    an empty run budget, raises ValueError.
+    Runs the 3^(level+1)-bit register wired by ``model`` (a ``MC_MODELS``
+    tag) with Idealized(x) gates, or Componentwise gates at physical rate
+    x when ``use_p`` is set, on substream ``index`` of ``seed``.  A gate
+    error x outside (0, 0.5) gives a NaN record with a note.  An empty run
+    budget, then an unknown tag, then a gate error outside [0, 1] or a
+    physical rate outside its domain raises ValueError.
     """
     check_budget(level, min_flips, max_phases)
-    sched = (hypercube_schedule(level) if model == "hypercube_mc"
-             else randomized_schedule())
+    if model not in MC_MODELS:
+        raise ValueError(f"unknown Monte Carlo model {model!r}; use "
+                         + "|".join(MC_MODELS))
+    sched = MC_MODELS[model](level)
     noise = Componentwise.from_p(x) if use_p else Idealized(x)
     if not use_p and not 0.0 < x < 0.5:
         return SweepRecord(x, math.nan, math.nan, math.nan, model, level,
@@ -179,8 +188,8 @@ def sweep(model: str, grid: Sequence[float], *,
     of the analytic chains, eps in [0, 0.25]) and ``concat(t,L)`` (the
     concatenation baseline, eps in [0, 1]).  Off-domain points come back
     as NaN records with an explanatory note; ``seed`` is carried only for
-    provenance.  Monte Carlo grids (``hypercube_mc``, ``vn_mc``) are
-    ``mc_point`` runs, ``majmux simulate --level 3`` on the command line.
+    provenance.  Monte Carlo grids (``MC_MODELS``) are ``mc_point`` runs,
+    ``majmux simulate --level 3`` on the command line.
     """
     xs = list(grid)
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -188,9 +197,9 @@ def sweep(model: str, grid: Sequence[float], *,
     concat = _CONCAT_TAG.match(model)
     records: list[SweepRecord] = []
 
-    if model in ("level2", "level3"):
-        chain = build_level2_chain() if model == "level2" else build_level3_chain()
-        n = 2 if model == "level2" else 3
+    if model in CHAIN_MODELS:
+        n, build = CHAIN_MODELS[model]
+        chain = build()
         for x in xs:
             if not 0.0 <= x <= _CHAIN_EPS_MAX:
                 records.append(SweepRecord(x, math.nan, math.nan, math.nan,
@@ -213,7 +222,7 @@ def sweep(model: str, grid: Sequence[float], *,
             records.append(SweepRecord(x, y, y, y, model, level, seed))
         return records
 
-    if model in ("hypercube_mc", "vn_mc"):
+    if model in MC_MODELS:
         raise ValueError(f"sweep is analytic-only; run {model} grids with "
                          "simulate --level 3")
     raise ValueError(f"unknown model {model!r}")

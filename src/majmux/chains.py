@@ -153,21 +153,18 @@ class ErrorChain:
     trans(eps) is the row-substochastic transition matrix among non-failure
     states, fail(eps) the per-state logical-failure probabilities; for every
     eps in [0, 1] each row of trans plus its fail entry sums to one exactly
-    (the underlying integer polynomials sum to the constant 1).
-    refined_marks counts the marked (erroneous-bundle) positions of each
-    state of the refined view, or of the chain's own states when it needs
-    no refined view.
+    (the underlying integer polynomials sum to the constant 1).  marks
+    counts the marked (erroneous-bundle) positions of each state, None
+    where a state lumps different counts; refined is the finer chain that
+    resolves them, None for chains that need no splitting.
     """
 
     name: str
     labels: tuple[str, ...]
     trans_coeffs: np.ndarray = field(repr=False)   # (k, k, D) int64
     fail_coeffs: np.ndarray = field(repr=False)    # (k, D) int64
-    # refined view (None for chains that need no splitting)
-    refined_labels: tuple[str, ...] | None = None
-    refined_trans_coeffs: np.ndarray | None = field(default=None, repr=False)
-    refined_fail_coeffs: np.ndarray | None = field(default=None, repr=False)
-    refined_marks: tuple[int, ...] | None = None
+    marks: tuple[int, ...] | None = None
+    refined: ErrorChain | None = field(default=None, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -235,7 +232,7 @@ def build_level2_chain() -> ErrorChain:
         labels=LEVEL2_LABELS,
         trans_coeffs=trans,
         fail_coeffs=fail,
-        refined_marks=(0, 1),
+        marks=(0, 1),
     )
 
 
@@ -287,8 +284,8 @@ def _level3_row(counts: tuple[int, int, int]) -> np.ndarray:
 def build_level3_chain() -> ErrorChain:
     """Seven-state chain of the 81-bit corrector, by exhaustive enumeration.
 
-    Builds the refined ten-profile chain first, proves on all 512 grid
-    patterns that the row polynomials depend only on the profile (so the
+    Builds the refined ten-profile chain first, proves on all 64 line-count
+    vectors that the row polynomials depend only on the profile (so the
     class lumping is exact), checks the substochastic identity exactly, and
     lumps the saturated-line profiles pairwise into the seven coarse states.
 
@@ -297,22 +294,18 @@ def build_level3_chain() -> ErrorChain:
             enumerated classes, or if two configurations of one class
             disagree on their transition polynomials.
     """
-    # exhaustive self-check: every one of the 512 patterns is either logical
-    # or reproduces its profile's row exactly.  A pattern's row depends only
-    # on its line counts, so each distinct count vector is built and
-    # compared once, naming one pattern that has it.
-    witness: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for bits in itertools.product((0, 1), repeat=9):
-        counts = (sum(bits[:3]), sum(bits[3:6]), sum(bits[6:]))
-        if _profile_or_none(counts) is not None:  # raises if unclassifiable
-            witness.setdefault(counts, bits)
-    row_of = {counts: _level3_row(counts) for counts in witness}
+    # exhaustive self-check: a grid's row depends only on its line counts,
+    # so each of the 64 count vectors that is not already logical must
+    # reproduce its profile's row exactly
+    row_of = {counts: _level3_row(counts)
+              for counts in itertools.product(range(4), repeat=3)
+              if _profile_or_none(counts) is not None}  # raises if unclassifiable
     rows = np.stack([row_of[q] for q in REFINED_PROFILES])
-    for counts, bits in witness.items():
+    for counts, row in row_of.items():
         prof = _profile_or_none(counts)
-        if not np.array_equal(row_of[counts], rows[_PROFILE_INDEX[prof]]):
+        if not np.array_equal(row, rows[_PROFILE_INDEX[prof]]):
             raise RuntimeError(
-                f"configuration {bits} disagrees with its class row "
+                f"line counts {counts} disagree with their class row "
                 f"(profile {prof}); enumeration is inconsistent")
 
     refined_trans = rows[:, :10, :]
@@ -326,13 +319,11 @@ def build_level3_chain() -> ErrorChain:
                 f"profiles {REFINED_PROFILES[a]} and {REFINED_PROFILES[b]} "
                 "are not lumpable; class structure is wrong")
 
+    # each class keeps its first profile's row, columns summed by class
     reps = [REFINED_CLASS.index(c) for c in range(7)]
-    trans = np.zeros((7, 7, _L3_WIDTH), dtype=np.int64)
-    fail = np.zeros((7, _L3_WIDTH), dtype=np.int64)
-    for ci, ri in enumerate(reps):
-        fail[ci] = refined_fail[ri]
-        for rj in range(10):
-            trans[ci, REFINED_CLASS[rj]] += refined_trans[ri, rj]
+    lump = np.eye(7, dtype=np.int64)[list(REFINED_CLASS)]
+    trans = np.einsum("ijd,jc->icd", refined_trans[reps], lump)
+    fail = refined_fail[reps]
     _check_substochastic_identity(trans, fail)
 
     return ErrorChain(
@@ -340,10 +331,13 @@ def build_level3_chain() -> ErrorChain:
         labels=LEVEL3_LABELS,
         trans_coeffs=trans,
         fail_coeffs=fail,
-        refined_labels=LEVEL3_REFINED_LABELS,
-        refined_trans_coeffs=refined_trans,
-        refined_fail_coeffs=refined_fail,
-        refined_marks=REFINED_MARKS,
+        refined=ErrorChain(
+            name="level3 refined",
+            labels=LEVEL3_REFINED_LABELS,
+            trans_coeffs=refined_trans,
+            fail_coeffs=refined_fail,
+            marks=REFINED_MARKS,
+        ),
     )
 
 
@@ -397,17 +391,15 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     that step's survival; it is not the quasi-stationary (Perron)
     distribution of T.  pi comes from a direct GTH solve (no iteration),
     p_ss = pi . fail(eps) is the per-phase logical failure probability and
-    residual is max |pi M - pi|.
+    residual is max |pi M - pi|.  eps = 0 goes through the same solve,
+    which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
     Args:
-        chain: a chain from build_level2_chain or build_level3_chain.
+        chain: a chain from build_level2_chain or build_level3_chain, or
+            the refined view of one.
         epsilon: per-bundle incipient error probability, 0 <= eps < 1.
     """
-    if epsilon == 0.0:
-        pi = np.zeros(chain.n_states)
-        pi[0] = 1.0
-        return SteadyState(pi=pi, p_ss=0.0, residual=0.0)
-    if not 0.0 < epsilon < 1.0:
+    if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     pi, residual = _stationary(chain.trans(epsilon))
     return SteadyState(pi=pi, p_ss=float(pi @ chain.fail(epsilon)),
@@ -423,14 +415,8 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     and a wrong bundle is wrong in all three bits, so bundle fraction and
     bit fraction coincide.)
     """
-    if epsilon == 0.0:
-        return 0.0
-    if chain.refined_trans_coeffs is not None:
-        t = npoly.polyval(epsilon, chain.refined_trans_coeffs.transpose(2, 0, 1))
-    else:
-        t = chain.trans(epsilon)
-    pi, _ = _stationary(t)
-    return float(pi @ np.array(chain.refined_marks, dtype=float)) / 9.0
+    view = chain.refined or chain
+    return float(steady_state(view, epsilon).pi @ view.marks) / 9.0
 
 
 # --- serialization ------------------------------------------------------------
@@ -464,10 +450,9 @@ def serialize_chain(chain: ErrorChain) -> str:
         f"degree {chain.trans_coeffs.shape[2] - 1}",
         *_rows("", chain.labels, chain.trans_coeffs, chain.fail_coeffs),
     ]
-    if chain.refined_trans_coeffs is not None:
-        lines.append(f"refined_states {len(chain.refined_labels)}")
-        lines += _rows("refined_", chain.refined_labels,
-                       chain.refined_trans_coeffs, chain.refined_fail_coeffs)
-        lines += [f"refined_marks {i} {mk}"
-                  for i, mk in enumerate(chain.refined_marks)]
+    if chain.refined is not None:
+        r = chain.refined
+        lines.append(f"refined_states {r.n_states}")
+        lines += _rows("refined_", r.labels, r.trans_coeffs, r.fail_coeffs)
+        lines += [f"refined_marks {i} {mk}" for i, mk in enumerate(r.marks)]
     return "\n".join(lines) + "\n"

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (SweepRecord, correction_threshold, mc_point, sweep,
+from .analysis import (CHAIN_MODELS, MC_MODELS, SweepRecord,
+                       correction_threshold, mc_point, sweep,
                        universal_threshold)
-from .chains import build_level2_chain, build_level3_chain
 from .encoding import cascade_mc, p_crit, pfail_bound
 from .netsim import run_parallel
 
@@ -194,7 +194,11 @@ def _parse_grid(config: RunConfig) -> list[float]:
     if config.grid is not None:
         try:
             lo, hi, steps = config.grid.split(":")
-            pts = np.linspace(float(lo), float(hi), int(steps))
+            lo, hi, steps = float(lo), float(hi), int(steps)
+            if steps < 2 or not -np.inf < lo < hi < np.inf:
+                # one point is --eps or --p
+                raise ValueError("need finite lo < hi and steps >= 2")
+            pts = np.linspace(lo, hi, steps)
         except ValueError as err:
             raise ValueError(f"bad --grid {config.grid!r}: {err}") from None
         return [float(x) for x in pts]
@@ -214,8 +218,6 @@ def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
     """Bit-level logical rate of the corrected register."""
-    if config.model not in ("hypercube_mc", "vn_mc"):
-        raise ValueError("simulate needs --model hypercube_mc|vn_mc")
     jobs = [(config.model, config.level, config.p is not None, x,
              config.seed, i, config.min_flips, config.max_phases)
             for i, x in enumerate(_parse_grid(config))]
@@ -230,16 +232,15 @@ def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
               f"(eps* = {eps_star:.17g})", file=sys.stderr)
         return [SweepRecord(x=p_star, y=eps_star, y_lo=eps_star, y_hi=eps_star,
                             model="universal", n=3, seed=config.seed)]
-    if config.model in ("level2", "level3"):
-        chain = (build_level2_chain() if config.model == "level2"
-                 else build_level3_chain())
-        star = correction_threshold(chain)
+    if config.model in CHAIN_MODELS:
+        n, build = CHAIN_MODELS[config.model]
+        star = correction_threshold(build())
         print(f"{config.model} threshold: eps* = {star:.17g}",
               file=sys.stderr)
-        n = 2 if config.model == "level2" else 3
         return [SweepRecord(x=star, y=star, y_lo=star, y_hi=star,
                             model=config.model, n=n, seed=config.seed)]
-    raise ValueError("threshold needs --model level2|level3|universal")
+    raise ValueError("threshold needs --model "
+                     + "|".join([*CHAIN_MODELS, "universal"]))
 
 
 def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
@@ -269,14 +270,12 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
     """Hypercube wiring vs randomized multiplexing at 81 bits."""
-    xs = _parse_grid(config)
+    # x-major over an increasing grid, hypercube_mc first: sorted by x
     jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
              config.max_phases)
-            for i, x in enumerate(xs)
-            for model in ("hypercube_mc", "vn_mc")]
-    records = run_parallel(mc_point, jobs, config.workers)
-    records.sort(key=lambda r: (r.x, r.model))
-    return records
+            for i, x in enumerate(_parse_grid(config))
+            for model in MC_MODELS]
+    return run_parallel(mc_point, jobs, config.workers)
 
 
 _COMMANDS = {
@@ -295,6 +294,9 @@ def run(config: RunConfig) -> int:
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    for r in records:
+        if r.note:  # the artifacts carry no notes
+            print(f"note: x={_fmt(r.x)}: {r.note}", file=sys.stderr)
     _emit(config, records)
     return 0
 

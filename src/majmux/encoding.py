@@ -104,7 +104,7 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
     """Failures among ``size`` trials on the shard's own RNG substream."""
     rng = np.random.Generator(np.random.Philox(substream(seed, shard)))
     pn = derive_rates(p)[0]
-    corrector = Idealized(epsilon_of_p(p)) if p > 0 else Idealized(0.0)
+    corrector = Idealized(epsilon_of_p(p))
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
     bits = np.full((1, size), input_bit, np.uint8)

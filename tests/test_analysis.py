@@ -138,6 +138,20 @@ def test_sweep_validates_grid_and_model():
             sweep(model, [0.1])
 
 
+def test_mc_point_checks_budget_then_tag_then_domain():
+    with pytest.raises(ValueError, match="unknown Monte Carlo model 'bogus'"):
+        mc_point("bogus", 1, False, 0.1, 0, 0, 5, 1000)
+    with pytest.raises(ValueError, match="budget"):
+        mc_point("bogus", 1, False, 0.1, 0, 0, 0, 1000)
+    # an unknown tag is refused before a gate error that would give a NaN
+    # row (0.7) or raise (1.5)
+    for x in (0.7, 1.5):
+        with pytest.raises(ValueError, match="'bogus'"):
+            mc_point("bogus", 1, False, x, 0, 0, 5, 1000)
+    with pytest.raises(ValueError, match="outside"):
+        mc_point("vn_mc", 1, False, 1.5, 0, 0, 5, 1000)
+
+
 def _mc_grid(model, grid, seed, min_flips, workers=1):
     """An 81-bit Idealized grid as `simulate --level 3 --grid` runs it."""
     jobs = [(model, 3, False, x, seed, i, min_flips, 10_000_000)

@@ -56,9 +56,9 @@ def test_steady_state_matches_50_digit_reference(eps):
                                                chain.fail_coeffs, eps)
         assert steady_state(chain, eps).p_ss == pytest.approx(
             float(p_ss), rel=1e-13, abs=0)
-    pi, _ = oracles.stationary_reference(L3.refined_trans_coeffs,
-                                         L3.refined_fail_coeffs, eps)
-    eta = sum(p * m for p, m in zip(pi, L3.refined_marks)) / 9
+    pi, _ = oracles.stationary_reference(L3.refined.trans_coeffs,
+                                         L3.refined.fail_coeffs, eps)
+    eta = sum(p * m for p, m in zip(pi, L3.refined.marks)) / 9
     assert propagated_bit_error(L3, eps) == pytest.approx(
         float(eta), rel=1e-13, abs=0)
 
@@ -83,8 +83,8 @@ def test_level3_refined_transitions_closed_form():
     eps = 0.1
     prop = 2.0 * eps - eps**2
     idle = _gamma(eps)
-    powers = eps ** np.arange(L3.refined_trans_coeffs.shape[2])
-    t = L3.refined_trans_coeffs @ powers
+    powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
+    t = L3.refined.trans_coeffs @ powers
     i000 = REFINED_PROFILES.index((0, 0, 0))
     i100 = REFINED_PROFILES.index((1, 0, 0))
     assert t[i000, i000] == pytest.approx((1.0 - idle) ** 9, abs=1e-13)
@@ -108,9 +108,9 @@ def test_refined_rows_substochastic():
     rng = np.random.default_rng(13)
     k = len(REFINED_PROFILES)
     for eps in rng.uniform(0.0, 0.25, size=200):
-        powers = eps ** np.arange(L3.refined_trans_coeffs.shape[2])
-        t = L3.refined_trans_coeffs @ powers
-        f = L3.refined_fail_coeffs @ powers
+        powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
+        t = L3.refined.trans_coeffs @ powers
+        f = L3.refined.fail_coeffs @ powers
         np.testing.assert_allclose(t.sum(axis=1) + f, np.ones(k), atol=1e-12)
 
 
@@ -118,8 +118,8 @@ def test_refined_lumping_reproduces_class_chain():
     # summing refined columns by class must give a row of the 7-state
     # matrix whenever the class has a single refined representative
     eps = 0.17
-    powers = eps ** np.arange(L3.refined_trans_coeffs.shape[2])
-    rt = L3.refined_trans_coeffs @ powers
+    powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
+    rt = L3.refined.trans_coeffs @ powers
     t = L3.trans(eps)
     cls = np.array(REFINED_CLASS)
     for ci in range(4):  # classes 0..3 have one refined state each
@@ -184,11 +184,11 @@ def test_one_step_distribution_matches_oracle():
 
 
 def test_steady_state_at_zero_noise():
-    for chain in (L2, L3):
+    # the GTH solve itself, no special case: every state drains into 0
+    for chain in (L2, L3, L3.refined):
         ss = steady_state(chain, 0.0)
-        assert ss.pi[0] == 1.0
+        assert np.array_equal(ss.pi, np.eye(chain.n_states)[0])
         assert ss.p_ss == 0.0 and ss.residual == 0.0
-        assert ss.pi.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_steady_state_rejects_bad_epsilon():
@@ -246,15 +246,15 @@ def test_parse_round_trip():
         assert rows("degree") == [str(chain.trans_coeffs.shape[2] - 1)]
         tags = {"chain", "states", "degree", "label", "trans", "fail"}
         views = [("", chain.labels, chain.trans_coeffs, chain.fail_coeffs)]
-        if chain.refined_trans_coeffs is not None:
+        if chain.refined is not None:
             tags |= {"refined_states", "refined_label", "refined_trans",
                      "refined_fail", "refined_marks"}
-            views.append(("refined_", chain.refined_labels,
-                          chain.refined_trans_coeffs,
-                          chain.refined_fail_coeffs))
-            assert rows("refined_states") == [str(len(chain.refined_labels))]
+            views.append(("refined_", chain.refined.labels,
+                          chain.refined.trans_coeffs,
+                          chain.refined.fail_coeffs))
+            assert rows("refined_states") == [str(len(chain.refined.labels))]
             assert rows("refined_marks") == [
-                f"{i} {m}" for i, m in enumerate(chain.refined_marks)]
+                f"{i} {m}" for i, m in enumerate(chain.refined.marks)]
         assert {t for t, _ in lines} == tags
         for prefix, labels, trans, fail in views:
             k = len(labels)

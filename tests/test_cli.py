@@ -423,9 +423,34 @@ def test_missing_grid_is_an_error(capsys):
     assert "--grid" in capsys.readouterr().err
 
 
-def test_malformed_grid_is_an_error(capsys):
-    assert main(["sweep", "--model", "level2", "--grid", "oops"]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_malformed_grid_is_an_error(tmp_path, capsys):
+    # no steps, a decreasing grid, one step that would drop hi, and an
+    # infinite end: a single point is --eps or --p
+    out = tmp_path / "artifact.csv"
+    for argv in (["sweep", "--model", "level2", "--grid", "oops"],
+                 ["sweep", "--model", "level3", "--grid", "0.1:0.2:0"],
+                 ["sweep", "--model", "level3", "--grid", "0:inf:3"],
+                 ["simulate", "--model", "hypercube_mc", "--level", "1",
+                  "--grid", "0.2:0.1:2", "--min-flips", "5"],
+                 ["sweep", "--model", "level2", "--grid", "0.1:0.5:1"]):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "error: bad --grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_noted_rows_are_reported_on_stderr(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    argv = ["sweep", "--model", "level3", "--grid", "0.2:0.3:3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "note: x=0.29999999999999999: eps outside [0, 0.25]"]
+    # the artifact is the same whether or not anyone reads the notes
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert "note" not in captured.out
+    _, recs = parse_table(captured.out)
+    assert [math.isnan(r.y) for r in recs] == [False, False, True]
 
 
 def _src_env():

@@ -42,6 +42,26 @@ CASES = {
         "--seed", "3"],
     "encode.csv": [
         "encode", "--p", "0.02", "--trials", "20000", "--seed", "4"],
+    # analytic artifacts: chain solves, root finders and the encoding bound
+    "sweep_level3.csv": [
+        "sweep", "--model", "level3", "--grid", "0.005:0.16:32",
+        "--seed", "11"],
+    # crosses eps = 0 and the 0.25 domain edge
+    "sweep_level2.csv": [
+        "sweep", "--model", "level2", "--grid", "0:0.3:31", "--seed", "12"],
+    "sweep_concat.csv": [
+        "sweep", "--model", "concat(6,2)", "--grid", "0.01:0.1:10",
+        "--seed", "13"],
+    "threshold_level2.csv": [
+        "threshold", "--model", "level2", "--seed", "14"],
+    "threshold_level3.csv": [
+        "threshold", "--model", "level3", "--seed", "15"],
+    "threshold_universal.csv": [
+        "threshold", "--model", "universal", "--seed", "16"],
+    "encode_bound.csv": [
+        "encode", "--bound", "--grid", "0.001:0.028:28", "--seed", "17"],
+    "encode_pcrit.csv": [
+        "encode", "--pcrit", "--seed", "18"],
 }
 
 
