@@ -413,9 +413,11 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     itself when it has none) by each state's count of marked positions
     out of nine.  (A marked position is a wrong bundle in every square,
     and a wrong bundle is wrong in all three bits, so bundle fraction and
-    bit fraction coincide.)
+    bit fraction coincide.)  A view without mark counts is a ValueError.
     """
     view = chain.refined or chain
+    if view.marks is None:
+        raise ValueError(f"chain {view.name!r} has no mark counts")
     return float(steady_state(view, epsilon).pi @ view.marks) / 9.0
 
 

@@ -211,6 +211,13 @@ def test_propagated_bit_error_level2_is_one_mark_in_nine():
             steady_state(L2, eps).pi[1] / 9.0
 
 
+def test_propagated_bit_error_needs_mark_counts():
+    bare = ErrorChain(name="x", labels=L2.labels, trans_coeffs=L2.trans_coeffs,
+                      fail_coeffs=L2.fail_coeffs)
+    with pytest.raises(ValueError, match="chain 'x' has no mark counts"):
+        propagated_bit_error(bare, 0.1)
+
+
 def test_propagated_bit_error_matches_trajectory_oracle():
     eps = 0.05
     analytic = propagated_bit_error(L3, eps)

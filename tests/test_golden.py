@@ -3,12 +3,16 @@
 Each file in ``tests/data/golden`` was written by the command next to its
 name.  Any change to a draw order, a seed derivation, a kernel or the
 rendering shows up here as a byte difference.  A change that moves the
-per-seed numbers on purpose rewrites every file from ``CASES`` with
+per-seed numbers on purpose reruns every command in ``CASES`` with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose bytes differ and prints ``rewrote``
+or ``unchanged`` for each, so the diff names exactly the files that moved.
 """
 
 import pathlib
+import tempfile
 
 import pytest
 
@@ -73,6 +77,14 @@ def test_artifact_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name, argv in sorted(CASES.items()):
-        assert main(argv + ["--out", str(GOLDEN / name)]) == 0
-        print("wrote", GOLDEN / name)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in sorted(CASES.items()):
+            out = pathlib.Path(tmp) / name
+            if main(argv + ["--out", str(out)]) != 0:
+                raise SystemExit(f"{name}: command failed")
+            golden = GOLDEN / name
+            if golden.exists() and golden.read_bytes() == out.read_bytes():
+                print("unchanged", golden)
+            else:
+                golden.write_bytes(out.read_bytes())
+                print("rewrote", golden)

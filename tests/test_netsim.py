@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
                            randomized_schedule, wilson_interval,
                            _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
-                           _randomized_phase)
+                           _permutations, _randomized_phase)
 from majmux.rates import epsilon_of_p
 
 
@@ -161,6 +164,35 @@ def test_randomized_phase_clears_sparse_errors():
     bits[0] = 1
     _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0], rng)
     assert bits.sum() == 0
+
+
+def test_permutations_match_argsort_of_float_keys():
+    for bitgen in (np.random.Philox, np.random.PCG64):
+        for size in (3, 9, 81, 243, 729):
+            for rows in (1, 256):
+                rng = np.random.Generator(bitgen(size * rows))
+                ref = copy.deepcopy(rng)
+                want = np.argsort(ref.random((rows, size)), axis=1)
+                np.testing.assert_array_equal(_permutations(rng, rows, size),
+                                              want)
+                # one word per key on both paths: the streams stay aligned
+                assert rng.random() == ref.random()
+
+
+def test_randomized_phase_groups_two_ones_uniformly():
+    # noiseless: two 1s share a triple with probability 2 / (size - 1)
+    # and become three 1s; otherwise both are voted out
+    rng = np.random.Generator(np.random.Philox(41))
+    cols = 100_000
+    for size, share in ((9, 1 / 4), (27, 1 / 13)):
+        bits = np.zeros((size, cols), np.uint8)
+        bits[:2] = 1
+        _randomized_phase(bits, np.zeros((3, size * cols // 3), np.uint8),
+                          rng)
+        ones = bits.sum(axis=0)
+        assert set(np.unique(ones)) <= {0, 3}
+        sigma = math.sqrt(share * (1 - share) / cols)
+        assert abs((ones == 3).mean() - share) <= 4 * sigma, size
 
 
 def test_randomized_phase_size_must_be_triples():
