@@ -7,7 +7,12 @@ gates under one of two wirings:
   restorative phase applies 3^n parallel MAJ3 gates along one axis, and the
   axes cycle in a fixed order.
 * ``randomized``: each phase draws a fresh uniform permutation of all bits
-  and applies MAJ3 to consecutive triples (classic multiplexing).
+  and applies MAJ3 to triples of the permuted order (classic
+  multiplexing).  Sorting raw 64-bit keys that carry their index in the
+  low b = (size - 1).bit_length() bits makes the permutation uniform to
+  within total variation C(size, 2) / 2^(64 - b), at most 1.5e-11 at
+  levels 1..5.  Outputs stay in permuted order, with no write-back: the
+  next phase permutes afresh and the majority ignores order.
 
 Two gate-noise models are provided.  ``Idealized`` treats the MAJ3 as a
 black box whose three identical outputs are all flipped together with
@@ -248,17 +253,25 @@ def _permutations(rng: np.random.Generator, rows: int, size: int
 
 def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
                       rng: np.random.Generator) -> None:
-    """One multiplexing phase: each replica of the (size, replicas)
-    register draws a fresh permutation and applies MAJ3 to each triple."""
+    """One multiplexing phase, in place on the (size, replicas) register.
+
+    Each replica draws a fresh permutation (_permutations), gathers its
+    bits in that order and applies MAJ3 to the triples (k, k + size/3,
+    k + 2 size/3) of the gathered row.  The outputs stay in gathered
+    order, not scattered back to where they were read: the next phase
+    permutes afresh, uniformly and independently of this one, and the
+    majority count ignores order, so the law of every tally is unchanged.
+    """
     size, r = bits.shape
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
-    perm = _permutations(rng, r, size)
-    flat = bits.reshape(-1)
-    at = (perm * r + np.arange(r)[:, None]).reshape(r, size // 3, 3)
-    shuffled = flat[at]
-    _maj3_layer([shuffled[..., j] for j in range(3)], mask)
-    flat[at] = shuffled
+    at = _permutations(rng, r, size)
+    at *= r
+    at += np.arange(r)[:, None]
+    shuffled = bits.reshape(-1)[at]
+    lines = shuffled.reshape(r, 3, size // 3)
+    _maj3_layer([lines[:, j] for j in range(3)], mask)
+    bits[...] = shuffled.T
 
 
 # --- logical rate estimation ----------------------------------------------------

@@ -82,9 +82,9 @@ if __name__ == "__main__":
             out = pathlib.Path(tmp) / name
             if main(argv + ["--out", str(out)]) != 0:
                 raise SystemExit(f"{name}: command failed")
-            golden = GOLDEN / name
-            if golden.exists() and golden.read_bytes() == out.read_bytes():
+            golden, new = GOLDEN / name, out.read_bytes()
+            if golden.exists() and golden.read_bytes() == new:
                 print("unchanged", golden)
             else:
-                golden.write_bytes(out.read_bytes())
+                golden.write_bytes(new)
                 print("rewrote", golden)
