@@ -7,16 +7,16 @@ computation thresholds, and encoding failure bounds from exact
 jump-process models of the propagated errors.
 """
 
-from .analysis import (SweepRecord, concat_baseline, correction_threshold,
-                       feedback_constants, p_target, sweep,
-                       universal_threshold)
+from .analysis import (EncodeBound, SweepRecord, concat_baseline,
+                       correction_threshold, feedback_constants, p_crit,
+                       p_target, pfail_bound, sweep, universal_threshold)
 from .chains import (LEVEL2_LABELS, LEVEL3_LABELS, ErrorChain, SteadyState,
                      build_level2_chain, build_level3_chain, pattern_class,
                      propagated_bit_error, serialize_chain, steady_state)
-from .encoding import EncodeBound, cascade_mc, p_crit, pfail_bound
 from .netsim import (Componentwise, GateNoise, Idealized, Schedule,
-                     TrialStats, estimate_logical_rate, hypercube_schedule,
-                     randomized_schedule, wilson_interval)
+                     TrialStats, cascade_mc, estimate_logical_rate,
+                     hypercube_schedule, randomized_schedule,
+                     wilson_interval)
 from .rates import (EPSILON_PER_P, EncodingRates, Maj3Rates, PhysicalNoise,
                     derive_rates, epsilon_of_p, jvn_stable_eta,
                     single_triple_map)

@@ -1,11 +1,12 @@
-"""Threshold finders, parameter sweeps, and concatenation baselines.
+"""Threshold finders, bounds, parameter sweeps, and concatenation baselines.
 
 Everything here is a thin consumer of the analytic chains and the derived
 rates: bisection roots of the self-consistency conditions (storage and
 computation thresholds), the power-law baselines for conventional code
-concatenation, the measurement and feedback error constants, a grid sweep
-that turns an analytic model into plot-ready records, and the Monte Carlo
-point function behind ``simulate`` and ``compare-vn``.
+concatenation, the measurement and feedback error constants, the
+fan-out encoder's failure bound and its crossover rate p_crit, a grid
+sweep that turns an analytic model into plot-ready records, and the Monte
+Carlo point function behind ``simulate`` and ``compare-vn``.
 """
 
 from __future__ import annotations
@@ -149,6 +150,64 @@ def feedback_constants(p: float) -> tuple[float, float]:
     return meas, p + meas
 
 
+@dataclass(frozen=True)
+class EncodeBound:
+    """Closed-form overestimate of the encoded failure probability.
+
+    alpha is the chance that a majority of one bundle's three feed lines
+    are wrong when each is wrong independently at the per-edge rate.
+    seed_to_logical is the chance that a lone wrong line entering a
+    block's sub-cascade grows into a logical error of that block.  terms
+    are the four addends of the bound; p_fail is their sum.
+    """
+
+    p: float
+    alpha: float
+    seed_to_logical: float
+    terms: tuple[float, float, float, float]
+    p_fail: float
+
+
+def pfail_bound(p: float) -> EncodeBound:
+    """Upper bound on the probability the cascade output is logically wrong.
+
+    The cascade fans one bit out into an 81-bit register in four levels
+    (``netsim.cascade_mc``).  Valid for physical rates p in [0, 0.2].  The
+    bound charges the voted root line once (q_i), then groups every later
+    fan-out edge at the per-edge rate ap: a majority of wrong top
+    branches, one wrong top branch whose sub-cascade goes logical, or
+    clean top branches whose lower levels independently go majority-wrong.
+
+    For small p the bound behaves as (32/63) p, so encoding beats bare
+    preparation by roughly a factor two until p approaches p_crit.
+    """
+    if not 0.0 <= p <= 0.2:
+        raise ValueError(f"p={p} outside [0, 0.2]")
+    enc = derive_rates(p)[2]
+    q_i, ap = enc.q_i, enc.ap
+    keep = 1.0 - ap
+    alpha = 3.0 * ap ** 2 - 2.0 * ap ** 3
+    seed = 1.0 - keep ** 6 - 6.0 * ap * keep ** 5 - 3.0 * ap ** 2 * keep ** 4
+    terms = (
+        q_i,
+        (1.0 - q_i) * alpha,
+        (1.0 - q_i) * 3.0 * ap * keep ** 2 * seed,
+        (1.0 - q_i) * keep ** 3 * (3.0 * alpha ** 2 - 2.0 * alpha ** 3),
+    )
+    return EncodeBound(p=p, alpha=alpha, seed_to_logical=seed, terms=terms,
+                       p_fail=terms[0] + terms[1] + terms[2] + terms[3])
+
+
+def p_crit(tol: float = _BISECT_TOL) -> float:
+    """Physical rate where the encoding bound stops beating bare preparation.
+
+    Bisects p_fail(p) - p on (1e-6, 0.2).  Below the root the cascade's
+    failure bound is smaller than the raw preparation error; above it the
+    correlated build-up during amplification dominates.
+    """
+    return _bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
+
+
 _CONCAT_TAG = re.compile(r"^concat\((\d+),\s*(\d+)\)$")
 
 
@@ -176,8 +235,7 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
     st = estimate_logical_rate(level, sched, noise,
                                int(sub[0]) << 32 | int(sub[1]),
                                min_flips=min_flips, max_phases=max_phases)
-    return SweepRecord(x=x, y=st.p_hat, y_lo=st.ci95[0], y_hi=st.ci95[1],
-                       model=model, n=level, seed=seed)
+    return SweepRecord(x, st.p_hat, *st.ci95, model, level, seed)
 
 
 def sweep(model: str, grid: Sequence[float], *,

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (CHAIN_MODELS, MC_MODELS, SweepRecord,
-                       correction_threshold, mc_point, sweep,
-                       universal_threshold)
-from .encoding import cascade_mc, p_crit, pfail_bound
-from .netsim import run_parallel
+                       correction_threshold, mc_point, p_crit, pfail_bound,
+                       sweep, universal_threshold)
+from .netsim import cascade_mc, run_parallel
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
 # the options each row reads, besides _RECORDED and _VOLATILE; a row
@@ -75,10 +74,13 @@ def _checked(fields: dict, accepted: tuple[str, ...]) -> "RunConfig":
             raise ValueError(f"--{key.replace('_', '-')} must be "
                              f"{kind.__name__}, got {value!r}")
     config = RunConfig(**fields)
-    if config.level not in range(1, 6):
-        raise ValueError("--level must be in 1..5")
-    if config.format not in ("csv", "json"):
-        raise ValueError("--format must be csv or json")
+    for key, rule, ok in (
+            ("level", "in 1..5", config.level in range(1, 6)),
+            ("format", "csv or json", config.format in ("csv", "json")),
+            ("seed", ">= 0", config.seed >= 0),
+            ("workers", ">= 1", config.workers >= 1)):
+        if not ok:
+            raise ValueError(f"--{key} must be {rule}")
     return config
 
 
@@ -256,15 +258,13 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
     for x in _parse_grid(config):
         if config.bound:
             y = pfail_bound(x).p_fail
-            records.append(SweepRecord(x=x, y=y, y_lo=y, y_hi=y,
-                                       model="encode_bound", n=3,
-                                       seed=config.seed))
+            records.append(SweepRecord(x, y, y, y, "encode_bound", 3,
+                                       config.seed))
         else:
             st = cascade_mc(x, seed=config.seed, trials=config.trials,
                             workers=config.workers)
-            records.append(SweepRecord(x=x, y=st.p_hat, y_lo=st.ci95[0],
-                                       y_hi=st.ci95[1], model="cascade_mc",
-                                       n=3, seed=config.seed))
+            records.append(SweepRecord(x, st.p_hat, *st.ci95, "cascade_mc",
+                                       3, config.seed))
     return records
 
 

@@ -58,6 +58,11 @@ class PhysicalNoise:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p} outside [0, 1]")
 
+    @classmethod
+    def from_p(cls, p: float) -> "PhysicalNoise":
+        """The shares of p alone; no derived rate is formed or clamped."""
+        return cls(p, _CLASSICAL_SHARE * p, _WIRE_PREP_SHARE * p)
+
 
 @dataclass(frozen=True)
 class Maj3Rates:
@@ -97,13 +102,9 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
 
-    p_c = _CLASSICAL_SHARE * p
-    wire_prep = _WIRE_PREP_SHARE * p
-    noise = PhysicalNoise(p=p, p_c=p_c, wire_prep=wire_prep)
-
-    # two wire/prep locations plus the per-line marginal of both gates
-    epsilon = 2.0 * wire_prep + 2.0 * _GATE_MARGINAL * p_c
-    epsilon = _clamp01(epsilon, "epsilon")
+    noise = PhysicalNoise.from_p(p)
+    p_c, wire_prep = noise.p_c, noise.wire_prep
+    epsilon = _clamp01(_epsilon(noise), "epsilon")
     # the computational phase drops one wire/prep location and one gate
     # marginal, which happens to halve the budget exactly
     epsilon_prime = epsilon - wire_prep - _GATE_MARGINAL * p_c
@@ -120,9 +121,15 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
     return noise, maj3, enc
 
 
+def _epsilon(noise: PhysicalNoise) -> float:
+    """Two wire/prep locations plus the per-line marginal of both gates."""
+    return 2.0 * noise.wire_prep + 2.0 * _GATE_MARGINAL * noise.p_c
+
+
 def epsilon_of_p(p: float) -> float:
-    """Shorthand for the canonical per-output MAJ3 budget epsilon(p)."""
-    return derive_rates(p)[1].epsilon
+    """The canonical per-output MAJ3 budget epsilon(p), as derive_rates
+    clamps it, without forming (or warning about) any other rate."""
+    return _clamp01(_epsilon(PhysicalNoise.from_p(p)), "epsilon")
 
 
 def jvn_stable_eta(epsilon: float) -> tuple[float, float]:

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from majmux.analysis import correction_threshold, universal_threshold
+from majmux.analysis import (correction_threshold, p_crit, pfail_bound,
+                             universal_threshold)
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.cli import main
-from majmux.encoding import p_crit, pfail_bound
 from majmux.netsim import (Idealized, estimate_logical_rate,
                            hypercube_schedule, randomized_schedule)
 from majmux.rates import epsilon_of_p, jvn_stable_eta, single_triple_map

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import majmux
 from majmux.cli import (_OPTIONS, RunConfig, _build_parser, _fmt, main,
                         parse_table, run)
-from majmux.encoding import pfail_bound
+from majmux.analysis import pfail_bound
 
 # each command and the options of all its _OPTIONS rows
 _READS = {}
@@ -365,6 +366,39 @@ def test_format_other_than_csv_or_json_exits_2(tmp_path, capsys):
         assert not out.exists()
         with pytest.raises(ValueError, match="--format"):
             RunConfig.from_header({**_typed(argv), "format": "xml"})
+
+
+def test_negative_seed_exits_2_on_every_row(tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    for argv in _RUNS.values():
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="--seed"):
+            RunConfig.from_header({**_typed(argv), "seed": -1})
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exits_2(workers, tmp_path, capsys):
+    out = tmp_path / "artifact.csv"
+    for row in ("simulate", "encode"):
+        argv = [*_RUNS[row], "--workers", workers, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "hypercube_mc", "--level", "1", "--p", "0.45"],
+    ["encode", "--p", "0.35", "--trials", "100"],
+])
+def test_rates_a_run_never_reads_are_clamped_silently(argv, tmp_path):
+    # epsilon and epsilon_zero pass 1 at p = 0.45, epsilon_zero at 0.35;
+    # componentwise gates read neither, the cascade's corrector epsilon only
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "artifact.csv")]) == 0
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("budget", [

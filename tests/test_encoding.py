@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from majmux.encoding import (CASCADE_DEPTH, EncodeBound, _amp_layer,
-                             cascade_mc, p_crit, pfail_bound)
+from majmux.analysis import EncodeBound, p_crit, pfail_bound
+from majmux.netsim import CASCADE_DEPTH, _amp_layer, cascade_mc
 from majmux.rates import derive_rates
 
 MEAS_SLOPE = 32.0 / 63.0
