@@ -74,17 +74,17 @@ def _bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
 def correction_threshold(chain: ErrorChain) -> float:
     """Largest eps below which the corrector suppresses its own noise.
 
-    Scans p_ss(eps) - eps on a grid over (0, 0.25), brackets the last sign
-    change, and bisects it to 1e-6.  Below the returned point the
-    per-phase logical failure rate is smaller than the per-gate rate
-    feeding it, so adding the corrector is a net win.
+    Scans p_ss(eps) - eps on a grid over (0, 0.25) in one batched solve,
+    brackets the last sign change, and bisects it to 1e-6.  Below the
+    returned point the per-phase logical failure rate is smaller than the
+    per-gate rate feeding it, so adding the corrector is a net win.
 
     Raises:
         RuntimeError: if p_ss(eps) - eps never changes sign in range.
     """
     g = lambda e: steady_state(chain, e).p_ss - e
     grid = np.linspace(1e-3, _CHAIN_EPS_MAX - 1e-4, 250)
-    vals = [g(e) for e in grid]
+    vals = steady_state(chain, grid).p_ss - grid
     bracket = None
     for (a, ga), (b, gb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
         if ga < 0.0 <= gb:
@@ -243,8 +243,9 @@ def sweep(model: str, grid: Sequence[float], *,
     """Evaluate an analytic model over a strictly increasing grid.
 
     Supported models: ``level2`` and ``level3`` (stationary logical rate
-    of the analytic chains, eps in [0, 0.25]) and ``concat(t,L)`` (the
-    concatenation baseline, eps in [0, 1]).  Off-domain points come back
+    of the analytic chains, eps in [0, 0.25], one batched solve over the
+    grid) and ``concat(t,L)`` (the concatenation baseline, eps in
+    [0, 1]).  Off-domain points come back
     as NaN records with an explanatory note; ``seed`` is carried only for
     provenance.  Monte Carlo grids (``MC_MODELS``) are ``mc_point`` runs,
     ``majmux simulate --level 3`` on the command line.
@@ -257,14 +258,15 @@ def sweep(model: str, grid: Sequence[float], *,
 
     if model in CHAIN_MODELS:
         n, build = CHAIN_MODELS[model]
-        chain = build()
+        inside = [x for x in xs if 0.0 <= x <= _CHAIN_EPS_MAX]
+        p_ss = iter(steady_state(build(), np.array(inside, dtype=float)).p_ss)
         for x in xs:
             if not 0.0 <= x <= _CHAIN_EPS_MAX:
                 records.append(SweepRecord(x, math.nan, math.nan, math.nan,
                                            model, n, seed,
                                            note="eps outside [0, 0.25]"))
                 continue
-            y = steady_state(chain, x).p_ss
+            y = float(next(p_ss))
             records.append(SweepRecord(x, y, y, y, model, n, seed))
         return records
 

@@ -29,7 +29,8 @@ two or more marks is a logical failure.
 All transition probabilities are exact integer-coefficient polynomials in
 eps, built once by exhaustive enumeration of configurations.  Evaluation is
 Horner's rule on those coefficients, so the leading-order cancellations are
-exact and failure rates stay accurate down to ~1e-16.
+exact and failure rates stay accurate down to ~1e-16.  Evaluation and the
+steady-state solve take a whole eps grid at once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # --- exact integer polynomial helpers ---------------------------------------
 
@@ -67,6 +67,41 @@ def _ppad(a: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros(width, dtype=np.int64)
     out[: len(a)] = a
     return out
+
+
+def _toeplitz(polys: np.ndarray, n: int) -> np.ndarray:
+    """Product matrices: T @ q holds the coefficients of p * q.
+
+    polys is (..., d), one polynomial p per leading index; q has n
+    coefficients; T is (..., d + n - 1, n) with T[i, j] = p[i - j].
+    """
+    d = polys.shape[-1]
+    lag = np.arange(d + n - 1)[:, None] - np.arange(n)
+    return np.where((lag >= 0) & (lag < d), polys[..., lag.clip(0, d - 1)], 0)
+
+
+def _horner(coeffs: np.ndarray, epsilon) -> np.ndarray:
+    """Integer polynomials evaluated in float64 at eps by Horner's rule.
+
+    coeffs is (..., D), constant term first; epsilon is a float or an
+    array, and the result has shape epsilon.shape + coeffs.shape[:-1].
+    Every step is acc * eps + c_k on the whole grid, so a grid costs one
+    pass of D - 1 steps.
+
+    Error: the coefficients are integers below 2**53, exact in float64,
+    and Horner's rule on a degree-d polynomial (d = D - 1) satisfies
+    |fl(p(eps)) - p(eps)| <= gamma_2d * sum_k |c_k| eps**k, with
+    gamma_n = n u / (1 - n u) and u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 5.1).
+    """
+    x = np.asarray(epsilon, dtype=float)
+    c = coeffs.reshape(-1, coeffs.shape[-1]).T.astype(float)
+    xs = x.reshape(-1, 1)
+    acc = c[-1] + 0.0 * xs
+    for ck in c[-2::-1]:
+        acc *= xs
+        acc += ck
+    return acc.reshape(x.shape + coeffs.shape[:-1])
 
 
 _ONE = np.array([1], dtype=np.int64)
@@ -170,22 +205,29 @@ class ErrorChain:
     def n_states(self) -> int:
         return len(self.labels)
 
-    def trans(self, epsilon: float) -> np.ndarray:
-        """Transition matrix T(eps) among non-failure states."""
-        return npoly.polyval(epsilon, self.trans_coeffs.transpose(2, 0, 1))
+    def trans(self, epsilon) -> np.ndarray:
+        """Transition matrix T(eps) among non-failure states.
 
-    def fail(self, epsilon: float) -> np.ndarray:
-        """Per-state logical failure probabilities at eps."""
-        return npoly.polyval(epsilon, self.fail_coeffs.transpose(1, 0))
+        (k, k) for a float eps, (G, k, k) for a grid of G values.
+        """
+        return _horner(self.trans_coeffs, epsilon)
+
+    def fail(self, epsilon) -> np.ndarray:
+        """Per-state logical failure probabilities, (k,) or (G, k)."""
+        return _horner(self.fail_coeffs, epsilon)
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary occupancies conditioned on no logical failure."""
+    """Stationary occupancies conditioned on no logical failure.
 
-    pi: np.ndarray   # over non-failure states, sums to 1
-    p_ss: float      # per-phase logical failure probability, pi . fail
-    residual: float  # max |pi M - pi| for the row-normalized matrix M
+    For a float eps pi is (k,) and p_ss, residual are floats; for a grid
+    of G values pi is (G, k) and p_ss, residual are (G,) arrays.
+    """
+
+    pi: np.ndarray               # over non-failure states, sums to 1
+    p_ss: float | np.ndarray     # per-phase logical failure, pi . fail
+    residual: float | np.ndarray  # max |pi M - pi|, M row-normalized
 
 
 # --- chain builders -----------------------------------------------------------
@@ -237,47 +279,53 @@ def build_level2_chain() -> ErrorChain:
 
 
 @lru_cache(maxsize=1)
-def _level3_failure_groups() -> dict[tuple[int, int, int], np.ndarray]:
+def _level3_census() -> np.ndarray:
     """Outcome census of the 512 joint gate-failure patterns.
 
     A failure pattern F marks F[l][k] = 1 when the line-k gate of square l
     fails.  Its probability depends only on the per-line failure counts
     b_k = sum_l F[l][k]; the next configuration depends only on the
     per-square counts c_l = sum_k F[l][k], which become the line counts of
-    the next step.  Returns, per b-vector, the number of patterns landing
-    in each refined profile (indices 0..9) or logical failure (index 10).
+    the next step.  Returns a (4, 4, 4, 11) int64 array: entry
+    [b0, b1, b2, o] counts the patterns with failure counts b that land in
+    refined profile o (0..9) or in logical failure (o = 10).
     """
-    groups: dict[tuple[int, int, int], np.ndarray] = {}
-    for bits in itertools.product((0, 1), repeat=9):
-        f = np.array(bits, dtype=np.int64).reshape(3, 3)
-        b = tuple(int(x) for x in f.sum(axis=0))
-        c = tuple(int(x) for x in f.sum(axis=1))
-        prof = _profile_or_none(c)
-        outcome = 10 if prof is None else _PROFILE_INDEX[prof]
-        groups.setdefault(b, np.zeros(11, dtype=np.int64))[outcome] += 1
-    return groups
+    f = ((np.arange(512)[:, None] >> np.arange(9)) & 1).reshape(512, 3, 3)
+    b, c = f.sum(axis=1), f.sum(axis=2)
+    outcome = np.empty((4, 4, 4), dtype=np.int64)
+    for counts in itertools.product(range(4), repeat=3):
+        prof = _profile_or_none(counts)
+        outcome[counts] = 10 if prof is None else _PROFILE_INDEX[prof]
+    census = np.zeros((4, 4, 4, 11), dtype=np.int64)
+    np.add.at(census, (*b.T, outcome[tuple(c.T)]), 1)
+    return census
 
 
-_L3_WIDTH = 28  # nine gates, each contributing a factor of degree <= 3
+@lru_cache(maxsize=1)
+def _line_factors() -> np.ndarray:
+    """(4, 4, 10) coefficients of f(m)^b (1 - f(m))^(3 - b) at [m, b]: the
+    chance that b chosen gates of a line, out of its three (one per
+    square), fail and the other 3 - b do not, with m marks in the line."""
+    return np.stack([
+        np.stack([_ppad(_pmul(*[_FAIL_BY_COUNT[m]] * b,
+                              *[_OK_BY_COUNT[m]] * (3 - b)), 10)
+                  for b in range(4)])
+        for m in range(4)])
 
 
 def _level3_row(counts: tuple[int, int, int]) -> np.ndarray:
     """Refined transition row for a grid with the given per-line mark counts.
 
     Returns an (11, 28) int64 array of polynomial coefficients: entries 0..9
-    are the refined-profile targets, entry 10 is logical failure.
+    are the refined-profile targets, entry 10 is logical failure.  The
+    census is contracted with line 2's factor polynomials over b2, then
+    multiplied by line 1's and line 0's (Toeplitz products) and summed over
+    b1 and b0.
     """
-    # f(m)^b (1-f(m))^(3-b) for each line, precombined per b-vector
-    fpow = {}
-    for slot, m in enumerate(counts):
-        fp, op = _FAIL_BY_COUNT[m], _OK_BY_COUNT[m]
-        fpow[slot] = [_pmul(*([fp] * b + [op] * (3 - b))) for b in range(4)]
-    row = np.zeros((11, _L3_WIDTH), dtype=np.int64)
-    for b, census in _level3_failure_groups().items():
-        poly = _pmul(fpow[0][b[0]], fpow[1][b[1]], fpow[2][b[2]])
-        for outcome in np.nonzero(census)[0]:
-            row[outcome, : len(poly)] += census[outcome] * poly
-    return row
+    p0, p1, p2 = (_line_factors()[m] for m in counts)
+    x = np.einsum("abco,cj->aboj", _level3_census(), p2)
+    y = np.einsum("bij,aboj->aoi", _toeplitz(p1, 10), x)
+    return np.einsum("aij,aoj->oi", _toeplitz(p0, 19), y)
 
 
 @lru_cache(maxsize=1)
@@ -353,37 +401,42 @@ def _check_substochastic_identity(trans: np.ndarray, fail: np.ndarray) -> None:
 # --- steady state -------------------------------------------------------------
 
 
-def _stationary(trans: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stationary law of the row-normalized substochastic matrix.
+def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary laws of a (G, k, k) stack of substochastic matrices,
+    each row-normalized first.
 
     Grassmann-Taksar-Heyman state reduction (Oper. Res. 33:1107, 1985):
     states k-1..1 are censored out one at a time, and the column of each is
     divided by its row's mass to the states still kept, never by one minus
     its diagonal, so no step subtracts and the relative accuracy holds as
-    eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Returns pi
-    and the residual max |pi M - pi| for the row-normalized M.
+    eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Every step
+    acts on the whole stack; the dot products are stacked ``matmul`` calls,
+    which round like a single matrix's ``@``.  Returns pi (G, k) and the
+    residuals max |pi M - pi| (G,) for the row-normalized M.
     """
-    rowsums = trans.sum(axis=1)
-    if np.any(rowsums <= 0.0):
+    rowsums = trans.sum(axis=2)
+    if (rowsums <= 0.0).any():
         raise ValueError("a row of the transition matrix has no survivors; "
                          "cannot condition on non-failure")
-    m = trans / rowsums[:, None]
+    m = trans / rowsums[:, :, None]
     a = m.copy()
-    for n in range(len(a) - 1, 0, -1):
-        s = a[n, :n].sum()
-        if s <= 0.0:
+    k = a.shape[1]
+    for n in range(k - 1, 0, -1):
+        s = a[:, n, :n].sum(axis=1)
+        if (s <= 0.0).any():
             raise ValueError(f"state {n} cannot reach a lower state; "
                              "the chain is reducible")
-        a[:n, n] /= s
-        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
-    pi = np.ones(len(a))
-    for j in range(1, len(a)):
-        pi[j] = pi[:j] @ a[:j, j]
-    pi /= pi.sum()
-    return pi, float(np.max(np.abs(pi @ m - pi)))
+        a[:, :n, n] /= s[:, None]
+        a[:, :n, :n] += a[:, :n, n, None] * a[:, None, n, :n]
+    pi = np.ones(a.shape[:2])
+    for j in range(1, k):
+        pi[:, j] = (pi[:, None, :j] @ a[:, :j, j:j + 1])[:, 0, 0]
+    pi /= pi.sum(axis=1, keepdims=True)
+    residual = np.abs((pi[:, None, :] @ m)[:, 0] - pi).max(axis=1)
+    return pi, residual
 
 
-def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
+def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
     """Stationary state of the chain at eps, conditioned on survival.
 
     Convention: pi is the stationary law of the row-normalized transition
@@ -394,16 +447,34 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     residual is max |pi M - pi|.  eps = 0 goes through the same solve,
     which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
+    A 1-D array of eps values is one batched solve over the grid, with the
+    same bits per point as a call per float; a float is a grid of one.
+
     Args:
         chain: a chain from build_level2_chain or build_level3_chain, or
             the refined view of one.
-        epsilon: per-bundle incipient error probability, 0 <= eps < 1.
+        epsilon: per-bundle incipient error probability, 0 <= eps < 1, as
+            a float or a 1-D array.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    pi, residual = _stationary(chain.trans(epsilon))
-    return SteadyState(pi=pi, p_ss=float(pi @ chain.fail(epsilon)),
-                       residual=residual)
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim > 1:
+        raise ValueError(f"epsilon must be a float or a 1-D array, "
+                         f"got shape {eps.shape}")
+    grid = eps.reshape(-1)
+    inside = (grid >= 0.0) & (grid < 1.0)
+    if not inside.all():
+        raise ValueError(f"epsilon must lie in [0, 1), got {grid[~inside][0]}")
+    # T and fail side by side, (G, k, k + 1), in one Horner pass
+    k = chain.n_states
+    tf = _horner(np.concatenate([chain.trans_coeffs,
+                                 chain.fail_coeffs[:, None]], axis=1), grid)
+    pi, residual = _stationary(tf[:, :, :k])
+    fail = np.ascontiguousarray(tf[:, :, k:])  # matmul sums a strided
+    p_ss = (pi[:, None, :] @ fail)[:, 0, 0]     # column in another order
+    if eps.ndim == 0:
+        return SteadyState(pi=pi[0], p_ss=float(p_ss[0]),
+                           residual=float(residual[0]))
+    return SteadyState(pi=pi, p_ss=p_ss, residual=residual)
 
 
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:

@@ -39,7 +39,6 @@ faults in its amplification, hypercube phases and the majority after it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,9 +388,11 @@ def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
     """``[fn(*job) for job in jobs]``, on a process pool when workers > 1.
 
     Every job seeds itself from its own substream, so the results are the
-    same for any worker count and any execution order.
+    same for any worker count and any execution order.  The pool module
+    is imported only here, so a one-worker run never loads it.
     """
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
@@ -460,6 +461,8 @@ def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if phases < 1:
+        raise ValueError("phases must be >= 1")
     if input_bit not in (0, 1):
         raise ValueError("input_bit must be 0 or 1")
     jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK), phases, input_bit)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,75 @@ def test_steady_state_rejects_bad_epsilon():
         steady_state(L2, -0.01)
     with pytest.raises(ValueError):
         steady_state(L2, 1.01)
+    with pytest.raises(ValueError, match="1-D"):
+        steady_state(L2, np.full((2, 2), 0.1))
+
+
+def test_horner_error_within_stated_bound():
+    # |fl(p(eps)) - p(eps)| <= gamma_2d sum_k |c_k| eps^k, with p(eps) and
+    # the bound evaluated exactly in rationals at the float eps
+    grid = np.array([0.0, 0.005, 0.01, 0.06, 0.1494, 0.25])
+    u = Fraction(1, 2**53)
+    for chain in (L2, L3, L3.refined):
+        for coeffs, values in ((chain.trans_coeffs, chain.trans(grid)),
+                               (chain.fail_coeffs, chain.fail(grid))):
+            two_d = 2 * (coeffs.shape[-1] - 1)
+            gamma = two_d * u / (1 - two_d * u)
+            for g, eps in enumerate(grid):
+                x = Fraction(float(eps))
+                for idx in np.ndindex(coeffs.shape[:-1]):
+                    exact = scale = Fraction(0)
+                    for c in coeffs[idx][::-1].tolist():
+                        exact = exact * x + c
+                        scale = scale * x + abs(c)
+                    err = abs(Fraction(float(values[g][idx])) - exact)
+                    assert err <= gamma * scale, (chain.name, eps, idx)
+
+
+@pytest.mark.parametrize("chain", [L2, L3, L3.refined],
+                         ids=["level2", "level3", "level3_refined"])
+def test_batched_solve_matches_per_float_calls_bitwise(chain):
+    grid = np.concatenate([[0.0], np.linspace(1e-3, 0.25, 60)])
+    batch = steady_state(chain, grid)
+    assert batch.pi.shape == (len(grid), chain.n_states)
+    for i, eps in enumerate(grid):
+        one = steady_state(chain, float(eps))
+        assert batch.pi[i].tobytes() == one.pi.tobytes()
+        assert batch.p_ss[i].hex() == one.p_ss.hex()
+        assert batch.residual[i].hex() == one.residual.hex()
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 1.0, np.nan])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_batched_solve_rejects_a_bad_epsilon_anywhere(bad, where):
+    grid = np.linspace(0.01, 0.2, 7)
+    grid[where] = bad
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
+        steady_state(L3, grid)
+
+
+def test_batched_solve_rejects_one_dead_or_reducible_point():
+    # state 1 of a two-state chain keeps mass 1 - 10 eps toward state 0,
+    # which is exactly 0.0 at eps = 0.1; the rest of its row goes to
+    # failure (dead) or stays in state 1 (reducible)
+    shape = L2.trans_coeffs.shape
+    to_zero, ten_eps = np.zeros((2, shape[2]), dtype=np.int64)
+    to_zero[:2], ten_eps[1] = (1, -10), 10
+    trans = L2.trans_coeffs.copy()
+    trans[1, 0], trans[1, 1] = to_zero, 0
+    dead = ErrorChain(name="dead", labels=L2.labels, trans_coeffs=trans,
+                      fail_coeffs=L2.fail_coeffs)
+    trans = trans.copy()
+    trans[1, 1] = ten_eps
+    stuck = ErrorChain(name="stuck", labels=L2.labels, trans_coeffs=trans,
+                       fail_coeffs=np.zeros_like(L2.fail_coeffs))
+    grid = np.array([0.02, 0.1, 0.05])
+    with pytest.raises(ValueError, match="no survivors"):
+        steady_state(dead, grid)
+    with pytest.raises(ValueError, match="reducible"):
+        steady_state(stuck, grid)
+    for chain in (dead, stuck):
+        assert np.all(steady_state(chain, grid[[0, 2]]).residual <= 1e-15)
 
 
 def test_propagated_bit_error_monotone():

@@ -106,6 +106,9 @@ def test_mc_validation():
         cascade_mc(0.02, seed=1, trials=0)
     with pytest.raises(ValueError):
         cascade_mc(0.02, seed=1, trials=10, input_bit=2)
+    for phases in (0, -3):
+        with pytest.raises(ValueError, match="phases"):
+            cascade_mc(0.02, seed=1, trials=10, phases=phases)
 
 
 def test_mc_zero_noise_never_fails():

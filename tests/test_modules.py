@@ -1,7 +1,10 @@
 """Module boundaries: the package's public surface and its private names."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import majmux
 
@@ -22,3 +25,16 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 
 def test_every_public_name_imports_from_the_package():
     assert all(hasattr(majmux, name) for name in majmux.__all__)
+
+
+def test_cli_import_loads_no_pool_or_polynomial_module():
+    # the process pool is imported only when a run asks for two or more
+    # workers, and Horner's rule lives in chains, so start-up pays for none
+    probe = ("import sys, majmux.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing') "
+             "or m.startswith('numpy.polynomial')))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
