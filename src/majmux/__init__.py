@@ -5,7 +5,26 @@ majority gates (deterministic hypercube wiring or randomized
 multiplexing), and computes logical error rates, correction and
 computation thresholds, and encoding failure bounds from exact
 jump-process models of the propagated errors.
+
+Every computation here runs on one thread per process, so unless the
+caller has set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``, or has imported numpy already, numpy is first
+imported with OpenBLAS pinned to one thread, and ``os.environ`` is then
+restored as it was: child processes that the caller starts are left alone.
 """
+
+import os
+import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ
+                                           for v in _THREAD_VARS):
+    # OpenBLAS sizes its thread pool once, when numpy loads it
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analysis import (EncodeBound, SweepRecord, concat_baseline,
                        correction_threshold, feedback_constants, p_crit,

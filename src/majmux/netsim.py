@@ -23,9 +23,10 @@ vote gate and the fan-out gate each draw an error class flipping exactly
 with probability (2/3) p.
 
 Gate noise is sampled sparsely: a gate layer is its noiseless bitwise
-majority XOR a uint8 mask per output line, and the masks are built from
-the Bernoulli successes alone, so their cost grows with the number of
-faults, not with the number of gates.
+majority XOR a uint8 mask, one line of it for Idealized gates (a fault
+flips all three outputs alike) and one per output line for Componentwise
+gates.  The masks are built from the Bernoulli successes alone, so their
+cost grows with the number of faults, not with the number of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -124,7 +125,13 @@ _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion.
+
+    Raises ValueError unless 0 <= successes <= trials.
+    """
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials: {successes=}, "
+                         f"{trials=}")
     if trials == 0:
         return (0.0, 1.0)
     z = _Z95
@@ -192,20 +199,22 @@ def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
                 gates: int) -> np.ndarray:
     """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates.
 
-    Entry [b, j, g] flips output line j of gate g in layer b.  An
-    Idealized fault flips all three lines.  A Componentwise gate is a vote
-    gate whose line 0 feeds a fan-out gate: a vote fault on that line
-    (4/7 of its faults) is copied to all three lines, then the fan-out
-    adds its own faults.
+    An Idealized fault flips all three lines together, so its mask has
+    one line, shape (blocks, 1, gates): entry [b, 0, g] flips every output
+    of gate g in layer b, one draw per gate.  A Componentwise mask has
+    shape (blocks, 3, gates) and entry [b, j, g] flips output line j.  Its
+    gate is a vote gate whose line 0 feeds a fan-out gate: a vote fault on
+    that line (4/7 of its faults) is copied to all three lines, then the
+    fan-out adds its own faults.
     """
-    mask = np.zeros((blocks, 3, gates), np.uint8)
     if isinstance(noise, Idealized):
-        every_line = noise.epsilon
-    else:
-        every_line = _VOTE_LINE0 * noise.noise.p_c
-    _flip_gates(mask, _fault_hits(rng, every_line, blocks * gates), (1, 1, 1))
-    if isinstance(noise, Componentwise):
-        _fan_out_faults(mask, noise.noise, rng)
+        mask = np.zeros((blocks, 1, gates), np.uint8)
+        mask.reshape(-1)[_fault_hits(rng, noise.epsilon, blocks * gates)] = 1
+        return mask
+    mask = np.zeros((blocks, 3, gates), np.uint8)
+    _flip_gates(mask, _fault_hits(rng, _VOTE_LINE0 * noise.noise.p_c,
+                                  blocks * gates), (1, 1, 1))
+    _fan_out_faults(mask, noise.noise, rng)
     return mask
 
 
@@ -213,12 +222,13 @@ def _maj3_layer(lines, mask: np.ndarray) -> None:
     """Noisy MAJ3 gates in place on three equal-shape line views.
 
     Gate k reads ``lines[0][k], lines[1][k], lines[2][k]``; line j then
-    holds their majority XOR ``mask[j]`` (shape (3, gates)).
+    holds their majority XOR ``mask[j]``.  mask has shape (3, gates), or
+    (1, gates) when one line flips all three outputs (see _gate_masks).
     """
     a, b, c = lines
     m = (a & b) | (c & (a | b))
-    for line, flip in zip(lines, mask):
-        np.bitwise_xor(m, flip.reshape(m.shape), out=line)
+    for j, line in enumerate(lines):
+        np.bitwise_xor(m, mask[j % len(mask)].reshape(m.shape), out=line)
 
 
 def _majority(bits: np.ndarray) -> np.ndarray:
@@ -235,8 +245,8 @@ def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
 
     bits has shape (3^(n+1), replicas), replicas on the fast axis; trit
     ``axis`` of the bit index (stride 3^axis) selects the position within
-    each gate's triple.  mask is the layer's (3, bits.size // 3) output
-    mask (see _gate_masks).
+    each gate's triple.  mask is the layer's (3, bits.size // 3) or
+    (1, bits.size // 3) output mask (see _gate_masks).
     """
     size, r = bits.shape
     low = 3 ** axis
@@ -277,10 +287,12 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
 
     Each replica draws a fresh permutation (_permutations), gathers its
     bits in that order and applies MAJ3 to the triples (k, k + size/3,
-    k + 2 size/3) of the gathered row.  The outputs stay in gathered
-    order, not scattered back to where they were read: the next phase
-    permutes afresh, uniformly and independently of this one, and the
-    majority count ignores order, so the law of every tally is unchanged.
+    k + 2 size/3) of the gathered row, with mask the layer's (3,
+    bits.size // 3) or (1, bits.size // 3) output mask (see _gate_masks).
+    The outputs stay in gathered order, not scattered back to where they
+    were read: the next phase permutes afresh, uniformly and independently
+    of this one, and the majority count ignores order, so the law of every
+    tally is unchanged.
     """
     size, r = bits.shape
     if size % 3:
@@ -300,7 +312,7 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
 _WARMUP = 50          # phases discarded per replica before tallying
 _LANES = 20_736       # register bits stepped per phase (81 bits x 256)
 _SETTLE = 3           # phases a new majority must hold to count as a flip
-_MASK_BYTES = 165_888  # gate-mask bytes drawn in one go
+_MASK_BYTES = 165_888  # 3-line mask bytes per draw: 8 phases of 81 x 256
 
 
 def check_budget(n: int, min_flips: int, max_phases: int) -> None:
@@ -342,7 +354,9 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
         raise ValueError("schedule axis count does not match the code level")
     replicas = max(1, _LANES // size)
-    # mask memory, not the width, bounds how many phases are drawn at once
+    # mask memory, not the width, bounds how many phases are drawn at
+    # once; the count is sized for 3-line masks, so an Idealized draw (one
+    # line per gate) fills a third of _MASK_BYTES
     block = max(1, _MASK_BYTES // (size * replicas))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # replica state is one column of each array, so a clone is a take

@@ -66,6 +66,40 @@ def test_idealized_outputs_move_together():
     assert abs(wrong - 0.3) <= 4 * np.sqrt(0.3 * 0.7 / 20_000)
 
 
+@pytest.mark.parametrize("blocks, gates", [(1, 12), (8, 6912), (3, 1)])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+def test_idealized_mask_is_one_draw_per_gate(eps, blocks, gates):
+    rng = np.random.Generator(np.random.Philox(23))
+    ref = copy.deepcopy(rng)
+    mask = _gate_masks(Idealized(eps), rng, blocks, gates)
+    assert mask.shape == (blocks, 1, gates)
+    want = np.zeros(blocks * gates, np.uint8)
+    want[_fault_hits(ref, eps, blocks * gates)] = 1
+    np.testing.assert_array_equal(mask.reshape(-1), want)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("kind", ["hypercube", "randomized"])
+def test_one_line_mask_acts_as_three_equal_lines(kind):
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        size, r = 3 ** (n + 1), 5
+        bits = rng.integers(0, 2, (size, r)).astype(np.uint8)
+        for axis in range(n + 1):
+            mask = _gate_masks(Idealized(0.3), rng, 1, size * r // 3)[0]
+            assert mask.shape == (1, size * r // 3)
+            one, three = bits.copy(), bits.copy()
+            if kind == "hypercube":
+                _hypercube_phase(one, axis, mask)
+                _hypercube_phase(three, axis, np.repeat(mask, 3, axis=0))
+            else:
+                twin = copy.deepcopy(rng)
+                _randomized_phase(one, mask, rng)
+                _randomized_phase(three, np.repeat(mask, 3, axis=0), twin)
+            np.testing.assert_array_equal(one, three)
+            bits = one
+
+
 def _odd_parity(probs):
     """P(odd number of independent events)."""
     q = 0.0
@@ -219,6 +253,13 @@ def test_wilson_interval_endpoints_are_exact():
         assert lo == 0.0 and 0.0 < hi < 1.0, n
         lo, hi = wilson_interval(n, n)
         assert 0.0 < lo < 1.0 and hi == 1.0, n
+
+
+@pytest.mark.parametrize("successes, trials",
+                         [(2, -5), (0, -1), (5, 3), (-1, 3)])
+def test_wilson_interval_rejects_counts_outside_the_trials(successes, trials):
+    with pytest.raises(ValueError, match=f"{successes=}, {trials=}"):
+        wilson_interval(successes, trials)
 
 
 def test_estimator_deterministic_in_seed():
