@@ -32,10 +32,9 @@ from .analysis import (EncodeBound, SweepRecord, concat_baseline,
 from .chains import (LEVEL2_LABELS, LEVEL3_LABELS, ErrorChain, SteadyState,
                      build_level2_chain, build_level3_chain, pattern_class,
                      propagated_bit_error, serialize_chain, steady_state)
-from .netsim import (Componentwise, GateNoise, Idealized, Schedule,
-                     TrialStats, cascade_mc, estimate_logical_rate,
-                     hypercube_schedule, randomized_schedule,
-                     wilson_interval)
+from .netsim import (Componentwise, GateNoise, Idealized, TrialStats,
+                     cascade_mc, estimate_logical_rate, hypercube_schedule,
+                     randomized_schedule, wilson_interval)
 from .rates import (EPSILON_PER_P, EncodingRates, Maj3Rates, PhysicalNoise,
                     derive_rates, epsilon_of_p, jvn_stable_eta,
                     single_triple_map)
@@ -43,7 +42,7 @@ from .rates import (EPSILON_PER_P, EncodingRates, Maj3Rates, PhysicalNoise,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Componentwise", "GateNoise", "Idealized", "Schedule", "TrialStats",
+    "Componentwise", "GateNoise", "Idealized", "TrialStats",
     "ErrorChain", "SteadyState", "EncodeBound",
     "SweepRecord", "EncodingRates", "Maj3Rates", "PhysicalNoise",
     "EPSILON_PER_P", "LEVEL2_LABELS", "LEVEL3_LABELS",

@@ -6,13 +6,13 @@ computation thresholds), the power-law baselines for conventional code
 concatenation, the measurement and feedback error constants, the
 fan-out encoder's failure bound and its crossover rate p_crit, a grid
 sweep that turns an analytic model into plot-ready records, and the Monte
-Carlo point function behind ``simulate`` and ``compare-vn``.
+Carlo point function behind ``simulate`` and ``compare-vn``.  ``MODELS``
+is the one table of the CLI's model tags.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,8 +21,7 @@ import numpy as np
 from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
                      propagated_bit_error, steady_state)
 from .netsim import (Componentwise, Idealized, check_budget,
-                     estimate_logical_rate, hypercube_schedule,
-                     randomized_schedule, substream)
+                     estimate_logical_rate, substream)
 from .rates import derive_rates
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
@@ -30,12 +29,22 @@ _BISECT_TOL = 1e-6
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 
-# the model tags: each analytic chain by its code level n and builder, each
-# Monte Carlo wiring by its schedule for a code level
-CHAIN_MODELS = {"level2": (2, build_level2_chain),
-                "level3": (3, build_level3_chain)}
-MC_MODELS = {"hypercube_mc": hypercube_schedule,
-             "vn_mc": lambda level: randomized_schedule()}
+# every model tag, as (kind, level, builder): an analytic "chain" of code
+# level n and its builder, the "concat" baseline of L levels and its t, or
+# a Monte Carlo ("mc") register wiring, whose level the run picks
+MODELS = {
+    "level2": ("chain", 2, build_level2_chain),
+    "level3": ("chain", 3, build_level3_chain),
+    **{f"concat({t},{level})": ("concat", level, t)
+       for t in (6, 7) for level in (2, 3, 4)},
+    "hypercube_mc": ("mc", None, "hypercube"),
+    "vn_mc": ("mc", None, "randomized"),
+}
+
+
+def model_tags(kind: str) -> list[str]:
+    """The MODELS tags of one kind, in table order."""
+    return [tag for tag, row in MODELS.items() if row[0] == kind]
 
 
 @dataclass(frozen=True)
@@ -208,31 +217,28 @@ def p_crit(tol: float = _BISECT_TOL) -> float:
     return _bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
 
 
-_CONCAT_TAG = re.compile(r"^concat\((\d+),\s*(\d+)\)$")
-
-
 def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
              index: int, min_flips: int, max_phases: int) -> SweepRecord:
     """Simulated logical rate of one grid point, as a record.
 
-    Runs the 3^(level+1)-bit register wired by ``model`` (a ``MC_MODELS``
-    tag) with Idealized(x) gates, or Componentwise gates at physical rate
-    x when ``use_p`` is set, on substream ``index`` of ``seed``.  A gate
-    error x outside (0, 0.5) gives a NaN record with a note.  An empty run
-    budget, then an unknown tag, then a gate error outside [0, 1] or a
-    physical rate outside its domain raises ValueError.
+    Runs the 3^(level+1)-bit register wired by ``model`` (an ``"mc"`` tag
+    of ``MODELS``) with Idealized(x) gates, or Componentwise gates at
+    physical rate x when ``use_p`` is set, on substream ``index`` of
+    ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
+    note.  An empty run budget, then an unknown tag, then a gate error
+    outside [0, 1] or a physical rate outside its domain raises
+    ValueError.
     """
     check_budget(level, min_flips, max_phases)
-    if model not in MC_MODELS:
+    if model not in model_tags("mc"):
         raise ValueError(f"unknown Monte Carlo model {model!r}; use "
-                         + "|".join(MC_MODELS))
-    sched = MC_MODELS[model](level)
+                         + "|".join(model_tags("mc")))
     noise = Componentwise.from_p(x) if use_p else Idealized(x)
     if not use_p and not 0.0 < x < 0.5:
         return SweepRecord(x, math.nan, math.nan, math.nan, model, level,
                            seed, note="eps outside (0, 0.5)")
     sub = substream(seed, index).generate_state(2)
-    st = estimate_logical_rate(level, sched, noise,
+    st = estimate_logical_rate(level, MODELS[model][2], noise,
                                int(sub[0]) << 32 | int(sub[1]),
                                min_flips=min_flips, max_phases=max_phases)
     return SweepRecord(x, st.p_hat, *st.ci95, model, level, seed)
@@ -242,47 +248,37 @@ def sweep(model: str, grid: Sequence[float], *,
           seed: int = 0) -> list[SweepRecord]:
     """Evaluate an analytic model over a strictly increasing grid.
 
-    Supported models: ``level2`` and ``level3`` (stationary logical rate
-    of the analytic chains, eps in [0, 0.25], one batched solve over the
-    grid) and ``concat(t,L)`` (the concatenation baseline, eps in
-    [0, 1]).  Off-domain points come back
-    as NaN records with an explanatory note; ``seed`` is carried only for
-    provenance.  Monte Carlo grids (``MC_MODELS``) are ``mc_point`` runs,
+    ``model`` is a ``"chain"`` tag of ``MODELS``, ``level2`` or ``level3``
+    (stationary logical rate of the analytic chain, eps in [0, 0.25], one
+    batched solve over the grid), or a ``"concat"`` tag, ``concat(t,L)``
+    for t in 6, 7 and L in 2, 3, 4 (the concatenation baseline, eps in
+    [0, 1]).  Off-domain points come back as NaN records with an
+    explanatory note; ``seed`` is carried only for provenance.  A grid
+    that is not strictly increasing or any other tag raises ValueError.
+    Monte Carlo grids (the ``"mc"`` tags) are ``mc_point`` runs,
     ``majmux simulate --level 3`` on the command line.
     """
     xs = list(grid)
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be strictly increasing")
-    concat = _CONCAT_TAG.match(model)
-    records: list[SweepRecord] = []
-
-    if model in CHAIN_MODELS:
-        n, build = CHAIN_MODELS[model]
-        inside = [x for x in xs if 0.0 <= x <= _CHAIN_EPS_MAX]
-        p_ss = iter(steady_state(build(), np.array(inside, dtype=float)).p_ss)
-        for x in xs:
-            if not 0.0 <= x <= _CHAIN_EPS_MAX:
-                records.append(SweepRecord(x, math.nan, math.nan, math.nan,
-                                           model, n, seed,
-                                           note="eps outside [0, 0.25]"))
-                continue
-            y = float(next(p_ss))
+    analytic = model_tags("chain") + model_tags("concat")
+    if model not in analytic:
+        raise ValueError(f"unknown analytic model {model!r}; use "
+                         + "|".join(analytic) + ", or simulate --level 3 "
+                         "for a Monte Carlo grid")
+    kind, n, make = MODELS[model]
+    hi = _CHAIN_EPS_MAX if kind == "chain" else 1.0
+    inside = [x for x in xs if 0.0 <= x <= hi]
+    ys = iter(steady_state(make(), np.array(inside, dtype=float)).p_ss
+              if kind == "chain"
+              else [concat_baseline(make, n, x) for x in inside])
+    records = []
+    for x in xs:
+        if 0.0 <= x <= hi:
+            y = float(next(ys))
             records.append(SweepRecord(x, y, y, y, model, n, seed))
-        return records
-
-    if concat:
-        t, level = int(concat.group(1)), int(concat.group(2))
-        for x in xs:
-            try:
-                y = concat_baseline(t, level, x)
-            except ValueError as err:
-                records.append(SweepRecord(x, math.nan, math.nan, math.nan,
-                                           model, level, seed, note=str(err)))
-                continue
-            records.append(SweepRecord(x, y, y, y, model, level, seed))
-        return records
-
-    if model in MC_MODELS:
-        raise ValueError(f"sweep is analytic-only; run {model} grids with "
-                         "simulate --level 3")
-    raise ValueError(f"unknown model {model!r}")
+        else:
+            records.append(SweepRecord(x, math.nan, math.nan, math.nan,
+                                       model, n, seed,
+                                       note=f"eps outside [0, {hi:g}]"))
+    return records

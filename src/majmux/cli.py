@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (CHAIN_MODELS, MC_MODELS, SweepRecord,
-                       correction_threshold, mc_point, p_crit, pfail_bound,
-                       sweep, universal_threshold)
+from .analysis import (MODELS, SweepRecord, correction_threshold, mc_point,
+                       model_tags, p_crit, pfail_bound, sweep,
+                       universal_threshold)
 from .netsim import cascade_mc, run_parallel
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
@@ -148,6 +148,8 @@ def parse_table(text: str) -> tuple[RunConfig, list[SweepRecord]]:
     """Reconstruct the config and records from an emitted artifact."""
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
+        if not {"config", "records"} <= doc.keys():
+            raise ValueError("JSON artifact needs config and records")
         config = RunConfig.from_header(doc["config"])
         records = [SweepRecord(note="", **row) for row in doc["records"]]
         return config, records
@@ -156,7 +158,7 @@ def parse_table(text: str) -> tuple[RunConfig, list[SweepRecord]]:
         raise ValueError("missing config header line")
     config = RunConfig.from_header(json.loads(lines[0][len("# config: "):]))
     rows = list(csv.reader(lines[1:]))
-    if rows[0] != list(COLUMNS):
+    if not rows or rows[0] != list(COLUMNS):
         raise ValueError("unexpected column header")
     records = []
     for row in rows[1:]:
@@ -234,15 +236,15 @@ def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
               f"(eps* = {eps_star:.17g})", file=sys.stderr)
         return [SweepRecord(x=p_star, y=eps_star, y_lo=eps_star, y_hi=eps_star,
                             model="universal", n=3, seed=config.seed)]
-    if config.model in CHAIN_MODELS:
-        n, build = CHAIN_MODELS[config.model]
+    if config.model in model_tags("chain"):
+        _, n, build = MODELS[config.model]
         star = correction_threshold(build())
         print(f"{config.model} threshold: eps* = {star:.17g}",
               file=sys.stderr)
         return [SweepRecord(x=star, y=star, y_lo=star, y_hi=star,
                             model=config.model, n=n, seed=config.seed)]
     raise ValueError("threshold needs --model "
-                     + "|".join([*CHAIN_MODELS, "universal"]))
+                     + "|".join([*model_tags("chain"), "universal"]))
 
 
 def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
@@ -274,7 +276,7 @@ def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
     jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
              config.max_phases)
             for i, x in enumerate(_parse_grid(config))
-            for model in MC_MODELS]
+            for model in model_tags("mc")]
     return run_parallel(mc_point, jobs, config.workers)
 
 

@@ -5,7 +5,7 @@ gates under one of two wirings:
 
 * ``hypercube``: the bits form an (n+1)-dimensional ternary cube; each
   restorative phase applies 3^n parallel MAJ3 gates along one axis, and the
-  axes cycle in a fixed order.
+  axes cycle in order 0..n.
 * ``randomized``: each phase draws a fresh uniform permutation of all bits
   and applies MAJ3 to triples of the permuted order (classic
   multiplexing).  Sorting raw 64-bit keys that carry their index in the
@@ -75,30 +75,17 @@ class Componentwise:
 GateNoise = Idealized | Componentwise
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Wiring plan for restorative phases; hypercube schedules carry the
-    cyclic axis order."""
-
-    kind: str                          # "hypercube" | "randomized"
-    axis_order: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("hypercube", "randomized"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if sorted(self.axis_order) != list(range(len(self.axis_order))):
-            raise ValueError(f"axis_order {self.axis_order} is not a "
-                             "permutation of the cube axes")
+def hypercube_schedule(n: int) -> str:
+    """The ``"hypercube"`` wiring tag, whatever ``n``.  It exists only for
+    perfbench's traced run and goes with ROADMAP item 7's benchmark
+    change."""
+    return "hypercube"
 
 
-def hypercube_schedule(n: int) -> Schedule:
-    """Deterministic schedule cycling the n+1 cube axes in order 0..n."""
-    return Schedule(kind="hypercube", axis_order=tuple(range(n + 1)))
-
-
-def randomized_schedule() -> Schedule:
-    """Fresh uniform permutation into triples at every phase."""
-    return Schedule(kind="randomized")
+def randomized_schedule() -> str:
+    """The ``"randomized"`` wiring tag.  It exists only for perfbench's
+    traced run and goes with ROADMAP item 7's benchmark change."""
+    return "randomized"
 
 
 @dataclass(frozen=True)
@@ -322,13 +309,15 @@ def check_budget(n: int, min_flips: int, max_phases: int) -> None:
                          f"{min_flips=}, {max_phases=}")
 
 
-def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
+def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
                           seed: int, *, min_flips: int = 100,
                           max_phases: int = 10_000_000) -> TrialStats:
     """Per-phase logical flip rate of the corrected register.
 
-    Runs independent registers in lockstep, as many as fill 20,736 bits
-    (at least one): 256 at n=3, 768 at n=2, 85 at n=4.  All start from the
+    The register is wired by ``wiring``, ``"hypercube"`` or
+    ``"randomized"`` (see the module docstring), or ValueError.  Runs
+    independent registers in lockstep, as many as fill 20,736 bits (at
+    least one): 256 at n=3, 768 at n=2, 85 at n=4.  All start from the
     all-zero state, each with its own logical reference.  The first 50
     phases of each are discarded; then phases and logical flips are
     tallied until at least ``min_flips`` flips are pooled or the pooled
@@ -350,9 +339,10 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
     reproduce the result bit for bit regardless of how callers schedule it.
     """
     check_budget(n, min_flips, max_phases)
+    if wiring not in ("hypercube", "randomized"):
+        raise ValueError(f"unknown wiring {wiring!r}; use hypercube or "
+                         "randomized")
     size = 3 ** (n + 1)
-    if sched.kind == "hypercube" and len(sched.axis_order) != n + 1:
-        raise ValueError("schedule axis count does not match the code level")
     replicas = max(1, _LANES // size)
     # mask memory, not the width, bounds how many phases are drawn at
     # once; the count is sized for 3-line masks, so an Idealized draw (one
@@ -369,9 +359,8 @@ def estimate_logical_rate(n: int, sched: Schedule, noise: GateNoise,
         if phase_idx % block == 0:
             masks = _gate_masks(noise, rng, block, bits.size // 3)
         mask = masks[phase_idx % block]
-        if sched.kind == "hypercube":
-            axis = sched.axis_order[phase_idx % len(sched.axis_order)]
-            _hypercube_phase(bits, axis, mask)
+        if wiring == "hypercube":
+            _hypercube_phase(bits, phase_idx % (n + 1), mask)
         else:
             _randomized_phase(bits, mask, rng)
         maj = _majority(bits)

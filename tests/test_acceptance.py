@@ -16,8 +16,7 @@ from majmux.analysis import (correction_threshold, p_crit, pfail_bound,
                              universal_threshold)
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.cli import main
-from majmux.netsim import (Idealized, estimate_logical_rate,
-                           hypercube_schedule, randomized_schedule)
+from majmux.netsim import Idealized, estimate_logical_rate
 from majmux.rates import epsilon_of_p, jvn_stable_eta, single_triple_map
 
 import oracles
@@ -124,7 +123,7 @@ def test_c07_transition_matrix_matches_bundle_level_mc():
 def test_c08_level2_register_rate_vs_chain():
     eps = 0.10
     t0 = time.monotonic()
-    stats = estimate_logical_rate(2, hypercube_schedule(2), Idealized(eps),
+    stats = estimate_logical_rate(2, "hypercube", Idealized(eps),
                                   seed=314, min_flips=300)
     dt = time.monotonic() - t0
     analytic = steady_state(L2, eps).p_ss
@@ -141,10 +140,10 @@ def test_c09_randomized_multiplexing_tracks_hypercube():
     t0 = time.monotonic()
     lines = []
     for eps in (0.08, 0.10, 0.12):
-        hyp = estimate_logical_rate(3, hypercube_schedule(3),
-                                    Idealized(eps), seed=202, min_flips=200)
-        vn = estimate_logical_rate(3, randomized_schedule(),
-                                   Idealized(eps), seed=202, min_flips=200)
+        hyp = estimate_logical_rate(3, "hypercube", Idealized(eps),
+                                    seed=202, min_flips=200)
+        vn = estimate_logical_rate(3, "randomized", Idealized(eps),
+                                   seed=202, min_flips=200)
         ratio = vn.p_hat / hyp.p_hat
         assert 0.1 <= ratio <= 10.0, (eps, ratio)
         lines.append(f"eps={eps}: {ratio:.2f}")

@@ -124,6 +124,11 @@ def test_sweep_concat_model():
     assert recs[0].n == 2
     recs_bad = sweep("concat(6,2)", [0.5, 1.5])
     assert math.isnan(recs_bad[1].y) and recs_bad[1].note != ""
+    for t in (6, 7):
+        for level in (2, 3, 4):
+            rec, = sweep(f"concat({t},{level})", [0.03])
+            assert rec.y == concat_baseline(t, level, 0.03)
+            assert rec.n == level
 
 
 def test_sweep_validates_grid_and_model():
@@ -131,8 +136,12 @@ def test_sweep_validates_grid_and_model():
         sweep("level2", [0.1, 0.1])
     with pytest.raises(ValueError):
         sweep("level2", [0.2, 0.1])
-    with pytest.raises(ValueError):
-        sweep("voodoo", [0.1])
+    # a concat tag outside t in 6, 7 and L in 2, 3, 4, or spelled with a
+    # space, is no model: it raises rather than giving NaN rows
+    for model in ("voodoo", "concat(5,2)", "concat(6,9)", "concat(6,1)",
+                  "concat(6, 2)", "concat(06,2)"):
+        with pytest.raises(ValueError, match="unknown analytic model"):
+            sweep(model, [0.01, 0.02])
     for model in ("hypercube_mc", "vn_mc"):
         with pytest.raises(ValueError, match="simulate --level 3"):
             sweep(model, [0.1])

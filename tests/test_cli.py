@@ -446,10 +446,31 @@ def test_header_value_of_the_wrong_type(header, argv, capsys):
 
 def test_error_leaves_no_partial_file(tmp_path, capsys):
     out = tmp_path / "artifact.csv"
-    assert main(["sweep", "--model", "nope", "--eps", "0.1",
-                 "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    for model in ("nope", "concat(5,2)", "concat(6,9)", "concat(6, 2)"):
+        assert main(["sweep", "--model", model, "--grid", "0.01:0.02:2",
+                     "--out", str(out)]) == 1
+        assert "error: unknown analytic model" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_HEADER = "# config: " + json.dumps(
+    RunConfig(command="threshold", model="level2").header())
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "x,y,y_lo,y_hi,model,n,seed\n",
+    _HEADER + "\n",
+    _HEADER,
+    _HEADER + "\nx,y\n",
+    '{"records": []}',
+    '{"config": {"command": "encode", "pcrit": true}}',
+    "{",
+], ids=["empty", "no_header", "header_line", "header_no_newline",
+        "short_columns", "json_no_config", "json_no_records", "json_cut"])
+def test_parse_table_rejects_malformed_artifacts(text):
+    with pytest.raises(ValueError):
+        parse_table(text)
 
 
 def test_missing_grid_is_an_error(capsys):

@@ -81,3 +81,42 @@ def test_import_after_numpy_changes_nothing():
     assert _run(ENV_KEPT.format(first="import numpy; ")) == "True None"
     assert (_run(f"import numpy, majmux; {THREADS}")
             == _run(f"import numpy; {THREADS}"))
+
+
+ROOT = SRC.parents[1]
+
+
+def _read_off_m(path):
+    """Every attribute that ``path`` reads off a name ``m`` or an ``.m``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and (isinstance(node.value, ast.Name) and node.value.id == "m"
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "m")}
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    # the benchmark drives the package as ``m``; a name it reads that is
+    # gone breaks its traced run
+    import majmux.cli  # noqa: F401  (the benchmark imports it too)
+
+    read = set()
+    for name in ("layers.py", "workloads.py"):
+        read |= _read_off_m(ROOT / "perfbench" / name)
+    assert {"hypercube_schedule", "randomized_schedule"} <= read
+    assert sorted(a for a in read if not hasattr(majmux, a)) == []
+    for n in (1, 2):
+        for helper, tag in ((majmux.hypercube_schedule(n), "hypercube"),
+                            (majmux.randomized_schedule(), "randomized")):
+            assert (majmux.estimate_logical_rate(
+                        n, helper, majmux.Idealized(0.1), 3, min_flips=5)
+                    == majmux.estimate_logical_rate(
+                        n, tag, majmux.Idealized(0.1), 3, min_flips=5))
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

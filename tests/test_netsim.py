@@ -6,9 +6,8 @@ import pytest
 
 from majmux import netsim
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
-from majmux.netsim import (Componentwise, Idealized, Schedule, TrialStats,
-                           estimate_logical_rate, hypercube_schedule,
-                           randomized_schedule, wilson_interval,
+from majmux.netsim import (Componentwise, Idealized, TrialStats,
+                           estimate_logical_rate, wilson_interval,
                            _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
                            _permutations, _randomized_phase)
@@ -140,30 +139,22 @@ def test_idealized_rejects_bad_epsilon():
             Idealized(bad)
 
 
-def test_hypercube_schedule_cycles_axes():
-    assert hypercube_schedule(2).axis_order == (0, 1, 2)
-    assert randomized_schedule().axis_order == ()
-    assert Schedule(kind="hypercube", axis_order=(2, 0, 1)).axis_order[0] == 2
-    with pytest.raises(ValueError):
-        Schedule(kind="hypercube", axis_order=(0, 0, 1))
-    with pytest.raises(ValueError):
-        Schedule(kind="hypercube", axis_order=(0, 2))
-    with pytest.raises(ValueError):
-        estimate_logical_rate(2, hypercube_schedule(1), Idealized(0.1), seed=0)
-
-
 @pytest.mark.parametrize("n, budget", [
     (-1, {}), (2, {"min_flips": 0}), (2, {"min_flips": -3}),
     (2, {"max_phases": 0})])
 def test_estimator_rejects_an_empty_run(n, budget):
     with pytest.raises(ValueError, match="budget"):
-        estimate_logical_rate(n, hypercube_schedule(n), Idealized(0.1), 0,
+        estimate_logical_rate(n, "hypercube", Idealized(0.1), 0,
                               **budget)
 
 
-def test_unknown_schedule_kind_rejected():
-    with pytest.raises(ValueError):
-        Schedule(kind="bogus")
+def test_unknown_wiring_rejected():
+    # the error names the tag given and both tags taken
+    for wiring in ("bogus", "Hypercube", "hypercube_mc", "vn_mc", ""):
+        with pytest.raises(ValueError,
+                           match=f"'{wiring}'; use hypercube or randomized"):
+            estimate_logical_rate(2, wiring, Idealized(0.1), seed=0,
+                                  max_phases=1)
 
 
 def _phase(ones, axis, eps):
@@ -263,19 +254,18 @@ def test_wilson_interval_rejects_counts_outside_the_trials(successes, trials):
 
 
 def test_estimator_deterministic_in_seed():
-    sched = hypercube_schedule(2)
-    a = estimate_logical_rate(2, sched, Idealized(0.12), seed=7,
+    a = estimate_logical_rate(2, "hypercube", Idealized(0.12), seed=7,
                               min_flips=40, max_phases=200_000)
-    b = estimate_logical_rate(2, hypercube_schedule(2), Idealized(0.12),
+    b = estimate_logical_rate(2, "hypercube", Idealized(0.12),
                               seed=7, min_flips=40, max_phases=200_000)
     assert a == b
-    c = estimate_logical_rate(2, hypercube_schedule(2), Idealized(0.12),
+    c = estimate_logical_rate(2, "hypercube", Idealized(0.12),
                               seed=8, min_flips=40, max_phases=200_000)
     assert (a.flips, a.phases) != (c.flips, c.phases)
 
 
 def test_estimator_bound_flag_when_no_flips():
-    stats = estimate_logical_rate(1, hypercube_schedule(1), Idealized(0.0),
+    stats = estimate_logical_rate(1, "hypercube", Idealized(0.0),
                                   seed=1, min_flips=10, max_phases=500)
     assert stats.flips == 0
     assert stats.upper_bound_only
@@ -283,14 +273,15 @@ def test_estimator_bound_flag_when_no_flips():
     assert stats.ci95[0] == 0.0
 
 
-@pytest.mark.parametrize("sched", [hypercube_schedule, randomized_schedule])
+@pytest.mark.parametrize("wiring", ["hypercube", "randomized"],
+                         ids=["hypercube_schedule", "randomized_schedule"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_estimator_cap_is_exact(n, sched):
+def test_estimator_cap_is_exact(n, wiring):
     # budgets that are not multiples of the lockstep width
     for max_phases in (1, 500, 48_001):
         stats = estimate_logical_rate(
-            n, sched(n) if sched is hypercube_schedule else sched(),
-            Idealized(0.1), seed=n, min_flips=10 ** 9, max_phases=max_phases)
+            n, wiring, Idealized(0.1), seed=n, min_flips=10 ** 9,
+            max_phases=max_phases)
         assert stats.phases == max_phases
 
 
@@ -307,22 +298,22 @@ def test_estimator_mask_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(netsim, "_gate_masks", recording)
     for n in range(1, 6):
         drawn.clear()
-        estimate_logical_rate(n, hypercube_schedule(n), Idealized(0.1),
+        estimate_logical_rate(n, "hypercube", Idealized(0.1),
                               seed=0, min_flips=10 ** 9, max_phases=1)
         assert drawn and max(drawn) <= 165_888, (n, drawn)
 
 
 def test_estimator_rate_increases_with_noise():
-    lo = estimate_logical_rate(2, hypercube_schedule(2), Idealized(0.08),
+    lo = estimate_logical_rate(2, "hypercube", Idealized(0.08),
                                seed=11, min_flips=150)
-    hi = estimate_logical_rate(2, hypercube_schedule(2), Idealized(0.14),
+    hi = estimate_logical_rate(2, "hypercube", Idealized(0.14),
                                seed=11, min_flips=150)
     assert lo.ci95[1] < hi.ci95[0]
 
 
 def test_estimator_tracks_level2_model():
     eps = 0.10
-    stats = estimate_logical_rate(2, hypercube_schedule(2), Idealized(eps),
+    stats = estimate_logical_rate(2, "hypercube", Idealized(eps),
                                   seed=3, min_flips=250)
     analytic = steady_state(build_level2_chain(), eps).p_ss
     assert stats.p_hat <= analytic
@@ -332,14 +323,14 @@ def test_estimator_tracks_level2_model():
 def test_estimator_below_level3_model():
     # the chain is an overestimate; at n=3 the observed margin is wide
     eps = 0.15
-    stats = estimate_logical_rate(3, hypercube_schedule(3), Idealized(eps),
+    stats = estimate_logical_rate(3, "hypercube", Idealized(eps),
                                   seed=3, min_flips=150)
     analytic = steady_state(build_level3_chain(), eps).p_ss
     assert 0.0 < stats.p_hat <= analytic
 
 
 def test_estimator_stats_are_consistent():
-    stats = estimate_logical_rate(2, randomized_schedule(), Idealized(0.12),
+    stats = estimate_logical_rate(2, "randomized", Idealized(0.12),
                                   seed=19, min_flips=60)
     assert isinstance(stats, TrialStats)
     assert stats.flips >= 60

@@ -1,4 +1,5 @@
-"""Properties of the analytic half over randomly drawn rates.
+"""Properties of the analytic half over randomly drawn rates, and of the
+Monte Carlo driver over randomly drawn seeds and grids.
 
 Derandomized, so every run draws the same examples, and with no deadline,
 so a slow machine cannot fail them.
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majmux.analysis import pfail_bound
+from majmux.analysis import mc_point, model_tags, pfail_bound
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
+from majmux.netsim import cascade_mc, run_parallel
 
 L2 = build_level2_chain()
 L3 = build_level3_chain()
@@ -64,3 +66,28 @@ def test_batched_solve_equals_per_float_calls(chain, grid):
         assert batch.p_ss[i] == one.p_ss
         assert batch.residual[i] == one.residual
         np.testing.assert_array_equal(batch.pi[i], one.pi)
+
+
+# each example starts a process pool, so a handful keeps the suite fast
+few = settings(derandomized, max_examples=5)
+SEEDS = st.integers(0, 2 ** 63)
+
+
+@few
+@given(seed=SEEDS, model=st.sampled_from(model_tags("mc")),
+       level=st.integers(1, 3),
+       grid=st.lists(st.floats(0.05, 0.2), min_size=2, max_size=3,
+                     unique=True).map(sorted))
+def test_mc_points_do_not_depend_on_workers(seed, model, level, grid):
+    jobs = [(model, level, False, x, seed, i, 20, 20_000)
+            for i, x in enumerate(grid)]
+    assert run_parallel(mc_point, jobs, 1) == run_parallel(mc_point, jobs, 2)
+
+
+@few
+@given(seed=SEEDS, p=st.floats(0.005, 0.05),
+       trials=st.integers(8_193, 20_000))
+def test_cascade_does_not_depend_on_workers(seed, p, trials):
+    # at least two 8,192-trial shards, so two workers share the run
+    assert (cascade_mc(p, seed, trials, workers=1)
+            == cascade_mc(p, seed, trials, workers=2))
