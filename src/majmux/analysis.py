@@ -134,15 +134,16 @@ def concat_baseline(t: int, level: int, epsilon: float) -> float:
     """Failure rate t**(2**L - 1) * eps**(2**L) of conventional concatenation.
 
     t is the inverse-threshold constant (6 or 7) and L the number of
-    concatenation levels (2, 3, or 4).  Serves as the yardstick the
-    hypercube corrector is compared against.
+    concatenation levels (2, 3, or 4); the law holds up to the threshold,
+    eps in [0, 1/t], or ValueError.  Serves as the yardstick the hypercube
+    corrector is compared against.
     """
     if t not in (6, 7):
         raise ValueError(f"t must be 6 or 7, got {t}")
     if level not in (2, 3, 4):
         raise ValueError(f"level must be 2, 3, or 4, got {level}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1]")
+    if not 0.0 <= epsilon <= 1.0 / t:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1/{t}]")
     m = 2 ** level
     return float(t) ** (m - 1) * epsilon ** m
 
@@ -252,7 +253,7 @@ def sweep(model: str, grid: Sequence[float], *,
     (stationary logical rate of the analytic chain, eps in [0, 0.25], one
     batched solve over the grid), or a ``"concat"`` tag, ``concat(t,L)``
     for t in 6, 7 and L in 2, 3, 4 (the concatenation baseline, eps in
-    [0, 1]).  Off-domain points come back as NaN records with an
+    [0, 1/t]).  Off-domain points come back as NaN records with an
     explanatory note; ``seed`` is carried only for provenance.  A grid
     that is not strictly increasing or any other tag raises ValueError.
     Monte Carlo grids (the ``"mc"`` tags) are ``mc_point`` runs,
@@ -267,7 +268,8 @@ def sweep(model: str, grid: Sequence[float], *,
                          + "|".join(analytic) + ", or simulate --level 3 "
                          "for a Monte Carlo grid")
     kind, n, make = MODELS[model]
-    hi = _CHAIN_EPS_MAX if kind == "chain" else 1.0
+    hi, edge = ((_CHAIN_EPS_MAX, f"{_CHAIN_EPS_MAX:g}") if kind == "chain"
+                else (1.0 / make, f"1/{make}"))
     inside = [x for x in xs if 0.0 <= x <= hi]
     ys = iter(steady_state(make(), np.array(inside, dtype=float)).p_ss
               if kind == "chain"
@@ -280,5 +282,5 @@ def sweep(model: str, grid: Sequence[float], *,
         else:
             records.append(SweepRecord(x, math.nan, math.nan, math.nan,
                                        model, n, seed,
-                                       note=f"eps outside [0, {hi:g}]"))
+                                       note=f"eps outside [0, {edge}]"))
     return records

@@ -116,6 +116,8 @@ class RunConfig:
 
     @classmethod
     def from_header(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config header must be a JSON object, got {d!r}")
         return _checked(d, _RECORDED)
 
 
@@ -151,7 +153,10 @@ def parse_table(text: str) -> tuple[RunConfig, list[SweepRecord]]:
         if not {"config", "records"} <= doc.keys():
             raise ValueError("JSON artifact needs config and records")
         config = RunConfig.from_header(doc["config"])
-        records = [SweepRecord(note="", **row) for row in doc["records"]]
+        try:  # a record that is no mapping of exactly the COLUMNS
+            records = [SweepRecord(note="", **row) for row in doc["records"]]
+        except TypeError as err:
+            raise ValueError(f"malformed JSON records: {err}") from None
         return config, records
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# config: "):

@@ -6,13 +6,11 @@ gates under one of two wirings:
 * ``hypercube``: the bits form an (n+1)-dimensional ternary cube; each
   restorative phase applies 3^n parallel MAJ3 gates along one axis, and the
   axes cycle in order 0..n.
-* ``randomized``: each phase draws a fresh uniform permutation of all bits
-  and applies MAJ3 to triples of the permuted order (classic
-  multiplexing).  Sorting raw 64-bit keys that carry their index in the
-  low b = (size - 1).bit_length() bits makes the permutation uniform to
-  within total variation C(size, 2) / 2^(64 - b), at most 1.5e-11 at
-  levels 1..5.  Outputs stay in permuted order, with no write-back: the
-  next phase permutes afresh and the majority ignores order.
+* ``randomized``: each phase shuffles all bits afresh and applies MAJ3 to
+  triples of the shuffled order (classic multiplexing).  Sorting 32-bit
+  keys, 31 random bits above the bit itself, shuffles exactly uniformly,
+  redrawn on a tie.  Outputs stay in shuffled order, with no write-back:
+  the next phase shuffles afresh and the majority ignores order.
 
 Two gate-noise models are provided.  ``Idealized`` treats the MAJ3 as a
 black box whose three identical outputs are all flipped together with
@@ -219,9 +217,10 @@ def _maj3_layer(lines, mask: np.ndarray) -> None:
 
 
 def _majority(bits: np.ndarray) -> np.ndarray:
-    """Strict majority of each replica (column) of a register, as uint8."""
-    half = bits.shape[0] // 2
-    return (bits.sum(axis=0, dtype=np.int64) > half).astype(np.uint8)
+    """Strict majority of each replica (column) of a 0/1 register, as
+    uint8, counted in the narrowest type that holds the size, exactly."""
+    count = bits.sum(axis=0, dtype=np.min_scalar_type(bits.shape[0]))
+    return (count > bits.shape[0] // 2).astype(np.uint8)
 
 
 # --- phase kernels ------------------------------------------------------------
@@ -241,56 +240,48 @@ def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
     _maj3_layer([view[:, j] for j in range(3)], mask)
 
 
-def _permutations(rng: np.random.Generator, rows: int, size: int
-                  ) -> np.ndarray:
-    """``rows`` uniform permutations of ``range(size)``, one per row of
-    the (rows, size) int64 result: ``np.argsort(rng.random((rows, size)),
-    axis=1)`` without the float keys or the argsort.
+def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle each row of a 0/1 uint8 array in place, exactly uniformly.
 
-    Each entry draws one raw 64-bit word, as ``rng.random`` does before
-    keeping its top 53 bits, so the stream advances alike.  The word's low
-    b = (size - 1).bit_length() bits are replaced by the column index, and
-    sorting the words sorts the columns by their top 64 - b bits and
-    carries each index along.  While b <= 11 the order is argsort's
-    unless two floats tie.  Ties in the top 64 - b bits go to the lower
-    index, so the law is uniform to within total variation
-    C(size, 2) / 2^(64 - b) per row: at most 1.5e-11 for size <= 729
-    (levels 1..5), no worse than the float keys' C(size, 2) / 2^53.  The
-    bit generator must emit 64-bit words (PCG64, Philox, SFC64; not
-    MT19937).
+    Each bit rides in bit 0 of a 32-bit key under 31 random bits, half of
+    one raw 64-bit word; sorting a row's keys shuffles its bits, and
+    ``keys & 1`` reads them back.  If two keys of any row share their
+    random bits (one row in about 7e5 at 81 bits, 8e3 at 729), all keys
+    are redrawn: distinct i.i.d. keys come in uniformly random order.  The
+    bit generator must emit 64-bit words (PCG64, Philox, SFC64): MT19937's
+    zero high halves would tie forever, so it raises ValueError.
     """
-    keys = rng.bit_generator.random_raw((rows, size))
-    low = np.uint64((1 << (size - 1).bit_length()) - 1)
-    keys |= low
-    keys ^= low ^ np.arange(size, dtype=np.uint64)
-    keys.sort(axis=1)
-    keys &= low
-    return keys.view(np.int64)
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("MT19937 emits 32-bit words; use a 64-bit bit "
+                         "generator (PCG64, Philox, SFC64)")
+    while True:
+        raw = rng.bit_generator.random_raw(-(-rows.size // 2))
+        keys = raw.view(np.uint32)[:rows.size].reshape(rows.shape)
+        keys &= np.uint32(0xFFFF_FFFE)
+        keys |= rows
+        keys.sort(axis=1)
+        if (keys[:, 1:] ^ keys[:, :-1]).min() > 1:
+            break
+    np.bitwise_and(keys, 1, out=rows, casting="unsafe")
 
 
 def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
                       rng: np.random.Generator) -> None:
     """One multiplexing phase, in place on the (size, replicas) register.
 
-    Each replica draws a fresh permutation (_permutations), gathers its
-    bits in that order and applies MAJ3 to the triples (k, k + size/3,
-    k + 2 size/3) of the gathered row, with mask the layer's (3,
+    Each replica (column) is shuffled (_shuffle_rows), then MAJ3 acts on
+    its triples (k, k + size/3, k + 2 size/3), with mask the layer's (3,
     bits.size // 3) or (1, bits.size // 3) output mask (see _gate_masks).
-    The outputs stay in gathered order, not scattered back to where they
-    were read: the next phase permutes afresh, uniformly and independently
-    of this one, and the majority count ignores order, so the law of every
-    tally is unchanged.
+    The outputs stay in shuffled order: the next phase shuffles afresh and
+    the majority ignores order, so the law of every tally is unchanged.
+    Any layout works; ``order="F"`` keeps each replica contiguous.
     """
     size, r = bits.shape
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
-    at = _permutations(rng, r, size)
-    at *= r
-    at += np.arange(r)[:, None]
-    shuffled = bits.reshape(-1)[at]
-    lines = shuffled.reshape(r, 3, size // 3)
+    _shuffle_rows(bits.T, rng)
+    lines = bits.T.reshape(r, 3, size // 3)
     _maj3_layer([lines[:, j] for j in range(3)], mask)
-    bits[...] = shuffled.T
 
 
 # --- logical rate estimation ----------------------------------------------------
@@ -349,8 +340,10 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     # line per gate) fills a third of _MASK_BYTES
     block = max(1, _MASK_BYTES // (size * replicas))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # replica state is one column of each array, so a clone is a take
-    bits = np.zeros((size, replicas), np.uint8)
+    # replica state is one column of each array; the randomized wiring
+    # shuffles within columns, so it keeps them contiguous
+    bits = np.zeros((size, replicas), np.uint8,
+                    order="F" if wiring == "randomized" else "C")
     logical = np.zeros(replicas, np.uint8)
     prev = np.zeros(replicas, np.uint8)
     streak = np.zeros(replicas, np.int64)  # consecutive phases at current majority

@@ -89,6 +89,22 @@ def test_concat_baseline_validation():
         concat_baseline(6, 2, 1.5)
 
 
+@pytest.mark.parametrize("t", [6, 7])
+def test_concat_domain_ends_at_its_threshold(t):
+    # at eps = 1/t the power law gives 1/t at every level; above it, a
+    # "rate" that grows without bound
+    edge, above = 1.0 / t, math.nextafter(1.0 / t, 1.0)
+    for level in (2, 3, 4):
+        assert concat_baseline(t, level, edge) == pytest.approx(edge,
+                                                                rel=1e-13)
+        with pytest.raises(ValueError):
+            concat_baseline(t, level, above)
+    inside, outside = sweep(f"concat({t},2)", [edge, above])
+    assert inside.y == concat_baseline(t, 2, edge) and inside.note == ""
+    assert math.isnan(outside.y) and math.isnan(outside.y_lo)
+    assert outside.note == f"eps outside [0, 1/{t}]"
+
+
 def test_feedback_constants():
     meas, act = feedback_constants(0.01)
     assert meas == pytest.approx(MEASUREMENT_SLOPE * 0.01, rel=1e-13)

@@ -466,8 +466,13 @@ _HEADER = "# config: " + json.dumps(
     '{"records": []}',
     '{"config": {"command": "encode", "pcrit": true}}',
     "{",
+    "# config: []\nx,y,y_lo,y_hi,model,n,seed\n",
+    '{"config": [], "records": []}',
+    '{"config": ' + _HEADER[len("# config: "):] + ', "records": [{"x": 1}]}',
 ], ids=["empty", "no_header", "header_line", "header_no_newline",
-        "short_columns", "json_no_config", "json_no_records", "json_cut"])
+        "short_columns", "json_no_config", "json_no_records", "json_cut",
+        "header_not_object", "json_config_not_object",
+        "json_record_missing_columns"])
 def test_parse_table_rejects_malformed_artifacts(text):
     with pytest.raises(ValueError):
         parse_table(text)

@@ -1,5 +1,6 @@
 import copy
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from majmux.netsim import (Componentwise, Idealized, TrialStats,
                            estimate_logical_rate, wilson_interval,
                            _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
-                           _permutations, _randomized_phase)
+                           _majority, _randomized_phase, _shuffle_rows)
 from majmux.rates import epsilon_of_p
 
 
@@ -191,17 +192,45 @@ def test_randomized_phase_clears_sparse_errors():
     assert bits.sum() == 0
 
 
-def test_permutations_match_argsort_of_float_keys():
-    for bitgen in (np.random.Philox, np.random.PCG64):
-        for size in (3, 9, 81, 243, 729):
-            for rows in (1, 256):
-                rng = np.random.Generator(bitgen(size * rows))
-                ref = copy.deepcopy(rng)
-                want = np.argsort(ref.random((rows, size)), axis=1)
-                np.testing.assert_array_equal(_permutations(rng, rows, size),
-                                              want)
-                # one word per key on both paths: the streams stay aligned
-                assert rng.random() == ref.random()
+def _scripted(*draws):
+    """A generator stand-in whose random_raw returns ``draws`` in turn."""
+    words = iter(draws)
+    return types.SimpleNamespace(bit_generator=types.SimpleNamespace(
+        random_raw=lambda count: next(words)[:count].copy()))
+
+
+def test_shuffle_redraws_a_tie():
+    rows, size = 4, 9
+    bits = np.random.default_rng(1).integers(0, 2, (rows, size), np.uint8)
+    words = np.random.Generator(np.random.Philox(2)).bit_generator
+    tied = words.random_raw(rows * size)
+    tied[1] = tied[0]  # row 0 gets two keys with equal random parts
+    second = words.random_raw(rows * size)
+    keys = second.view(np.uint32)[:bits.size].reshape(rows, size) >> 1
+    want = np.take_along_axis(bits, np.argsort(keys, axis=1), axis=1)
+    got = bits.copy()
+    _shuffle_rows(got, _scripted(tied, second))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_shuffle_refuses_32_bit_words():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="MT19937"):
+        _shuffle_rows(np.zeros((4, 81), np.uint8), rng)
+
+
+@pytest.mark.parametrize("size", [255, 256, 729])
+def test_majority_count_is_exact(size):
+    # all-ones columns overflow a count type one bit too narrow
+    cols = np.zeros((size, 5), np.uint8)
+    cols[:, 0] = 1
+    cols[:size // 2, 1] = 1
+    cols[:size // 2 + 1, 2] = 1
+    cols[size // 2:, 3] = 1
+    want = cols.sum(axis=0, dtype=np.int64) > size // 2
+    for layout in ("C", "F"):
+        np.testing.assert_array_equal(
+            _majority(np.asarray(cols, order=layout)), want)
 
 
 def test_randomized_phase_groups_two_ones_uniformly():

@@ -1,5 +1,5 @@
 """Properties of the analytic half over randomly drawn rates, and of the
-Monte Carlo driver over randomly drawn seeds and grids.
+Monte Carlo shuffle and driver over randomly drawn seeds, shapes and grids.
 
 Derandomized, so every run draws the same examples, and with no deadline,
 so a slow machine cannot fail them.
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from majmux.analysis import mc_point, model_tags, pfail_bound
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
-from majmux.netsim import cascade_mc, run_parallel
+from majmux.netsim import _shuffle_rows, cascade_mc, run_parallel
 
 L2 = build_level2_chain()
 L3 = build_level3_chain()
@@ -91,3 +91,13 @@ def test_cascade_does_not_depend_on_workers(seed, p, trials):
     # at least two 8,192-trial shards, so two workers share the run
     assert (cascade_mc(p, seed, trials, workers=1)
             == cascade_mc(p, seed, trials, workers=2))
+
+
+@derandomized
+@given(seed=SEEDS, rows=st.integers(1, 300), size=st.integers(3, 729))
+def test_shuffle_keeps_every_row_count(seed, rows, size):
+    rng = np.random.Generator(np.random.Philox(seed))
+    bits = rng.integers(0, 2, (rows, size), np.uint8)
+    shuffled = bits.copy()
+    _shuffle_rows(shuffled, rng)
+    np.testing.assert_array_equal(shuffled.sum(axis=1), bits.sum(axis=1))
