@@ -1,31 +1,26 @@
-"""Threshold finders, bounds, parameter sweeps, and concatenation baselines.
+"""Threshold finders, parameter sweeps, and concatenation baselines.
 
 Everything here is a thin consumer of the analytic chains and the derived
 rates: bisection roots of the self-consistency conditions (storage and
 computation thresholds), the power-law baselines for conventional code
-concatenation, the measurement and feedback error constants, the
-fan-out encoder's failure bound and its crossover rate p_crit, a grid
+concatenation, the measurement and feedback error constants, a grid
 sweep that turns an analytic model into plot-ready records, and the Monte
 Carlo point function behind ``simulate`` and ``compare-vn``.  ``MODELS``
-is the one table of the CLI's model tags.
+is the one table of the CLI's model tags.  The fan-out encoder's bound
+needs no chain and lives in ``rates``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
                      propagated_bit_error, steady_state)
-from .netsim import (Componentwise, Idealized, check_budget,
-                     estimate_logical_rate, substream)
-from .rates import derive_rates
+from .rates import SweepRecord, bisect, derive_rates
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
-_BISECT_TOL = 1e-6
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 
@@ -45,39 +40,6 @@ MODELS = {
 def model_tags(kind: str) -> list[str]:
     """The MODELS tags of one kind, in table order."""
     return [tag for tag, row in MODELS.items() if row[0] == kind]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated grid point of a model sweep.
-
-    For analytic models y_lo == y == y_hi and seed is carried only for
-    provenance.  For Monte Carlo models (y_lo, y_hi) is the 95% confidence
-    interval.  A point outside the model's domain yields NaN values and a
-    non-empty note instead of being silently dropped.
-    """
-
-    x: float
-    y: float
-    y_lo: float
-    y_hi: float
-    model: str
-    n: int
-    seed: int
-    note: str = ""
-
-
-def _bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    """Root of g on [lo, hi] given g(lo) < 0 < g(hi)."""
-    if not (g(lo) < 0.0 < g(hi)):
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def correction_threshold(chain: ErrorChain) -> float:
@@ -100,7 +62,7 @@ def correction_threshold(chain: ErrorChain) -> float:
             bracket = (a, b)
     if bracket is None:
         raise RuntimeError("no crossing of p_ss(eps) = eps in (0, 0.25)")
-    return _bisect(g, *bracket)
+    return bisect(g, *bracket)
 
 
 def p_target(p: float) -> float:
@@ -126,7 +88,7 @@ def universal_threshold() -> tuple[float, float]:
     computation step scrambles its output faster than the correctors can
     clean it, regardless of code size.
     """
-    p_star = _bisect(lambda p: p_target(p) - 0.5, 1e-6, 0.2)
+    p_star = bisect(lambda p: p_target(p) - 0.5, 1e-6, 0.2)
     return p_star, derive_rates(p_star)[1].epsilon
 
 
@@ -160,64 +122,6 @@ def feedback_constants(p: float) -> tuple[float, float]:
     return meas, p + meas
 
 
-@dataclass(frozen=True)
-class EncodeBound:
-    """Closed-form overestimate of the encoded failure probability.
-
-    alpha is the chance that a majority of one bundle's three feed lines
-    are wrong when each is wrong independently at the per-edge rate.
-    seed_to_logical is the chance that a lone wrong line entering a
-    block's sub-cascade grows into a logical error of that block.  terms
-    are the four addends of the bound; p_fail is their sum.
-    """
-
-    p: float
-    alpha: float
-    seed_to_logical: float
-    terms: tuple[float, float, float, float]
-    p_fail: float
-
-
-def pfail_bound(p: float) -> EncodeBound:
-    """Upper bound on the probability the cascade output is logically wrong.
-
-    The cascade fans one bit out into an 81-bit register in four levels
-    (``netsim.cascade_mc``).  Valid for physical rates p in [0, 0.2].  The
-    bound charges the voted root line once (q_i), then groups every later
-    fan-out edge at the per-edge rate ap: a majority of wrong top
-    branches, one wrong top branch whose sub-cascade goes logical, or
-    clean top branches whose lower levels independently go majority-wrong.
-
-    For small p the bound behaves as (32/63) p, so encoding beats bare
-    preparation by roughly a factor two until p approaches p_crit.
-    """
-    if not 0.0 <= p <= 0.2:
-        raise ValueError(f"p={p} outside [0, 0.2]")
-    enc = derive_rates(p)[2]
-    q_i, ap = enc.q_i, enc.ap
-    keep = 1.0 - ap
-    alpha = 3.0 * ap ** 2 - 2.0 * ap ** 3
-    seed = 1.0 - keep ** 6 - 6.0 * ap * keep ** 5 - 3.0 * ap ** 2 * keep ** 4
-    terms = (
-        q_i,
-        (1.0 - q_i) * alpha,
-        (1.0 - q_i) * 3.0 * ap * keep ** 2 * seed,
-        (1.0 - q_i) * keep ** 3 * (3.0 * alpha ** 2 - 2.0 * alpha ** 3),
-    )
-    return EncodeBound(p=p, alpha=alpha, seed_to_logical=seed, terms=terms,
-                       p_fail=terms[0] + terms[1] + terms[2] + terms[3])
-
-
-def p_crit(tol: float = _BISECT_TOL) -> float:
-    """Physical rate where the encoding bound stops beating bare preparation.
-
-    Bisects p_fail(p) - p on (1e-6, 0.2).  Below the root the cascade's
-    failure bound is smaller than the raw preparation error; above it the
-    correlated build-up during amplification dominates.
-    """
-    return _bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
-
-
 def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
              index: int, min_flips: int, max_phases: int) -> SweepRecord:
     """Simulated logical rate of one grid point, as a record.
@@ -228,8 +132,10 @@ def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
     ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
     note.  An empty run budget, then an unknown tag, then a gate error
     outside [0, 1] or a physical rate outside its domain raises
-    ValueError.
+    ValueError.  It alone loads ``netsim``, which no analytic run needs.
     """
+    from .netsim import (Componentwise, Idealized, check_budget,
+                         estimate_logical_rate, substream)
     check_budget(level, min_flips, max_phases)
     if model not in model_tags("mc"):
         raise ValueError(f"unknown Monte Carlo model {model!r}; use "

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
+from ._numpy import np
 
 # --- exact integer polynomial helpers ---------------------------------------
 
@@ -51,22 +51,15 @@ def _pmul(*polys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(a)] += np.asarray(a, dtype=np.int64)
-    out[: len(b)] += np.asarray(b, dtype=np.int64)
-    return out
-
-
-def _psub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _padd(a, -np.asarray(b, dtype=np.int64))
-
-
 def _ppad(a: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros(width, dtype=np.int64)
     out[: len(a)] = a
     return out
+
+
+def _psub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = max(len(a), len(b))
+    return _ppad(a, n) - _ppad(b, n)
 
 
 def _toeplitz(polys: np.ndarray, n: int) -> np.ndarray:
@@ -253,10 +246,9 @@ def build_level2_chain() -> ErrorChain:
 
     one_m_e = _psub(_ONE, _EPS)
     p_ab = _pmul(*([one_m_e] * 6))
-    p_bb = _padd(
-        _pmul(np.array([0, 6], np.int64), *([one_m_e] * 5)),
-        _pmul(np.array([0, 0, 3], np.int64), *([one_m_e] * 4)),
-    )
+    # both terms have degree 6, so their coefficient arrays add as they are
+    p_bb = (_pmul(np.array([0, 6], np.int64), *([one_m_e] * 5))
+            + _pmul(np.array([0, 0, 3], np.int64), *([one_m_e] * 4)))
     fail_b = _psub(_psub(_ONE, p_ab), p_bb)
 
     width = max(len(q) for q in (p_aa, p_ba, fail_a, p_ab, p_bb, fail_b))

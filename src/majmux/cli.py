@@ -18,19 +18,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from .analysis import (MODELS, SweepRecord, correction_threshold, mc_point,
-                       model_tags, p_crit, pfail_bound, sweep,
-                       universal_threshold)
-from .netsim import cascade_mc, run_parallel
+from .rates import SweepRecord, p_crit, pfail_bound
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
+# a CSV field converts to its column's type; a JSON value must have it
+_TYPES = dict(zip(COLUMNS, (float, float, float, float, str, int, int)))
 # the options each row reads, besides _RECORDED and _VOLATILE; a row
 # "command --flag" is the mode that a set flag picks
 _OPTIONS = {
@@ -153,11 +150,9 @@ def parse_table(text: str) -> tuple[RunConfig, list[SweepRecord]]:
         if not {"config", "records"} <= doc.keys():
             raise ValueError("JSON artifact needs config and records")
         config = RunConfig.from_header(doc["config"])
-        try:  # a record that is no mapping of exactly the COLUMNS
-            records = [SweepRecord(note="", **row) for row in doc["records"]]
-        except TypeError as err:
-            raise ValueError(f"malformed JSON records: {err}") from None
-        return config, records
+        if not isinstance(doc["records"], list):
+            raise ValueError("JSON records must be a list")
+        return config, [_record(row) for row in doc["records"]]
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# config: "):
         raise ValueError("missing config header line")
@@ -165,15 +160,20 @@ def parse_table(text: str) -> tuple[RunConfig, list[SweepRecord]]:
     rows = list(csv.reader(lines[1:]))
     if not rows or rows[0] != list(COLUMNS):
         raise ValueError("unexpected column header")
-    records = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        x, y, y_lo, y_hi, model, n, seed = row
-        records.append(SweepRecord(x=float(x), y=float(y), y_lo=float(y_lo),
-                                   y_hi=float(y_hi), model=model, n=int(n),
-                                   seed=int(seed)))
-    return config, records
+    return config, [SweepRecord(*(kind(v) for kind, v in
+                                  zip(_TYPES.values(), row, strict=True)))
+                    for row in rows[1:] if row]
+
+
+def _record(row) -> SweepRecord:
+    """A JSON record, one value of each column's _TYPES type (a float
+    column also takes an int, NaN included; no column takes a bool)."""
+    if not (isinstance(row, dict) and sorted(row) == sorted(COLUMNS) and all(
+            type(row[key]) in ((int, float) if kind is float else (kind,))
+            for key, kind in _TYPES.items())):
+        raise ValueError(f"JSON record {row!r} is not one value of each "
+                         f"column's type, {', '.join(COLUMNS)}")
+    return SweepRecord(**{key: kind(row[key]) for key, kind in _TYPES.items()})
 
 
 def _emit(config: RunConfig, records: list[SweepRecord]) -> None:
@@ -182,6 +182,7 @@ def _emit(config: RunConfig, records: list[SweepRecord]) -> None:
     if config.out is None:
         sys.stdout.write(text)
         return
+    import tempfile  # only a file artifact needs it
     dest = os.path.abspath(config.out)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest),
                                prefix=os.path.basename(dest) + ".")
@@ -204,13 +205,19 @@ def _parse_grid(config: RunConfig) -> list[float]:
         try:
             lo, hi, steps = config.grid.split(":")
             lo, hi, steps = float(lo), float(hi), int(steps)
-            if steps < 2 or not -np.inf < lo < hi < np.inf:
+            if steps < 2 or not -math.inf < lo < hi < math.inf:
                 # one point is --eps or --p
                 raise ValueError("need finite lo < hi and steps >= 2")
-            pts = np.linspace(lo, hi, steps)
         except ValueError as err:
             raise ValueError(f"bad --grid {config.grid!r}: {err}") from None
-        return [float(x) for x in pts]
+        # np.linspace's arithmetic, so every point equals it bit for bit;
+        # a step that underflows to 0 is formed as (i / div) * delta
+        delta, div = hi - lo, steps - 1
+        step = delta / div
+        pts = [(i * step if step != 0 else i / div * delta) + lo
+               for i in range(steps)]
+        pts[-1] = hi
+        return pts
     if given:
         return [config.eps if config.eps is not None else config.p]
     raise ValueError("need " + " or ".join(
@@ -220,6 +227,7 @@ def _parse_grid(config: RunConfig) -> list[float]:
 
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
     """Evaluate an analytic model over a parameter grid."""
+    from .analysis import sweep
     if config.model is None:
         raise ValueError("sweep needs --model")
     return sweep(config.model, _parse_grid(config), seed=config.seed)
@@ -227,6 +235,8 @@ def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
     """Bit-level logical rate of the corrected register."""
+    from .analysis import mc_point
+    from .netsim import run_parallel
     jobs = [(config.model, config.level, config.p is not None, x,
              config.seed, i, config.min_flips, config.max_phases)
             for i, x in enumerate(_parse_grid(config))]
@@ -235,19 +245,21 @@ def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
     """Self-consistency thresholds (level2, level3, universal)."""
+    from .analysis import (MODELS, correction_threshold, model_tags,
+                           universal_threshold)
     if config.model == "universal":
         p_star, eps_star = universal_threshold()
         print(f"universal threshold: p* = {p_star:.17g} "
               f"(eps* = {eps_star:.17g})", file=sys.stderr)
-        return [SweepRecord(x=p_star, y=eps_star, y_lo=eps_star, y_hi=eps_star,
-                            model="universal", n=3, seed=config.seed)]
+        return [SweepRecord(p_star, eps_star, eps_star, eps_star, "universal",
+                            3, config.seed)]
     if config.model in model_tags("chain"):
         _, n, build = MODELS[config.model]
         star = correction_threshold(build())
         print(f"{config.model} threshold: eps* = {star:.17g}",
               file=sys.stderr)
-        return [SweepRecord(x=star, y=star, y_lo=star, y_hi=star,
-                            model=config.model, n=n, seed=config.seed)]
+        return [SweepRecord(star, star, star, star, config.model, n,
+                            config.seed)]
     raise ValueError("threshold needs --model "
                      + "|".join([*model_tags("chain"), "universal"]))
 
@@ -259,24 +271,23 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
         print(f"encoding critical rate: p_crit = {root:.17g}",
               file=sys.stderr)
         bound = pfail_bound(root).p_fail
-        return [SweepRecord(x=root, y=bound, y_lo=bound, y_hi=bound,
-                            model="encode_pcrit", n=3, seed=config.seed)]
-    records = []
-    for x in _parse_grid(config):
-        if config.bound:
-            y = pfail_bound(x).p_fail
-            records.append(SweepRecord(x, y, y, y, "encode_bound", 3,
-                                       config.seed))
-        else:
-            st = cascade_mc(x, seed=config.seed, trials=config.trials,
-                            workers=config.workers)
-            records.append(SweepRecord(x, st.p_hat, *st.ci95, "cascade_mc",
-                                       3, config.seed))
-    return records
+        return [SweepRecord(root, bound, bound, bound, "encode_pcrit", 3,
+                            config.seed)]
+    grid = _parse_grid(config)
+    if config.bound:
+        return [SweepRecord(x, y, y, y, "encode_bound", 3, config.seed)
+                for x, y in zip(grid, [pfail_bound(x).p_fail for x in grid])]
+    from .netsim import cascade_mc
+    stats = [cascade_mc(x, seed=config.seed, trials=config.trials,
+                        workers=config.workers) for x in grid]
+    return [SweepRecord(x, st.p_hat, *st.ci95, "cascade_mc", 3, config.seed)
+            for x, st in zip(grid, stats)]
 
 
 def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
     """Hypercube wiring vs randomized multiplexing at 81 bits."""
+    from .analysis import mc_point, model_tags
+    from .netsim import run_parallel
     # x-major over an increasing grid, hypercube_mc first: sorted by x
     jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
              config.max_phases)

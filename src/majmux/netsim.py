@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .rates import PhysicalNoise, epsilon_of_p
 
 # --- domain types -------------------------------------------------------------
@@ -74,15 +73,12 @@ GateNoise = Idealized | Componentwise
 
 
 def hypercube_schedule(n: int) -> str:
-    """The ``"hypercube"`` wiring tag, whatever ``n``.  It exists only for
-    perfbench's traced run and goes with ROADMAP item 7's benchmark
-    change."""
+    """The ``"hypercube"`` wiring tag, whatever ``n`` (perfbench only)."""
     return "hypercube"
 
 
 def randomized_schedule() -> str:
-    """The ``"randomized"`` wiring tag.  It exists only for perfbench's
-    traced run and goes with ROADMAP item 7's benchmark change."""
+    """The ``"randomized"`` wiring tag (perfbench only)."""
     return "randomized"
 
 

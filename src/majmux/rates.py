@@ -3,7 +3,9 @@
 Everything downstream is driven by a single physical error probability ``p``
 assigned to each 3-bit gate (MAJ1 and AMP).  This module maps ``p`` to every
 derived per-location rate, and evaluates the classic single-triple majority
-fixed point used by randomized multiplexing.
+fixed point used by randomized multiplexing.  With no numpy, it also holds
+the package's one bisection root finder, the fan-out encoder's failure
+bound and its crossover rate p_crit, and ``SweepRecord``, the artifact row.
 
 Rate conventions
 ----------------
@@ -33,6 +35,7 @@ EPSILON_PER_P = 148.0 / 63.0
 _CLASSICAL_SHARE = 8.0 / 9.0      # p_c / p
 _WIRE_PREP_SHARE = 2.0 / 3.0      # per wire or prep location
 _GATE_MARGINAL = 4.0 / 7.0        # per-line marginal of one gate fault, in p_c
+_BISECT_TOL = 1e-6                # root tolerance of every bisection
 
 
 def _clamp01(x: float, name: str) -> float:
@@ -187,3 +190,94 @@ def single_triple_map(eta: float, epsilon: float) -> float:
         raise ValueError(f"eta={eta}, epsilon={epsilon}: both must be in [0, 1]")
     g = 3.0 * eta * eta - 2.0 * eta ** 3
     return (1.0 - epsilon) * g + epsilon * (1.0 - g)
+
+
+def bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
+    """Root of g on [lo, hi] given g(lo) < 0 < g(hi)."""
+    if not (g(lo) < 0.0 < g(hi)):
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class EncodeBound:
+    """Closed-form overestimate of the encoded failure probability.
+
+    alpha is the chance that a majority of one bundle's three feed lines
+    are wrong when each is wrong independently at the per-edge rate.
+    seed_to_logical is the chance that a lone wrong line entering a
+    block's sub-cascade grows into a logical error of that block.  terms
+    are the four addends of the bound; p_fail is their sum.
+    """
+
+    p: float
+    alpha: float
+    seed_to_logical: float
+    terms: tuple[float, float, float, float]
+    p_fail: float
+
+
+def pfail_bound(p: float) -> EncodeBound:
+    """Upper bound on the probability the cascade output is logically wrong.
+
+    The cascade fans one bit out into an 81-bit register in four levels
+    (``netsim.cascade_mc``).  Valid for physical rates p in [0, 0.2].  The
+    bound charges the voted root line once (q_i), then groups every later
+    fan-out edge at the per-edge rate ap: a majority of wrong top
+    branches, one wrong top branch whose sub-cascade goes logical, or
+    clean top branches whose lower levels independently go majority-wrong.
+
+    For small p the bound behaves as (32/63) p, so encoding beats bare
+    preparation by roughly a factor two until p approaches p_crit.
+    """
+    if not 0.0 <= p <= 0.2:
+        raise ValueError(f"p={p} outside [0, 0.2]")
+    enc = derive_rates(p)[2]
+    q_i, ap = enc.q_i, enc.ap
+    keep = 1.0 - ap
+    alpha = 3.0 * ap ** 2 - 2.0 * ap ** 3
+    seed = 1.0 - keep ** 6 - 6.0 * ap * keep ** 5 - 3.0 * ap ** 2 * keep ** 4
+    terms = (
+        q_i,
+        (1.0 - q_i) * alpha,
+        (1.0 - q_i) * 3.0 * ap * keep ** 2 * seed,
+        (1.0 - q_i) * keep ** 3 * (3.0 * alpha ** 2 - 2.0 * alpha ** 3),
+    )
+    return EncodeBound(p=p, alpha=alpha, seed_to_logical=seed, terms=terms,
+                       p_fail=terms[0] + terms[1] + terms[2] + terms[3])
+
+
+def p_crit(tol: float = _BISECT_TOL) -> float:
+    """Physical rate where the encoding bound stops beating bare preparation.
+
+    Bisects p_fail(p) - p on (1e-6, 0.2).  Below the root the cascade's
+    failure bound is smaller than the raw preparation error; above it the
+    correlated build-up during amplification dominates.
+    """
+    return bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One evaluated grid point of a model sweep.
+
+    For analytic models y_lo == y == y_hi and seed is carried only for
+    provenance.  For Monte Carlo models (y_lo, y_hi) is the 95% confidence
+    interval.  A point outside the model's domain yields NaN values and a
+    non-empty note instead of being silently dropped.
+    """
+
+    x: float
+    y: float
+    y_lo: float
+    y_hi: float
+    model: str
+    n: int
+    seed: int
+    note: str = ""

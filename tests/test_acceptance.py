@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from majmux.analysis import (correction_threshold, p_crit, pfail_bound,
-                             universal_threshold)
+from majmux.analysis import correction_threshold, universal_threshold
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.cli import main
 from majmux.netsim import Idealized, estimate_logical_rate
-from majmux.rates import epsilon_of_p, jvn_stable_eta, single_triple_map
+from majmux.rates import (epsilon_of_p, jvn_stable_eta, p_crit, pfail_bound,
+                          single_triple_map)
 
 import oracles
 

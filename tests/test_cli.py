@@ -11,7 +11,7 @@ import pytest
 import majmux
 from majmux.cli import (_OPTIONS, RunConfig, _build_parser, _fmt, main,
                         parse_table, run)
-from majmux.analysis import pfail_bound
+from majmux.rates import pfail_bound
 
 # each command and the options of all its _OPTIONS rows
 _READS = {}
@@ -455,6 +455,7 @@ def test_error_leaves_no_partial_file(tmp_path, capsys):
 
 _HEADER = "# config: " + json.dumps(
     RunConfig(command="threshold", model="level2").header())
+_JSON = '{"config": ' + _HEADER[len("# config: "):] + ', "records": %s}'
 
 
 @pytest.mark.parametrize("text", [
@@ -469,13 +470,33 @@ _HEADER = "# config: " + json.dumps(
     "# config: []\nx,y,y_lo,y_hi,model,n,seed\n",
     '{"config": [], "records": []}',
     '{"config": ' + _HEADER[len("# config: "):] + ', "records": [{"x": 1}]}',
+    *[_JSON % records for records in (
+        '[{"x": "oops", "y": null, "y_lo": [], "y_hi": 1, "model": 3, '
+        '"n": "2", "seed": 0.5}]',
+        '[{"x": 1, "y": 1, "y_lo": 1, "y_hi": 1, "model": "m", "n": true, '
+        '"seed": 0}]',
+        '[{"x": false, "y": 1, "y_lo": 1, "y_hi": 1, "model": "m", "n": 2, '
+        '"seed": 0}]',
+        '{}')],
 ], ids=["empty", "no_header", "header_line", "header_no_newline",
         "short_columns", "json_no_config", "json_no_records", "json_cut",
         "header_not_object", "json_config_not_object",
-        "json_record_missing_columns"])
+        "json_record_missing_columns", "json_record_mistyped",
+        "json_record_bool_int", "json_record_bool_float",
+        "json_records_not_list"])
 def test_parse_table_rejects_malformed_artifacts(text):
     with pytest.raises(ValueError):
         parse_table(text)
+
+
+def test_parse_table_types_json_records_as_csv_does():
+    # an int in a float column (JSON writes 1.0 as 1.0, but a reader's
+    # tool may not) and a NaN y, as off-domain rows carry
+    _, (rec,) = parse_table(_JSON % (
+        '[{"x": 1, "y": NaN, "y_lo": NaN, "y_hi": NaN, "model": "level2", '
+        '"n": 2, "seed": 0}]'))
+    assert type(rec.x) is float and rec.x == 1.0 and math.isnan(rec.y)
+    assert (rec.model, rec.n, rec.seed) == ("level2", 2, 0)
 
 
 def test_missing_grid_is_an_error(capsys):

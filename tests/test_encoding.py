@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from majmux.analysis import EncodeBound, p_crit, pfail_bound
 from majmux.netsim import CASCADE_DEPTH, _amp_layer, cascade_mc
-from majmux.rates import derive_rates
+from majmux.rates import EncodeBound, derive_rates, p_crit, pfail_bound
 
 MEAS_SLOPE = 32.0 / 63.0
 

@@ -30,23 +30,34 @@ def test_every_public_name_imports_from_the_package():
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-THREADS = "import os; print(len(os.listdir('/proc/self/task')))"
-ENV_KEPT = ("import os; env = dict(os.environ); {first}import majmux; "
+# the thread count, and whether numpy is loaded at all: a pin test on a
+# probe that loads no numpy would pass for nothing
+THREADS = ("import os, sys; print('numpy' in sys.modules, "
+           "len(os.listdir('/proc/self/task')))")
+ENV_KEPT = ("import os; env = dict(os.environ); {load}; "
             "print(dict(os.environ) == env, "
             "os.environ.get('OPENBLAS_NUM_THREADS'))")
 on_linux = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                               reason="counts threads in /proc/self/task")
+# every way numpy first comes in: a module that uses it, a name of the
+# package read lazily, and a command that runs numpy code
+FIRST_LOADS = (
+    "import majmux.chains",
+    "import majmux.netsim",
+    "import majmux; majmux.steady_state",
+    "from majmux.cli import main; main(['threshold', '--model', 'level2'])",
+)
 
 
 def _run(probe, **env):
-    """stdout of ``python -c probe`` with majmux importable, none of the
-    BLAS thread variables set and ``env`` added."""
+    """Last stdout line of ``python -c probe`` with majmux importable, none
+    of the BLAS thread variables set and ``env`` added."""
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**base, "PYTHONPATH": path, **env},
                           timeout=60, check=True)
-    return proc.stdout.strip()
+    return proc.stdout.strip().rpartition("\n")[2]
 
 
 def test_cli_import_loads_no_pool_or_polynomial_module():
@@ -58,29 +69,93 @@ def test_cli_import_loads_no_pool_or_polynomial_module():
     assert _run(probe) == "[]"
 
 
+LOADED = ("print(sorted(m for m in sys.modules "
+          "if m == 'numpy' or m.split('.')[0] == 'majmux'))")
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    assert _run(f"import sys, majmux; {LOADED}") == "['majmux']"
+
+
+ANALYTIC = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.chains",
+            "majmux.rates", "numpy"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], ["majmux", "majmux.rates"]),
+    (["encode", "--pcrit"], ["majmux", "majmux.rates"]),
+    (["encode", "--bound", "--grid", "0.001:0.2:5", "--format", "json"],
+     ["majmux", "majmux.rates"]),
+    (["threshold", "--model", "universal"], ANALYTIC),
+    (["sweep", "--model", "level3", "--grid", "0.01:0.1:3"], ANALYTIC),
+], ids=["help", "pcrit", "bound", "threshold", "sweep"])
+def test_commands_load_only_the_layers_they_run(argv, loaded):
+    # run as ``python -m majmux.cli``; the modules are listed at exit
+    probe = (f"import atexit, runpy, sys; atexit.register(lambda: {LOADED}); "
+             f"sys.argv = {['majmux', *argv]}; "
+             "runpy.run_module('majmux.cli', run_name='__main__')")
+    assert _run(probe) == str(loaded)
+
+
+def test_only_the_pin_module_imports_numpy():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) and node.level == 0
+                     else [])
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.add(path.name)
+    assert importers == {"_numpy.py"}
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        majmux.no_such_name
+    # and looking it up loads nothing
+    probe = ("import sys, majmux\ntry:\n    majmux.no_such_name\n"
+             "except AttributeError as err:\n    print(err)\n" + LOADED)
+    assert _run(probe) == "['majmux']"
+
+
+def test_dir_lists_every_public_name_before_any_is_loaded():
+    probe = ("import sys, majmux; "
+             "print(set(majmux.__all__) <= set(dir(majmux)), end=' '); "
+             + LOADED)
+    assert _run(probe) == "True ['majmux']"
+
+
 def test_import_leaves_the_environment_as_found():
-    assert _run(ENV_KEPT.format(first="")) == "True None"
+    for load in ("import majmux", *FIRST_LOADS):
+        assert _run(ENV_KEPT.format(load=load)) == "True None", load
 
 
 @on_linux
 def test_import_runs_blas_on_one_thread():
-    assert (_run(f"import majmux; {THREADS}")
-            == _run(f"import numpy; {THREADS}", OPENBLAS_NUM_THREADS="1"))
+    pinned = _run(f"import numpy; {THREADS}", OPENBLAS_NUM_THREADS="1")
+    for load in FIRST_LOADS:
+        assert _run(f"{load}; {THREADS}") == pinned, load
 
 
 @on_linux
 def test_import_keeps_the_callers_thread_setting():
-    assert _run(ENV_KEPT.format(first=""), OPENBLAS_NUM_THREADS="2") \
-        == "True 2"
-    assert (_run(f"import majmux; {THREADS}", OPENBLAS_NUM_THREADS="2")
-            == _run(f"import numpy; {THREADS}", OPENBLAS_NUM_THREADS="2"))
+    theirs = _run(f"import numpy; {THREADS}", OPENBLAS_NUM_THREADS="2")
+    for load in FIRST_LOADS:
+        assert _run(ENV_KEPT.format(load=load), OPENBLAS_NUM_THREADS="2") \
+            == "True 2", load
+        assert _run(f"{load}; {THREADS}", OPENBLAS_NUM_THREADS="2") \
+            == theirs, load
 
 
 @on_linux
 def test_import_after_numpy_changes_nothing():
-    assert _run(ENV_KEPT.format(first="import numpy; ")) == "True None"
-    assert (_run(f"import numpy, majmux; {THREADS}")
-            == _run(f"import numpy; {THREADS}"))
+    unpinned = _run(f"import numpy; {THREADS}")
+    for load in FIRST_LOADS:
+        assert _run(ENV_KEPT.format(load=f"import numpy; {load}")) \
+            == "True None", load
+        assert _run(f"import numpy; {load}; {THREADS}") == unpinned, load
 
 
 ROOT = SRC.parents[1]

@@ -1,18 +1,23 @@
 """Properties of the analytic half over randomly drawn rates, and of the
-Monte Carlo shuffle and driver over randomly drawn seeds, shapes and grids.
+Monte Carlo shuffle and driver over randomly drawn seeds, shapes and grids,
+and of the command line's ``--grid`` against ``np.linspace``.
 
 Derandomized, so every run draws the same examples, and with no deadline,
 so a slow machine cannot fail them.
 """
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from majmux.analysis import mc_point, model_tags, pfail_bound
+from majmux.analysis import mc_point, model_tags
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
+from majmux.cli import RunConfig, _parse_grid
 from majmux.netsim import _shuffle_rows, cascade_mc, run_parallel
+from majmux.rates import pfail_bound
 
 L2 = build_level2_chain()
 L3 = build_level3_chain()
@@ -101,3 +106,24 @@ def test_shuffle_keeps_every_row_count(seed, rows, size):
     shuffled = bits.copy()
     _shuffle_rows(shuffled, rng)
     np.testing.assert_array_equal(shuffled.sum(axis=1), bits.sum(axis=1))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lo=FINITE, hi=FINITE, steps=st.integers(2, 2000))
+@example(lo=-5e-324, hi=1e-323, steps=2000)  # the step underflows to 0
+@example(lo=-1.7e308, hi=1.7e308, steps=5)    # hi - lo overflows
+@example(lo=0.001, hi=0.2, steps=28)
+def test_grid_equals_numpy_linspace_bit_for_bit(lo, hi, steps):
+    # artifacts are compared as bytes, and the benchmark checks the x
+    # column against np.linspace with !=
+    assume(lo < hi)
+    spec = f"{lo!r}:{hi!r}:{steps}"
+    grid = _parse_grid(RunConfig(command="sweep", grid=spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float(x) for x in np.linspace(lo, hi, steps)]
+    bits = lambda xs: [struct.pack("<d", x) for x in xs]
+    assert bits(grid) == bits(want)
+
