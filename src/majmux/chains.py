@@ -36,6 +36,7 @@ steady-state solve take a whole eps grid at once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -402,9 +403,10 @@ def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     divided by its row's mass to the states still kept, never by one minus
     its diagonal, so no step subtracts and the relative accuracy holds as
     eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Every step
-    acts on the whole stack; the dot products are stacked ``matmul`` calls,
-    which round like a single matrix's ``@``.  Returns pi (G, k) and the
-    residuals max |pi M - pi| (G,) for the row-normalized M.
+    acts on the whole stack.  The back-substitution sums elementwise
+    products in numpy, not in BLAS, so pi's last bits do not depend on the
+    BLAS build.  Returns pi (G, k) and the residuals max |pi M - pi| (G,)
+    for the row-normalized M, a diagnostic that ``matmul`` computes.
     """
     rowsums = trans.sum(axis=2)
     if (rowsums <= 0.0).any():
@@ -422,7 +424,7 @@ def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[:, :n, :n] += a[:, :n, n, None] * a[:, None, n, :n]
     pi = np.ones(a.shape[:2])
     for j in range(1, k):
-        pi[:, j] = (pi[:, None, :j] @ a[:, :j, j:j + 1])[:, 0, 0]
+        pi[:, j] = (pi[:, :j] * a[:, :j, j]).sum(axis=1)
     pi /= pi.sum(axis=1, keepdims=True)
     residual = np.abs((pi[:, None, :] @ m)[:, 0] - pi).max(axis=1)
     return pi, residual
@@ -435,7 +437,8 @@ def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
     matrix M = T / rowsum(T), the chain whose every step is conditioned on
     that step's survival; it is not the quasi-stationary (Perron)
     distribution of T.  pi comes from a direct GTH solve (no iteration),
-    p_ss = pi . fail(eps) is the per-phase logical failure probability and
+    p_ss = pi . fail(eps) is the per-phase logical failure probability,
+    summed by ``math.fsum`` so its last bit depends on no BLAS, and
     residual is max |pi M - pi|.  eps = 0 goes through the same solve,
     which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
@@ -461,8 +464,7 @@ def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
     tf = _horner(np.concatenate([chain.trans_coeffs,
                                  chain.fail_coeffs[:, None]], axis=1), grid)
     pi, residual = _stationary(tf[:, :, :k])
-    fail = np.ascontiguousarray(tf[:, :, k:])  # matmul sums a strided
-    p_ss = (pi[:, None, :] @ fail)[:, 0, 0]     # column in another order
+    p_ss = np.array([math.fsum(row) for row in pi * tf[:, :, k]])
     if eps.ndim == 0:
         return SteadyState(pi=pi[0], p_ss=float(p_ss[0]),
                            residual=float(residual[0]))
@@ -481,7 +483,7 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     view = chain.refined or chain
     if view.marks is None:
         raise ValueError(f"chain {view.name!r} has no mark counts")
-    return float(steady_state(view, epsilon).pi @ view.marks) / 9.0
+    return math.fsum(steady_state(view, epsilon).pi * view.marks) / 9.0
 
 
 # --- serialization ------------------------------------------------------------

@@ -23,8 +23,10 @@ with probability (2/3) p.
 Gate noise is sampled sparsely: a gate layer is its noiseless bitwise
 majority XOR a uint8 mask, one line of it for Idealized gates (a fault
 flips all three outputs alike) and one per output line for Componentwise
-gates.  The masks are built from the Bernoulli successes alone, so their
-cost grows with the number of faults, not with the number of gates.
+gates.  The masks are built from a Poisson number of uniform hits, which
+by Poisson splitting hit every slot independently with exactly its
+Bernoulli probability (_fault_hits), so their cost grows with the number
+of faults, not with the number of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -33,6 +35,7 @@ carried majority, matching the analytic chains).
 
 The fan-out encoder cascade (``cascade_mc``) reuses these kernels: fan-out
 faults in its amplification, hypercube phases and the majority after it.
+Its phases run the same gate kernel on trials packed eight to a byte.
 """
 
 from __future__ import annotations
@@ -140,13 +143,19 @@ _FAN_OUT_FLIPS = np.array(
 
 
 def _fault_hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    """Distinct flat indices of the successes among n Bernoulli(p) slots.
+    """Flat indices hitting each of n slots independently with probability p.
 
-    Draws the success count from Binomial(n, p), then that many distinct
-    slots uniformly: exactly the law of n independent Bernoulli(p) draws,
-    at a cost that grows with p * n rather than n.
+    Draws M ~ Poisson(-n log(1 - p)) slots uniformly with replacement.  By
+    Poisson splitting (Kingman, Poisson Processes, 1993) each slot is then
+    hit a Poisson(-log(1 - p)) number of times, independently, so it is hit
+    at least once with probability exactly p (p >= 1 hits every slot once).
+    A slot may repeat, so every write through the hits must give a repeated
+    slot the same value (``mask[hits] = 1``, ``flat[hits] ^= 1``).  The cost
+    grows with p * n rather than n.
     """
-    return rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False)
+    if p >= 1.0:
+        return np.arange(n)
+    return rng.integers(0, n, rng.poisson(-n * math.log1p(-p)))
 
 
 def _flip_gates(mask: np.ndarray, hits: np.ndarray, lines) -> None:
@@ -165,12 +174,16 @@ def _fan_out_faults(mask: np.ndarray, pn: PhysicalNoise,
 
     Per gate: a fault class with probability p_c (see _FAN_OUT_FLIPS), a
     flip of the ancilla prepared for each of lines 1 and 2, and a flip of
-    each output wire, the last two with probability wire_prep each.
+    each output wire, the last two with probability wire_prep each.  A
+    gate hit more than once (see _fault_hits) keeps one class: the class
+    draws are written into a per-gate array and read back at every hit.
     """
     blocks, _, gates = mask.shape
     flat = mask.reshape(-1)
     hits = _fault_hits(rng, pn.p_c, blocks * gates)
-    _flip_gates(mask, hits, _FAN_OUT_FLIPS[rng.integers(0, 21, hits.size)].T)
+    cls = np.zeros(blocks * gates, np.int8)
+    cls[hits] = rng.integers(0, 21, hits.size)
+    _flip_gates(mask, hits, _FAN_OUT_FLIPS[cls[hits]].T)
     preps = _fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
     flat[preps + (preps // (2 * gates) + 1) * gates] ^= 1
     flat[_fault_hits(rng, pn.wire_prep, flat.size)] ^= 1
@@ -426,9 +439,13 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
     bits = np.full((1, size), input_bit, np.uint8)
     for _ in range(CASCADE_DEPTH):
         bits = _amp_layer(bits, pn, rng)
+    rows = bits.shape[0] // 3  # gate rows per phase
+    bits = np.packbits(bits, axis=1)  # frees the byte register
     for k in range(phases):
-        mask = _gate_masks(corrector, rng, 1, bits.size // 3)[0]
-        _hypercube_phase(bits, k % CASCADE_DEPTH, mask)
+        mask = _gate_masks(corrector, rng, 1, rows * size).reshape(rows, size)
+        _hypercube_phase(bits, k % CASCADE_DEPTH,
+                         np.packbits(mask, axis=1).reshape(1, -1))
+    bits = np.unpackbits(bits, axis=1, count=size)
     return int((_majority(bits) != input_bit).sum())
 
 
@@ -441,10 +458,13 @@ def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
     rate p, runs ``phases`` correction phases (idealized gates at the
     derived per-output rate, cycling the register's four axes starting
     with the cross-block one), and scores a failure when the final strict
-    majority disagrees with the input.  Twelve phases, three full axis
-    cycles, are enough for the propagated-error population to relax; the
-    estimate moves by well under a standard deviation between 8 and 24
-    phases.
+    majority disagrees with the input.  The phases act on the register
+    packed along the trial axis, eight trials per byte, with the masks
+    packed alike; the draws are those of a register of one byte per bit,
+    so the failure count is that register's, bit for bit.  Twelve phases,
+    three full axis cycles, are enough for the propagated-error population
+    to relax; the estimate moves by well under a standard deviation between
+    8 and 24 phases.
 
     Trials are processed in fixed-size shards, each on its own counter
     substream of ``seed``, so the result is identical for any ``workers``

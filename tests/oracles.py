@@ -18,12 +18,19 @@ Rules (81-bit corrector, one step):
 ``stationary_reference`` is the exact-arithmetic counterpart for the
 steady state: it evaluates a chain's integer coefficients at 50 digits and
 solves the stationary equations with mpmath.
+
+``cascade_shard_bytes`` is of another kind: it replays the encoder shard's
+own draws, but runs the correction phases on one byte per trial bit, the
+register that the bit-packed phases of ``netsim._cascade_shard`` stand for.
 """
 
 from __future__ import annotations
 
 import mpmath
 import numpy as np
+
+from majmux import netsim
+from majmux.rates import PhysicalNoise, epsilon_of_p
 
 PROFILES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (3, 0, 0),
             (2, 1, 0), (3, 1, 0), (2, 1, 1), (3, 1, 1))
@@ -143,3 +150,19 @@ def stationary_reference(trans_coeffs: np.ndarray, fail_coeffs: np.ndarray,
         pi = mpmath.lu_solve(a, b)
         p_ss = mpmath.fsum(pi[i] * poly(fail_coeffs[i]) for i in range(k))
         return [pi[i] for i in range(k)], p_ss
+
+
+def cascade_shard_bytes(p: float, seed: int, shard: int, size: int,
+                        phases: int, input_bit: int) -> int:
+    """Failures of ``netsim._cascade_shard`` with the same draws in the same
+    order, every phase on the (81, size) uint8 register."""
+    rng = np.random.Generator(np.random.Philox(netsim.substream(seed, shard)))
+    pn = PhysicalNoise.from_p(p)
+    corrector = netsim.Idealized(epsilon_of_p(p))
+    bits = np.full((1, size), input_bit, np.uint8)
+    for _ in range(netsim.CASCADE_DEPTH):
+        bits = netsim._amp_layer(bits, pn, rng)
+    for k in range(phases):
+        mask = netsim._gate_masks(corrector, rng, 1, bits.size // 3)[0]
+        netsim._hypercube_phase(bits, k % netsim.CASCADE_DEPTH, mask)
+    return int((netsim._majority(bits) != input_bit).sum())

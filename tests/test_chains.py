@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +236,34 @@ def test_batched_solve_matches_per_float_calls_bitwise(chain):
         assert batch.pi[i].tobytes() == one.pi.tobytes()
         assert batch.p_ss[i].hex() == one.p_ss.hex()
         assert batch.residual[i].hex() == one.residual.hex()
+
+
+def _strided(a):
+    """An equal copy of ``a`` that is a non-contiguous view."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, _strided],
+                         ids=["fortran", "strided"])
+@pytest.mark.parametrize("chain", [L2, L3, L3.refined],
+                         ids=["level2", "level3", "level3_refined"])
+def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
+    # no BLAS sum decides a last bit: p_ss is the correctly rounded sum
+    # of pi * fail, whatever the memory layout of the coefficients
+    grid = np.linspace(1e-3, 0.25, 40)
+    copy = dataclasses.replace(chain, trans_coeffs=layout(chain.trans_coeffs),
+                               fail_coeffs=layout(chain.fail_coeffs))
+    want, got = steady_state(chain, grid), steady_state(copy, grid)
+    assert got.pi.tobytes() == want.pi.tobytes()
+    assert got.p_ss.tobytes() == want.p_ss.tobytes()
+    assert got.residual.tobytes() == want.residual.tobytes()
+    for i, eps in enumerate(grid):
+        assert want.p_ss[i] == math.fsum(want.pi[i] * chain.fail(eps))
+    if chain.marks is not None:
+        assert (propagated_bit_error(copy, 0.05)
+                == propagated_bit_error(chain, 0.05))
 
 
 @pytest.mark.parametrize("bad", [-1e-3, 1.0, np.nan])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from majmux.netsim import CASCADE_DEPTH, _amp_layer, cascade_mc
+from majmux.netsim import (CASCADE_DEPTH, _amp_layer, _cascade_shard,
+                           cascade_mc)
 from majmux.rates import EncodeBound, derive_rates, p_crit, pfail_bound
+from oracles import cascade_shard_bytes
 
 MEAS_SLOPE = 32.0 / 63.0
 
@@ -98,6 +100,18 @@ def test_amp_layer_line_marginals():
     for line, expect in ((0, expect0), (1, expect12), (2, expect12)):
         got = out[line].mean()
         assert abs(got - expect) <= 4 * _sigma(expect, n), (line, got, expect)
+
+
+# a full shard, the last shard of 20,000 trials, and a size that is not a
+# multiple of 8, so every packed row ends in pad bits
+@pytest.mark.parametrize("size", [8192, 3616, 8229])
+@pytest.mark.parametrize("input_bit", [0, 1])
+def test_packed_phases_match_the_byte_replay(size, input_bit):
+    for p in (0.02, 0.05):
+        want = cascade_shard_bytes(p, 4, 2, size, 12, input_bit)
+        assert want > 0
+        assert _cascade_shard(p, 4, 2, size, 12, input_bit) == want
+    assert _cascade_shard(0.0, 4, 2, size, 12, input_bit) == 0
 
 
 def test_mc_validation():

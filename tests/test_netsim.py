@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from majmux import netsim
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
@@ -12,7 +13,7 @@ from majmux.netsim import (Componentwise, Idealized, TrialStats,
                            _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
                            _majority, _randomized_phase, _shuffle_rows)
-from majmux.rates import epsilon_of_p
+from majmux.rates import PhysicalNoise, epsilon_of_p
 
 
 def _gates(triples, noise, rng):
@@ -39,12 +40,31 @@ def test_certain_failure_inverts_majority():
 @pytest.mark.parametrize("n", [0, 1, 864, 221184])
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.047, 0.5, 1.0])
 def test_fault_hits_are_distinct_bernoulli_successes(p, n):
+    # hits may repeat a slot; the distinct slots hit are the successes of
+    # n independent Bernoulli(p) draws
     rng = np.random.default_rng(17)
     hits = _fault_hits(rng, p, n)
-    assert len(np.unique(hits)) == len(hits)
     assert np.all((hits >= 0) & (hits < n))
+    distinct = np.unique(hits)
+    if p == 0.0:
+        assert hits.size == 0
+    if p == 1.0:
+        np.testing.assert_array_equal(distinct, np.arange(n))
     sig = np.sqrt(n * p * (1 - p))
-    assert abs(len(hits) - n * p) <= 4 * sig
+    assert abs(len(distinct) - n * p) <= 4 * sig
+
+
+@pytest.mark.parametrize("p", [0.047, 0.5])
+def test_fault_hits_show_no_slot_bias(p):
+    # over repeated draws each slot is hit in Binomial(draws, p) of them,
+    # independently: a chi-square over the slots, both tails
+    n, draws = 864, 4000
+    rng = np.random.default_rng(19)
+    counts = np.zeros(n)
+    for _ in range(draws):
+        counts[np.unique(_fault_hits(rng, p, n))] += 1
+    stat = ((counts - draws * p) ** 2).sum() / (draws * p * (1 - p))
+    assert 1e-4 < chdtrc(n, stat) < 1 - 1e-4
 
 
 def test_fan_out_fault_classes():
@@ -132,6 +152,48 @@ def test_componentwise_lines_not_fully_correlated():
     out = _gates(triples, Componentwise.from_p(0.05), rng)
     diff = (out[:, 0] != out[:, 1]).mean()
     assert diff > 0.01  # preps and wires act per line
+
+
+def _pattern_law(flips):
+    """Law over the 8 output patterns (bit j flips line j) of one part
+    given as {pattern: probability}; pattern 0 takes the rest."""
+    law = np.zeros(8)
+    for pattern, prob in flips.items():
+        law[pattern] += prob
+    law[0] += 1.0 - law.sum()
+    return law
+
+
+def _xor_law(parts):
+    """Pattern law of the XOR of independent parts."""
+    law = _pattern_law({})
+    for part in parts:
+        law = np.array([sum(law[x] * part[x ^ y] for x in range(8))
+                        for y in range(8)])
+    return law
+
+
+# at p = 0.3 one fan-out hit in seven repeats a gate; with p_c = 0.9 and
+# no prep or wire flips most hit gates are hit again (Poisson mean 2.3),
+# so the pattern law shows whether each gate keeps one class
+@pytest.mark.parametrize("pn", [PhysicalNoise.from_p(0.02),
+                                PhysicalNoise.from_p(0.3),
+                                PhysicalNoise(0.3, 0.9, 0.0)],
+                         ids=["p0.02", "p0.3", "classes_only"])
+def test_componentwise_mask_pattern_law(pn):
+    # a vote fault on all three lines, one fan-out class row, a prep flip
+    # on each of lines 1-2 and a wire flip on each line
+    rows = _FAN_OUT_FLIPS @ np.array([1, 2, 4])
+    parts = [_pattern_law({7: 4.0 / 7.0 * pn.p_c}),
+             sum(_pattern_law({int(r): pn.p_c}) for r in rows) / len(rows)]
+    parts += [_pattern_law({1 << j: pn.wire_prep}) for j in (1, 2, 0, 1, 2)]
+    law = _xor_law(parts)
+    masks = _gate_masks(Componentwise(pn), np.random.default_rng(43),
+                        4, 250_000)
+    got = np.bincount((masks[:, 0] | masks[:, 1] << 1
+                       | masks[:, 2] << 2).ravel(), minlength=8)
+    expect = got.sum() * law
+    assert chdtrc(7, ((got - expect) ** 2 / expect).sum()) > 1e-4
 
 
 def test_idealized_rejects_bad_epsilon():
@@ -356,6 +418,21 @@ def test_estimator_below_level3_model():
                                   seed=3, min_flips=150)
     analytic = steady_state(build_level3_chain(), eps).p_ss
     assert 0.0 < stats.p_hat <= analytic
+
+
+# exact renewal rates of the registers, from the small Markov chains of
+# their phase kernels with the settle rule (stationary flip flux)
+@pytest.mark.parametrize("n, wiring, noise, exact, phases", [
+    (3, "hypercube", Idealized(0.10), 2.261e-3, 50_000),
+    (2, "hypercube", Componentwise.from_p(0.06), 9.227e-3, 25_000)],
+    ids=["idealized_n3", "componentwise_n2"])
+def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
+    flips = sum(estimate_logical_rate(n, wiring, noise, seed,
+                                      min_flips=10 ** 9,
+                                      max_phases=phases).flips
+                for seed in range(8))
+    pooled = 8 * phases
+    assert abs(flips - pooled * exact) <= 4 * math.sqrt(pooled * exact)
 
 
 def test_estimator_stats_are_consistent():
