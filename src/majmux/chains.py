@@ -27,9 +27,11 @@ look the same.  A configuration whose grid has two or more lines carrying
 two or more marks is a logical failure.
 
 All transition probabilities are exact integer-coefficient polynomials in
-eps, built once by exhaustive enumeration of configurations.  Evaluation is
-Horner's rule on those coefficients, so the leading-order cancellations are
-exact and failure rates stay accurate down to ~1e-16.  Evaluation and the
+eps, built once from the square law: the nine gates fail independently, so
+each square's failure count has one Poisson-binomial law, and the three
+squares' counts are the next line counts.  Evaluation is Horner's rule on
+those coefficients, so the leading-order cancellations are exact and
+failure rates stay accurate down to ~1e-16.  Evaluation and the
 steady-state solve take a whole eps grid at once.
 """
 
@@ -61,17 +63,6 @@ def _ppad(a: np.ndarray, width: int) -> np.ndarray:
 def _psub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = max(len(a), len(b))
     return _ppad(a, n) - _ppad(b, n)
-
-
-def _toeplitz(polys: np.ndarray, n: int) -> np.ndarray:
-    """Product matrices: T @ q holds the coefficients of p * q.
-
-    polys is (..., d), one polynomial p per leading index; q has n
-    coefficients; T is (..., d + n - 1, n) with T[i, j] = p[i - j].
-    """
-    d = polys.shape[-1]
-    lag = np.arange(d + n - 1)[:, None] - np.arange(n)
-    return np.where((lag >= 0) & (lag < d), polys[..., lag.clip(0, d - 1)], 0)
 
 
 def _horner(coeffs: np.ndarray, epsilon) -> np.ndarray:
@@ -271,83 +262,66 @@ def build_level2_chain() -> ErrorChain:
     )
 
 
-@lru_cache(maxsize=1)
-def _level3_census() -> np.ndarray:
-    """Outcome census of the 512 joint gate-failure patterns.
+def _square_law(counts: tuple[int, int, int]) -> np.ndarray:
+    """(4, 10) coefficients of q(c), c = 0..3: the chance that c of one
+    square's three gates fail, the line-k gate failing with f(m_k).  Built
+    gate by gate as q'(c) = q(c) (1 - f) + q(c - 1) f; a gate adds at most
+    three degrees, so cutting products to ten coefficients drops zeros."""
+    law = np.zeros((4, 10), dtype=np.int64)
+    law[0, 0] = 1
+    for m in counts:
+        ok = np.array([np.convolve(q, _OK_BY_COUNT[m])[:10] for q in law])
+        fail = np.array([np.convolve(q, _FAIL_BY_COUNT[m])[:10] for q in law])
+        law = ok
+        law[1:] += fail[:-1]
+    return law
 
-    A failure pattern F marks F[l][k] = 1 when the line-k gate of square l
-    fails.  Its probability depends only on the per-line failure counts
-    b_k = sum_l F[l][k]; the next configuration depends only on the
-    per-square counts c_l = sum_k F[l][k], which become the line counts of
-    the next step.  Returns a (4, 4, 4, 11) int64 array: entry
-    [b0, b1, b2, o] counts the patterns with failure counts b that land in
-    refined profile o (0..9) or in logical failure (o = 10).
+
+def _level3_row(law: np.ndarray) -> np.ndarray:
+    """Refined transition row of a grid whose squares follow ``law``.
+
+    The three squares fail independently, and their failure counts
+    (c0, c1, c2) are the line counts of the next step.  Returns an
+    (11, 28) int64 array of polynomial coefficients: entries 0..9 are the
+    refined-profile targets, entry 10 is logical failure.  Each multiset
+    of counts adds its number of orderings times q(c0) q(c1) q(c2).
     """
-    f = ((np.arange(512)[:, None] >> np.arange(9)) & 1).reshape(512, 3, 3)
-    b, c = f.sum(axis=1), f.sum(axis=2)
-    outcome = np.empty((4, 4, 4), dtype=np.int64)
-    for counts in itertools.product(range(4), repeat=3):
-        prof = _profile_or_none(counts)
-        outcome[counts] = 10 if prof is None else _PROFILE_INDEX[prof]
-    census = np.zeros((4, 4, 4, 11), dtype=np.int64)
-    np.add.at(census, (*b.T, outcome[tuple(c.T)]), 1)
-    return census
-
-
-@lru_cache(maxsize=1)
-def _line_factors() -> np.ndarray:
-    """(4, 4, 10) coefficients of f(m)^b (1 - f(m))^(3 - b) at [m, b]: the
-    chance that b chosen gates of a line, out of its three (one per
-    square), fail and the other 3 - b do not, with m marks in the line."""
-    return np.stack([
-        np.stack([_ppad(_pmul(*[_FAIL_BY_COUNT[m]] * b,
-                              *[_OK_BY_COUNT[m]] * (3 - b)), 10)
-                  for b in range(4)])
-        for m in range(4)])
-
-
-def _level3_row(counts: tuple[int, int, int]) -> np.ndarray:
-    """Refined transition row for a grid with the given per-line mark counts.
-
-    Returns an (11, 28) int64 array of polynomial coefficients: entries 0..9
-    are the refined-profile targets, entry 10 is logical failure.  The
-    census is contracted with line 2's factor polynomials over b2, then
-    multiplied by line 1's and line 0's (Toeplitz products) and summed over
-    b1 and b0.
-    """
-    p0, p1, p2 = (_line_factors()[m] for m in counts)
-    x = np.einsum("abco,cj->aboj", _level3_census(), p2)
-    y = np.einsum("bij,aboj->aoi", _toeplitz(p1, 10), x)
-    return np.einsum("aij,aoj->oi", _toeplitz(p0, 19), y)
+    row = np.zeros((11, 28), dtype=np.int64)
+    for c0, c1, c2 in itertools.combinations_with_replacement(range(4), 3):
+        prof = _profile_or_none((c0, c1, c2))  # raises if unclassifiable
+        orderings = len(set(itertools.permutations((c0, c1, c2))))
+        row[10 if prof is None else _PROFILE_INDEX[prof]] += (
+            orderings * _pmul(law[c0], law[c1], law[c2]))
+    return row
 
 
 @lru_cache(maxsize=1)
 def build_level3_chain() -> ErrorChain:
-    """Seven-state chain of the 81-bit corrector, by exhaustive enumeration.
+    """Seven-state chain of the 81-bit corrector, from one square's law.
 
     Builds the refined ten-profile chain first, proves on all 64 line-count
-    vectors that the row polynomials depend only on the profile (so the
-    class lumping is exact), checks the substochastic identity exactly, and
+    vectors that the square law depends only on the profile (so the class
+    lumping is exact), checks the substochastic identity exactly, and
     lumps the saturated-line profiles pairwise into the seven coarse states.
 
     Raises:
         RuntimeError: if a reachable configuration falls outside the
             enumerated classes, or if two configurations of one class
-            disagree on their transition polynomials.
+            disagree on their square law.
     """
-    # exhaustive self-check: a grid's row depends only on its line counts,
+    # exhaustive self-check: a grid's row depends only on its square law,
     # so each of the 64 count vectors that is not already logical must
-    # reproduce its profile's row exactly
-    row_of = {counts: _level3_row(counts)
+    # reproduce its profile's law exactly
+    law_of = {counts: _square_law(counts)
               for counts in itertools.product(range(4), repeat=3)
               if _profile_or_none(counts) is not None}  # raises if unclassifiable
-    rows = np.stack([row_of[q] for q in REFINED_PROFILES])
-    for counts, row in row_of.items():
+    for counts, law in law_of.items():
         prof = _profile_or_none(counts)
-        if not np.array_equal(row, rows[_PROFILE_INDEX[prof]]):
+        if not np.array_equal(law, law_of[prof]):
             raise RuntimeError(
-                f"line counts {counts} disagree with their class row "
+                f"line counts {counts} disagree with their class law "
                 f"(profile {prof}); enumeration is inconsistent")
+    rows = np.stack([_level3_row(law_of[q]) for q in REFINED_PROFILES])
 
     refined_trans = rows[:, :10, :]
     refined_fail = rows[:, 10, :]
@@ -404,9 +378,9 @@ def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its diagonal, so no step subtracts and the relative accuracy holds as
     eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Every step
     acts on the whole stack.  The back-substitution sums elementwise
-    products in numpy, not in BLAS, so pi's last bits do not depend on the
-    BLAS build.  Returns pi (G, k) and the residuals max |pi M - pi| (G,)
-    for the row-normalized M, a diagnostic that ``matmul`` computes.
+    products in numpy, not in BLAS, as does the residual max |pi M - pi|
+    for the row-normalized M, so no last bit depends on the BLAS build.
+    Returns pi (G, k) and the residuals (G,).
     """
     rowsums = trans.sum(axis=2)
     if (rowsums <= 0.0).any():
@@ -426,7 +400,7 @@ def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, k):
         pi[:, j] = (pi[:, :j] * a[:, :j, j]).sum(axis=1)
     pi /= pi.sum(axis=1, keepdims=True)
-    residual = np.abs((pi[:, None, :] @ m)[:, 0] - pi).max(axis=1)
+    residual = np.abs((pi[:, :, None] * m).sum(axis=1) - pi).max(axis=1)
     return pi, residual
 
 

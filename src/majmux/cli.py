@@ -315,7 +315,12 @@ def run(config: RunConfig) -> int:
     for r in records:
         if r.note:  # the artifacts carry no notes
             print(f"note: x={_fmt(r.x)}: {r.note}", file=sys.stderr)
-    _emit(config, records)
+    try:
+        _emit(config, records)
+    except OSError as err:
+        print(f"error: cannot write {config.out or 'stdout'}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,6 +15,9 @@ Rules (81-bit corrector, one step):
   * the per-square failure counts become the line counts of the next grid;
   * two or more squares with two or more failures is a logical error.
 
+``level3_step_exact`` is the exact counterpart of one step: it sums the
+probabilities of all 512 gate-failure patterns in rationals.
+
 ``stationary_reference`` is the exact-arithmetic counterpart for the
 steady state: it evaluates a chain's integer coefficients at 50 digits and
 solves the stationary equations with mpmath.
@@ -25,6 +28,8 @@ register that the bit-packed phases of ``netsim._cascade_shard`` stand for.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -39,13 +44,14 @@ LOGICAL = 7
 _PROFILE_TO_CLASS = {q: c for q, c in zip(PROFILES, CLASS_OF)}
 
 
-def fail_prob(m: int, eps: float) -> float:
-    """Gate failure probability given m propagated errors on its line."""
+def fail_prob(m: int, eps):
+    """Gate failure probability given m propagated errors on its line; a
+    float for a float eps, exact for a ``Fraction``."""
     if m == 0:
-        return 3.0 * eps ** 2 - 2.0 * eps ** 3
+        return 3 * eps ** 2 - 2 * eps ** 3
     if m == 1:
-        return 2.0 * eps - eps ** 2
-    return 1.0
+        return 2 * eps - eps ** 2
+    return 1
 
 
 def _outcome(counts: tuple[int, int, int]) -> int:
@@ -88,6 +94,30 @@ def step_distribution(profile: tuple[int, int, int], eps: float, steps: int,
                               minlength=8)
         left -= n
     return counts / steps
+
+
+def level3_step_exact(profile: tuple[int, int, int], eps: Fraction) -> dict:
+    """Exact one-step law of the grid process from a line profile.
+
+    Enumerates all 512 gate-failure patterns in rationals: bit 3 l + k of
+    a pattern set means the line-k gate of square l fails.  Returns the
+    probability of each next profile (all ten keys present), with logical
+    failure under the key None.
+    """
+    f = [fail_prob(m, eps) for m in profile]
+    law = dict.fromkeys([*PROFILES, None], Fraction(0))
+    for pattern in range(512):
+        prob, counts = Fraction(1), [0, 0, 0]
+        for bit in range(9):
+            square, line = divmod(bit, 3)
+            if pattern >> bit & 1:
+                prob *= f[line]
+                counts[square] += 1
+            else:
+                prob *= 1 - f[line]
+        logical = sum(c >= 2 for c in counts) >= 2
+        law[None if logical else tuple(sorted(counts, reverse=True))] += prob
+    return law
 
 
 def trajectory_mark_fraction(eps: float, steps: int,

@@ -73,7 +73,8 @@ def test_steady_state_reports_small_residual():
             ss = steady_state(chain, eps)
             m = chain.trans(eps)
             m /= m.sum(axis=1)[:, None]
-            assert ss.residual == np.max(np.abs(ss.pi @ m - ss.pi))
+            assert ss.residual == np.max(
+                np.abs((ss.pi[:, None] * m).sum(axis=0) - ss.pi))
             assert ss.residual <= 1e-15
 
 
@@ -133,17 +134,29 @@ def test_refined_lumping_reproduces_class_chain():
                                               abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(3, 20)])
+def test_refined_rows_equal_exact_census_of_gate_failure_patterns(eps):
+    def exact(coeffs):
+        return sum(int(c) * eps ** i for i, c in enumerate(coeffs))
+
+    r = L3.refined
+    for i, prof in enumerate(REFINED_PROFILES):
+        got = {q: exact(r.trans_coeffs[i, j])
+               for j, q in enumerate(REFINED_PROFILES)}
+        got[None] = exact(r.fail_coeffs[i])
+        assert got == oracles.level3_step_exact(prof, eps), prof
+
+
 def test_level3_self_check_catches_a_permuted_count_vector(monkeypatch):
-    real_row = chains._level3_row
+    real_law = chains._square_law
 
     def skewed(counts):
-        row = real_row(counts)
+        law = real_law(counts)
         if counts == (0, 1, 0):  # a permutation of profile (1, 0, 0)
-            row = row.copy()
-            row[0, 1] += 1
-        return row
+            law[0, 1] += 1
+        return law
 
-    monkeypatch.setattr(chains, "_level3_row", skewed)
+    monkeypatch.setattr(chains, "_square_law", skewed)
     with pytest.raises(RuntimeError, match=r"profile \(1, 0, 0\)"):
         build_level3_chain.__wrapped__()
 

@@ -189,6 +189,16 @@ def test_simulate_accepts_physical_rate(capsys):
     assert 0.0 <= recs[0].y < 0.1
 
 
+def test_unwritable_out_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    for out in (tmp_path / "missing" / "x.csv", tmp_path / "adir"):
+        assert main(["encode", "--pcrit", "--out", str(out)]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: cannot write {out}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert not any((tmp_path / "adir").iterdir())
+
+
 def test_simulate_rejects_unknown_model(tmp_path, capsys):
     out = tmp_path / "artifact.csv"
     for model in (["--model", "bogus"], []):

@@ -9,6 +9,8 @@ per-seed numbers on purpose reruns every command in ``CASES`` with
 
 which rewrites only the files whose bytes differ and prints ``rewrote``
 or ``unchanged`` for each, so the diff names exactly the files that moved.
+It does the same for ``tests/data/level3_chain.txt``, the serialized
+level-3 chain that ``test_chains`` pins.
 """
 
 import pathlib
@@ -16,6 +18,7 @@ import tempfile
 
 import pytest
 
+from majmux.chains import build_level3_chain, serialize_chain
 from majmux.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -76,15 +79,20 @@ def test_artifact_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _pin(path: pathlib.Path, new: bytes) -> None:
+    if path.exists() and path.read_bytes() == new:
+        print("unchanged", path)
+    else:
+        path.write_bytes(new)
+        print("rewrote", path)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in sorted(CASES.items()):
             out = pathlib.Path(tmp) / name
             if main(argv + ["--out", str(out)]) != 0:
                 raise SystemExit(f"{name}: command failed")
-            golden, new = GOLDEN / name, out.read_bytes()
-            if golden.exists() and golden.read_bytes() == new:
-                print("unchanged", golden)
-            else:
-                golden.write_bytes(new)
-                print("rewrote", golden)
+            _pin(GOLDEN / name, out.read_bytes())
+    _pin(GOLDEN.parent / "level3_chain.txt",
+         serialize_chain(build_level3_chain()).encode())
