@@ -7,29 +7,33 @@ concatenation, the measurement and feedback error constants, a grid
 sweep that turns an analytic model into plot-ready records, and the Monte
 Carlo point function behind ``simulate`` and ``compare-vn``.  ``MODELS``
 is the one table of the CLI's model tags.  The fan-out encoder's bound
-needs no chain and lives in ``rates``.
+needs no chain and lives in ``rates``.  ``chains`` is imported only by
+the functions that build or solve a chain, so a Monte Carlo run never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._numpy import np
-from .chains import (ErrorChain, build_level2_chain, build_level3_chain,
-                     propagated_bit_error, steady_state)
 from .rates import SweepRecord, bisect, derive_rates
+
+if TYPE_CHECKING:
+    from .chains import ErrorChain
 
 _CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 
-# every model tag, as (kind, level, builder): an analytic "chain" of code
-# level n and its builder, the "concat" baseline of L levels and its t, or
-# a Monte Carlo ("mc") register wiring, whose level the run picks
+# every model tag, as (kind, level, detail): an analytic "chain" of code
+# level n and its builder's name in ``chains``, the "concat" baseline of L
+# levels and its t, or a Monte Carlo ("mc") register wiring, whose level
+# the run picks
 MODELS = {
-    "level2": ("chain", 2, build_level2_chain),
-    "level3": ("chain", 3, build_level3_chain),
+    "level2": ("chain", 2, "build_level2_chain"),
+    "level3": ("chain", 3, "build_level3_chain"),
     **{f"concat({t},{level})": ("concat", level, t)
        for t in (6, 7) for level in (2, 3, 4)},
     "hypercube_mc": ("mc", None, "hypercube"),
@@ -40,6 +44,12 @@ MODELS = {
 def model_tags(kind: str) -> list[str]:
     """The MODELS tags of one kind, in table order."""
     return [tag for tag, row in MODELS.items() if row[0] == kind]
+
+
+def chain_of(model: str) -> ErrorChain:
+    """The analytic chain of a ``"chain"`` tag of MODELS."""
+    from . import chains
+    return getattr(chains, MODELS[model][2])()
 
 
 def correction_threshold(chain: ErrorChain) -> float:
@@ -53,6 +63,7 @@ def correction_threshold(chain: ErrorChain) -> float:
     Raises:
         RuntimeError: if p_ss(eps) - eps never changes sign in range.
     """
+    from .chains import steady_state
     g = lambda e: steady_state(chain, e).p_ss - e
     grid = np.linspace(1e-3, _CHAIN_EPS_MAX - 1e-4, 250)
     vals = steady_state(chain, grid).p_ss - grid
@@ -73,6 +84,7 @@ def p_target(p: float) -> float:
     where eta is the stationary erroneous-bit fraction of the 81-bit
     corrector, and the vote itself contributes one gate and one wire.
     """
+    from .chains import build_level3_chain, propagated_bit_error
     noise, maj3, _ = derive_rates(p)
     eps = maj3.epsilon
     eta = propagated_bit_error(build_level3_chain(), eps)
@@ -173,13 +185,16 @@ def sweep(model: str, grid: Sequence[float], *,
         raise ValueError(f"unknown analytic model {model!r}; use "
                          + "|".join(analytic) + ", or simulate --level 3 "
                          "for a Monte Carlo grid")
-    kind, n, make = MODELS[model]
+    kind, n, t = MODELS[model]
     hi, edge = ((_CHAIN_EPS_MAX, f"{_CHAIN_EPS_MAX:g}") if kind == "chain"
-                else (1.0 / make, f"1/{make}"))
+                else (1.0 / t, f"1/{t}"))
     inside = [x for x in xs if 0.0 <= x <= hi]
-    ys = iter(steady_state(make(), np.array(inside, dtype=float)).p_ss
-              if kind == "chain"
-              else [concat_baseline(make, n, x) for x in inside])
+    if kind == "chain":
+        from .chains import steady_state
+        ys = iter(steady_state(chain_of(model),
+                               np.array(inside, dtype=float)).p_ss)
+    else:
+        ys = iter([concat_baseline(t, n, x) for x in inside])
     records = []
     for x in xs:
         if 0.0 <= x <= hi:

@@ -245,8 +245,8 @@ def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
     """Self-consistency thresholds (level2, level3, universal)."""
-    from .analysis import (MODELS, correction_threshold, model_tags,
-                           universal_threshold)
+    from .analysis import (MODELS, chain_of, correction_threshold,
+                           model_tags, universal_threshold)
     if config.model == "universal":
         p_star, eps_star = universal_threshold()
         print(f"universal threshold: p* = {p_star:.17g} "
@@ -254,8 +254,8 @@ def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
         return [SweepRecord(p_star, eps_star, eps_star, eps_star, "universal",
                             3, config.seed)]
     if config.model in model_tags("chain"):
-        _, n, build = MODELS[config.model]
-        star = correction_threshold(build())
+        n = MODELS[config.model][1]
+        star = correction_threshold(chain_of(config.model))
         print(f"{config.model} threshold: eps* = {star:.17g}",
               file=sys.stderr)
         return [SweepRecord(star, star, star, star, config.model, n,

@@ -36,6 +36,10 @@ carried majority, matching the analytic chains).
 The fan-out encoder cascade (``cascade_mc``) reuses these kernels: fan-out
 faults in its amplification, hypercube phases and the majority after it.
 Its phases run the same gate kernel on trials packed eight to a byte.
+
+Every estimator run and every encoder shard draws from its own PCG64
+stream (O'Neill, 2014), built in one place (_generator); the shuffle
+reads its raw 64-bit words.
 """
 
 from __future__ import annotations
@@ -212,17 +216,19 @@ def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
     return mask
 
 
-def _maj3_layer(lines, mask: np.ndarray) -> None:
-    """Noisy MAJ3 gates in place on three equal-shape line views.
+def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
+    """Noisy MAJ3 gates in place on a (G, 3, L) view of a register.
 
-    Gate k reads ``lines[0][k], lines[1][k], lines[2][k]``; line j then
-    holds their majority XOR ``mask[j]``.  mask has shape (3, gates), or
-    (1, gates) when one line flips all three outputs (see _gate_masks).
+    Gate (g, l) reads ``gates[g, :, l]``; its output line j then holds
+    their majority XOR ``mask[j, g * L + l]``.  mask has shape (3, G * L),
+    or (1, G * L) when one line flips all three outputs (see _gate_masks),
+    and one XOR writes all three lines, broadcasting a one-line mask.
     """
-    a, b, c = lines
+    a, b, c = gates[:, 0], gates[:, 1], gates[:, 2]
     m = (a & b) | (c & (a | b))
-    for j, line in enumerate(lines):
-        np.bitwise_xor(m, mask[j % len(mask)].reshape(m.shape), out=line)
+    g, _, width = gates.shape
+    np.bitwise_xor(m[:, None], mask.reshape(len(mask), g, width)
+                   .transpose(1, 0, 2), out=gates)
 
 
 def _majority(bits: np.ndarray) -> np.ndarray:
@@ -245,8 +251,7 @@ def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
     """
     size, r = bits.shape
     low = 3 ** axis
-    view = bits.reshape(size // (3 * low), 3, low * r)
-    _maj3_layer([view[:, j] for j in range(3)], mask)
+    _maj3_layer(bits.reshape(size // (3 * low), 3, low * r), mask)
 
 
 def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
@@ -256,20 +261,29 @@ def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
     one raw 64-bit word; sorting a row's keys shuffles its bits, and
     ``keys & 1`` reads them back.  If two keys of any row share their
     random bits (one row in about 7e5 at 81 bits, 8e3 at 729), all keys
-    are redrawn: distinct i.i.d. keys come in uniformly random order.  The
-    bit generator must emit 64-bit words (PCG64, Philox, SFC64): MT19937's
-    zero high halves would tie forever, so it raises ValueError.
+    are redrawn: distinct i.i.d. keys come in uniformly random order.
+
+    The tie check compares neighbours across the whole sorted array in one
+    flat pass.  A pair that crosses a row end is one row's largest key
+    next to the next row's smallest, and whether their XOR is at most 1
+    depends only on their random parts.  So the redraw event is a function
+    of each row's set of random parts, whatever bit each part carries, and
+    a draw that is kept still places the bits uniformly; the extra redraws
+    are rarer than ties within a row.  The bit generator must emit 64-bit
+    words (PCG64, SFC64): MT19937's zero high halves would tie forever, so
+    it raises ValueError.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("MT19937 emits 32-bit words; use a 64-bit bit "
-                         "generator (PCG64, Philox, SFC64)")
+                         "generator (PCG64, SFC64)")
     while True:
         raw = rng.bit_generator.random_raw(-(-rows.size // 2))
         keys = raw.view(np.uint32)[:rows.size].reshape(rows.shape)
         keys &= np.uint32(0xFFFF_FFFE)
         keys |= rows
         keys.sort(axis=1)
-        if (keys[:, 1:] ^ keys[:, :-1]).min() > 1:
+        flat = keys.reshape(-1)
+        if (flat[1:] ^ flat[:-1]).min() > 1:
             break
     np.bitwise_and(keys, 1, out=rows, casting="unsafe")
 
@@ -289,8 +303,7 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
     _shuffle_rows(bits.T, rng)
-    lines = bits.T.reshape(r, 3, size // 3)
-    _maj3_layer([lines[:, j] for j in range(3)], mask)
+    _maj3_layer(bits.T.reshape(r, 3, size // 3), mask)
 
 
 # --- logical rate estimation ----------------------------------------------------
@@ -298,7 +311,6 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
 
 _WARMUP = 50          # phases discarded per replica before tallying
 _LANES = 20_736       # register bits stepped per phase (81 bits x 256)
-_SETTLE = 3           # phases a new majority must hold to count as a flip
 _MASK_BYTES = 165_888  # 3-line mask bytes per draw: 8 phases of 81 x 256
 
 
@@ -335,6 +347,12 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     the analytic chains, which bound settled transitions).  The measured
     rate is flat in the settling length over 2..6.
 
+    The phases run in blocks, one per draw of masks, and the settle rule
+    is resolved once per block from the block's majorities and the last
+    two before it.  A block may run past the stop, but the tallies are
+    those of stopping at the exact phase: the extra phases are not
+    counted.
+
     The run is a single deterministic stream: fixed (seed, parameters)
     reproduce the result bit for bit regardless of how callers schedule it.
     """
@@ -348,39 +366,55 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     # once; the count is sized for 3-line masks, so an Idealized draw (one
     # line per gate) fills a third of _MASK_BYTES
     block = max(1, _MASK_BYTES // (size * replicas))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _generator(seed)
     # replica state is one column of each array; the randomized wiring
     # shuffles within columns, so it keeps them contiguous
     bits = np.zeros((size, replicas), np.uint8,
                     order="F" if wiring == "randomized" else "C")
+    # row 2 + i: the majority after phase i of the block; rows 0 and 1
+    # carry the block before's last two (zero at the start, which holds
+    # no new majority against the zero references)
+    maj = np.zeros((block + 2, replicas), np.uint8)
     logical = np.zeros(replicas, np.uint8)
-    prev = np.zeros(replicas, np.uint8)
-    streak = np.zeros(replicas, np.int64)  # consecutive phases at current majority
+    rows = np.arange(1, block + 1)[:, None]  # 1 + phase within the block
     phases = flips = phase_idx = 0
     while True:
-        if phase_idx % block == 0:
-            masks = _gate_masks(noise, rng, block, bits.size // 3)
-        mask = masks[phase_idx % block]
-        if wiring == "hypercube":
-            _hypercube_phase(bits, phase_idx % (n + 1), mask)
-        else:
-            _randomized_phase(bits, mask, rng)
-        maj = _majority(bits)
-        streak = np.where(maj == prev, streak + 1, 1)
-        prev = maj
-        settled = (streak >= _SETTLE) & (maj != logical)
-        logical = np.where(settled, maj, logical)
-        if phase_idx >= _WARMUP:
-            tally = min(replicas, max_phases - phases)
-            phases += tally
-            flips += int(settled[:tally].sum())
-            if flips >= min_flips or phases >= max_phases:
-                break
-        phase_idx += 1
-    return TrialStats(phases=phases, flips=flips)
+        for i, mask in enumerate(_gate_masks(noise, rng, block,
+                                             bits.size // 3)):
+            if wiring == "hypercube":
+                _hypercube_phase(bits, (phase_idx + i) % (n + 1), mask)
+            else:
+                _randomized_phase(bits, mask, rng)
+            maj[2 + i] = _majority(bits)
+        new = maj[2:]
+        held = (new == maj[1:-1]) & (new == maj[:-2])
+        # ref[1 + i]: the reference after phase i, the majority of the
+        # last phase that held, or the carried ref[0] if none has; a held
+        # phase settles exactly when it changes the reference
+        last = np.maximum.accumulate(np.where(held, rows, 0), axis=0)
+        ref = np.vstack([logical, np.where(
+            last, np.take_along_axis(new, last - 1, axis=0), logical)])
+        settled = ref[1:] != ref[:-1]
+        logical = ref[-1]
+        per_phase = settled.sum(axis=1).tolist()
+        for i in range(block):
+            if phase_idx >= _WARMUP:
+                tally = min(replicas, max_phases - phases)
+                phases += tally
+                flips += (per_phase[i] if tally == replicas
+                          else int(settled[i, :tally].sum()))
+                if flips >= min_flips or phases >= max_phases:
+                    return TrialStats(phases=phases, flips=flips)
+            phase_idx += 1
+        maj[:2] = maj[-2:]
 
 
 # --- parallel driver ------------------------------------------------------------
+
+
+def _generator(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """The random stream of a run or a shard: PCG64 seeded by ``seed``."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def substream(seed: int, index: int) -> np.random.SeedSequence:
@@ -431,7 +465,7 @@ def _amp_layer(bits: np.ndarray, pn: PhysicalNoise,
 def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
                    input_bit: int) -> int:
     """Failures among ``size`` trials on the shard's own RNG substream."""
-    rng = np.random.Generator(np.random.Philox(substream(seed, shard)))
+    rng = _generator(substream(seed, shard))
     pn = PhysicalNoise.from_p(p)
     corrector = Idealized(epsilon_of_p(p))
     # the bit to encode is a given input, not a fresh preparation; its own
@@ -466,10 +500,10 @@ def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
     to relax; the estimate moves by well under a standard deviation between
     8 and 24 phases.
 
-    Trials are processed in fixed-size shards, each on its own counter
-    substream of ``seed``, so the result is identical for any ``workers``
-    and any shard execution order.  In the returned stats ``phases``
-    counts scored trials and ``flips`` counts failures.
+    Trials are processed in fixed-size shards, each on its own PCG64
+    stream seeded by a substream of ``seed``, so the result is identical
+    for any ``workers`` and any shard execution order.  In the returned
+    stats ``phases`` counts scored trials and ``flips`` counts failures.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

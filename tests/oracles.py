@@ -22,9 +22,13 @@ probabilities of all 512 gate-failure patterns in rationals.
 steady state: it evaluates a chain's integer coefficients at 50 digits and
 solves the stationary equations with mpmath.
 
-``cascade_shard_bytes`` is of another kind: it replays the encoder shard's
-own draws, but runs the correction phases on one byte per trial bit, the
-register that the bit-packed phases of ``netsim._cascade_shard`` stand for.
+``cascade_shard_bytes`` and ``logical_rate_per_phase`` are of another
+kind: each replays a product function's own draws through another route.
+``cascade_shard_bytes`` runs the encoder shard's correction phases on one
+byte per trial bit, the register that the bit-packed phases of
+``netsim._cascade_shard`` stand for.  ``logical_rate_per_phase`` applies
+the settle rule phase by phase, where ``netsim.estimate_logical_rate``
+resolves it once per mask block.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ def cascade_shard_bytes(p: float, seed: int, shard: int, size: int,
                         phases: int, input_bit: int) -> int:
     """Failures of ``netsim._cascade_shard`` with the same draws in the same
     order, every phase on the (81, size) uint8 register."""
-    rng = np.random.Generator(np.random.Philox(netsim.substream(seed, shard)))
+    rng = netsim._generator(netsim.substream(seed, shard))
     pn = PhysicalNoise.from_p(p)
     corrector = netsim.Idealized(epsilon_of_p(p))
     bits = np.full((1, size), input_bit, np.uint8)
@@ -196,3 +200,39 @@ def cascade_shard_bytes(p: float, seed: int, shard: int, size: int,
         mask = netsim._gate_masks(corrector, rng, 1, bits.size // 3)[0]
         netsim._hypercube_phase(bits, k % netsim.CASCADE_DEPTH, mask)
     return int((netsim._majority(bits) != input_bit).sum())
+
+
+def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,
+                           min_flips: int, max_phases: int) -> tuple[int, int]:
+    """(phases, flips) of ``netsim.estimate_logical_rate`` with the same
+    draws in the same order, the settle rule applied after every phase."""
+    size = 3 ** (n + 1)
+    replicas = max(1, netsim._LANES // size)
+    block = max(1, netsim._MASK_BYTES // (size * replicas))
+    rng = netsim._generator(seed)
+    bits = np.zeros((size, replicas), np.uint8,
+                    order="F" if wiring == "randomized" else "C")
+    logical = np.zeros(replicas, np.uint8)
+    prev = np.zeros(replicas, np.uint8)
+    streak = np.zeros(replicas, np.int64)  # phases at the current majority
+    phases = flips = phase_idx = 0
+    while True:
+        if phase_idx % block == 0:
+            masks = netsim._gate_masks(noise, rng, block, bits.size // 3)
+        mask = masks[phase_idx % block]
+        if wiring == "hypercube":
+            netsim._hypercube_phase(bits, phase_idx % (n + 1), mask)
+        else:
+            netsim._randomized_phase(bits, mask, rng)
+        maj = netsim._majority(bits)
+        streak = np.where(maj == prev, streak + 1, 1)
+        prev = maj
+        settled = (streak >= 3) & (maj != logical)
+        logical = np.where(settled, maj, logical)
+        if phase_idx >= netsim._WARMUP:
+            tally = min(replicas, max_phases - phases)
+            phases += tally
+            flips += int(settled[:tally].sum())
+            if flips >= min_flips or phases >= max_phases:
+                return phases, flips
+        phase_idx += 1

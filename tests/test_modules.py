@@ -79,6 +79,9 @@ def test_package_import_loads_no_submodule_and_no_numpy():
 
 ANALYTIC = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.chains",
             "majmux.rates", "numpy"]
+# a Monte Carlo run builds no chain
+MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
+               "majmux.rates", "numpy"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -88,7 +91,11 @@ ANALYTIC = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.chains",
      ["majmux", "majmux.rates"]),
     (["threshold", "--model", "universal"], ANALYTIC),
     (["sweep", "--model", "level3", "--grid", "0.01:0.1:3"], ANALYTIC),
-], ids=["help", "pcrit", "bound", "threshold", "sweep"])
+    (["simulate", "--model", "vn_mc", "--level", "2", "--eps", "0.1",
+      "--min-flips", "5"], MONTE_CARLO),
+    (["compare-vn", "--eps", "0.1", "--min-flips", "5"], MONTE_CARLO),
+], ids=["help", "pcrit", "bound", "threshold", "sweep", "simulate",
+        "compare-vn"])
 def test_commands_load_only_the_layers_they_run(argv, loaded):
     # run as ``python -m majmux.cli``; the modules are listed at exit
     probe = (f"import atexit, runpy, sys; atexit.register(lambda: {LOADED}); "

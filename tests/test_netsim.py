@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
+import oracles
 from majmux import netsim
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.netsim import (Componentwise, Idealized, TrialStats,
@@ -19,7 +20,7 @@ from majmux.rates import PhysicalNoise, epsilon_of_p
 def _gates(triples, noise, rng):
     """Outputs of one noisy gate per row of an (n, 3) input array."""
     mask = _gate_masks(noise, rng, 1, len(triples))[0]
-    _maj3_layer([triples[:, j] for j in range(3)], mask)
+    _maj3_layer(triples[:, :, None], mask)
     return triples
 
 
@@ -424,8 +425,9 @@ def test_estimator_below_level3_model():
 # their phase kernels with the settle rule (stationary flip flux)
 @pytest.mark.parametrize("n, wiring, noise, exact, phases", [
     (3, "hypercube", Idealized(0.10), 2.261e-3, 50_000),
-    (2, "hypercube", Componentwise.from_p(0.06), 9.227e-3, 25_000)],
-    ids=["idealized_n3", "componentwise_n2"])
+    (2, "hypercube", Componentwise.from_p(0.06), 9.227e-3, 25_000),
+    (3, "randomized", Idealized(0.10), 3.7572e-3, 50_000)],
+    ids=["idealized_n3", "componentwise_n2", "randomized_n3"])
 def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
     flips = sum(estimate_logical_rate(n, wiring, noise, seed,
                                       min_flips=10 ** 9,
@@ -433,6 +435,48 @@ def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
                 for seed in range(8))
     pooled = 8 * phases
     assert abs(flips - pooled * exact) <= 4 * math.sqrt(pooled * exact)
+
+
+# n, noise, min_flips, max_phases: caps that end mid-phase (3001 is no
+# multiple of n=1's 2304 or n=3's 256 replicas), caps below one phase's
+# replicas, stops on the first flip and on a few; the 50 warm-up phases
+# end inside a block of 8
+@pytest.mark.parametrize("wiring", ["hypercube", "randomized"])
+@pytest.mark.parametrize("n, noise, min_flips, max_phases", [
+    (1, Idealized(0.12), 10 ** 9, 3001),
+    (1, Componentwise.from_p(0.05), 10 ** 9, 1),
+    (2, Idealized(0.05), 10 ** 9, 100),
+    (2, Componentwise.from_p(0.05), 1, 10 ** 7),
+    (3, Idealized(0.2), 10 ** 9, 3001),
+    (3, Idealized(0.12), 1, 10 ** 7),
+    (3, Componentwise.from_p(0.05), 5, 10 ** 7)],
+    ids=["n1_mid_phase", "n1_cap1_componentwise", "n2_below_one_phase",
+         "n2_first_flip_componentwise", "n3_mid_phase", "n3_first_flip",
+         "n3_five_flips_componentwise"])
+def test_block_settle_matches_the_per_phase_rule(n, wiring, noise, min_flips,
+                                                 max_phases):
+    for seed in (0, 1):
+        got = estimate_logical_rate(n, wiring, noise, seed,
+                                    min_flips=min_flips,
+                                    max_phases=max_phases)
+        assert (got.phases, got.flips) == oracles.logical_rate_per_phase(
+            n, wiring, noise, seed, min_flips=min_flips,
+            max_phases=max_phases)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_block_settle_matches_at_short_blocks(block, monkeypatch):
+    # wide registers draw one or two phases of masks at a time; a block of
+    # one carries history rows that overlap the rows it copies
+    monkeypatch.setattr(netsim, "_MASK_BYTES", block * netsim._LANES)
+    for wiring in ("hypercube", "randomized"):
+        for min_flips, max_phases in ((10 ** 9, 3001), (3, 10 ** 7)):
+            got = estimate_logical_rate(2, wiring, Idealized(0.12), 5,
+                                        min_flips=min_flips,
+                                        max_phases=max_phases)
+            assert (got.phases, got.flips) == oracles.logical_rate_per_phase(
+                2, wiring, Idealized(0.12), 5, min_flips=min_flips,
+                max_phases=max_phases)
 
 
 def test_estimator_stats_are_consistent():
