@@ -24,8 +24,8 @@ _HOME = {name: module for module, names in (
      "build_level2_chain build_level3_chain pattern_class "
      "propagated_bit_error serialize_chain steady_state"),
     ("netsim", "Componentwise GateNoise Idealized TrialStats cascade_mc "
-     "estimate_logical_rate hypercube_schedule randomized_schedule "
-     "wilson_interval"),
+     "estimate_logical_rate estimate_logical_rates hypercube_schedule "
+     "randomized_schedule wilson_interval"),
     ("analysis", "concat_baseline correction_threshold feedback_constants "
      "p_target sweep universal_threshold"),
 ) for name in names.split()}

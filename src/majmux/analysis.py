@@ -134,33 +134,40 @@ def feedback_constants(p: float) -> tuple[float, float]:
     return meas, p + meas
 
 
-def mc_point(model: str, level: int, use_p: bool, x: float, seed: int,
-             index: int, min_flips: int, max_phases: int) -> SweepRecord:
-    """Simulated logical rate of one grid point, as a record.
+def mc_point(model: str, level: int, use_p: bool, points, seed: int,
+             min_flips: int, max_phases: int) -> list[SweepRecord]:
+    """Simulated logical rates of grid points, as records, in order.
 
     Runs the 3^(level+1)-bit register wired by ``model`` (an ``"mc"`` tag
-    of ``MODELS``) with Idealized(x) gates, or Componentwise gates at
-    physical rate x when ``use_p`` is set, on substream ``index`` of
-    ``seed``.  A gate error x outside (0, 0.5) gives a NaN record with a
-    note.  An empty run budget, then an unknown tag, then a gate error
-    outside [0, 1] or a physical rate outside its domain raises
+    of ``MODELS``) at each (x, index) of ``points``: with Idealized(x)
+    gates, or Componentwise gates at physical rate x when ``use_p`` is
+    set, on substream ``index`` of ``seed``.  The points run as stacks
+    (``netsim.estimate_logical_rates``), and each record is the one its
+    point gives alone.  A gate error x outside (0, 0.5) gives a NaN record
+    with a note.  An empty run budget, then an unknown tag, then a gate
+    error outside [0, 1] or a physical rate outside its domain raises
     ValueError.  It alone loads ``netsim``, which no analytic run needs.
     """
     from .netsim import (Componentwise, Idealized, check_budget,
-                         estimate_logical_rate, substream)
+                         estimate_logical_rates, substream)
     check_budget(level, min_flips, max_phases)
     if model not in model_tags("mc"):
         raise ValueError(f"unknown Monte Carlo model {model!r}; use "
                          + "|".join(model_tags("mc")))
-    noise = Componentwise.from_p(x) if use_p else Idealized(x)
-    if not use_p and not 0.0 < x < 0.5:
-        return SweepRecord(x, math.nan, math.nan, math.nan, model, level,
-                           seed, note="eps outside (0, 0.5)")
-    sub = substream(seed, index).generate_state(2)
-    st = estimate_logical_rate(level, MODELS[model][2], noise,
-                               int(sub[0]) << 32 | int(sub[1]),
-                               min_flips=min_flips, max_phases=max_phases)
-    return SweepRecord(x, st.p_hat, *st.ci95, model, level, seed)
+    runs = {}  # position in points -> (noise, seed) of each point that runs
+    for k, (x, index) in enumerate(points):
+        noise = Componentwise.from_p(x) if use_p else Idealized(x)
+        if use_p or 0.0 < x < 0.5:
+            sub = substream(seed, index).generate_state(2)
+            runs[k] = (noise, int(sub[0]) << 32 | int(sub[1]))
+    stats = dict(zip(runs, estimate_logical_rates(
+        level, MODELS[model][2], runs.values(), min_flips=min_flips,
+        max_phases=max_phases)))
+    return [SweepRecord(x, stats[k].p_hat, *stats[k].ci95, model, level, seed)
+            if k in stats else
+            SweepRecord(x, math.nan, math.nan, math.nan, model, level, seed,
+                        note="eps outside (0, 0.5)")
+            for k, (x, _) in enumerate(points)]
 
 
 def sweep(model: str, grid: Sequence[float], *,

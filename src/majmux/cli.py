@@ -235,12 +235,29 @@ def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
     """Bit-level logical rate of the corrected register."""
+    return _mc_grid(config, [config.model], config.level,
+                    config.p is not None)
+
+
+def _mc_grid(config: RunConfig, models: list, level: int,
+             use_p: bool) -> list[SweepRecord]:
+    """``mc_point`` records of every model at every grid point, x-major.
+
+    Each model's points are dealt round-robin into one share per worker,
+    and each share is one job, one stack of points; every point keeps its
+    grid position's substream, so the records do not depend on the split.
+    """
     from .analysis import mc_point
     from .netsim import run_parallel
-    jobs = [(config.model, config.level, config.p is not None, x,
-             config.seed, i, config.min_flips, config.max_phases)
-            for i, x in enumerate(_parse_grid(config))]
-    return run_parallel(mc_point, jobs, config.workers)
+    points = [(x, i) for i, x in enumerate(_parse_grid(config))]
+    shares = [points[w::config.workers]
+              for w in range(min(config.workers, len(points)))]
+    jobs = [(model, level, use_p, share, config.seed, config.min_flips,
+             config.max_phases) for model in models for share in shares]
+    done = run_parallel(mc_point, jobs, config.workers)
+    records = {(job[0], i): record for job, recs in zip(jobs, done)
+               for (_, i), record in zip(job[3], recs)}
+    return [records[model, i] for _, i in points for model in models]
 
 
 def _cmd_threshold(config: RunConfig) -> list[SweepRecord]:
@@ -286,14 +303,9 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_compare_vn(config: RunConfig) -> list[SweepRecord]:
     """Hypercube wiring vs randomized multiplexing at 81 bits."""
-    from .analysis import mc_point, model_tags
-    from .netsim import run_parallel
+    from .analysis import model_tags
     # x-major over an increasing grid, hypercube_mc first: sorted by x
-    jobs = [(model, 3, False, x, config.seed, i, config.min_flips,
-             config.max_phases)
-            for i, x in enumerate(_parse_grid(config))
-            for model in model_tags("mc")]
-    return run_parallel(mc_point, jobs, config.workers)
+    return _mc_grid(config, model_tags("mc"), 3, False)
 
 
 _COMMANDS = {

@@ -33,6 +33,11 @@ the tracked reference value; after each flip the reference is updated so
 the chain keeps running (the rate measured is per-phase flips of the
 carried majority, matching the analytic chains).
 
+Grid points step together: ``estimate_logical_rates`` stacks up to 8
+points' registers into one array, so each phase is one gate-kernel call
+for all of them, while every point keeps its own random stream, draws and
+tallies, and so the record it would give alone.
+
 The fan-out encoder cascade (``cascade_mc``) reuses these kernels: fan-out
 faults in its amplification, hypercube phases and the majority after it.
 Its phases run the same gate kernel on trials packed eight to a byte.
@@ -162,19 +167,18 @@ def _fault_hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     return rng.integers(0, n, rng.poisson(-n * math.log1p(-p)))
 
 
-def _flip_gates(mask: np.ndarray, hits: np.ndarray, lines) -> None:
+def _flip_gates(xor, hits: np.ndarray, gates: int, lines) -> None:
     """XOR ``lines[j]`` into line j of the gates at ``hits`` (flat indices
-    over blocks * gates) of ``mask`` (blocks, 3, gates)."""
-    gates = mask.shape[2]
-    flat = mask.reshape(-1)
+    over blocks * gates) of a (blocks, 3, gates) mask, through ``xor``."""
     line0 = hits + 2 * gates * (hits // gates)
     for j, flip in enumerate(lines):
-        flat[line0 + j * gates] ^= flip
+        xor(line0 + j * gates, flip)
 
 
-def _fan_out_faults(mask: np.ndarray, pn: PhysicalNoise,
-                    rng: np.random.Generator) -> None:
-    """XOR the faults of noisy fan-out gates into ``mask`` (blocks, 3, gates).
+def _fan_out_faults(xor, pn: PhysicalNoise, rng: np.random.Generator,
+                    blocks: int, gates: int) -> None:
+    """XOR the faults of ``blocks`` layers of ``gates`` noisy fan-out gates
+    into a (blocks, 3, gates) mask through ``xor(flat indices, values)``.
 
     Per gate: a fault class with probability p_c (see _FAN_OUT_FLIPS), a
     flip of the ancilla prepared for each of lines 1 and 2, and a flip of
@@ -182,38 +186,63 @@ def _fan_out_faults(mask: np.ndarray, pn: PhysicalNoise,
     gate hit more than once (see _fault_hits) keeps one class: the class
     draws are written into a per-gate array and read back at every hit.
     """
-    blocks, _, gates = mask.shape
-    flat = mask.reshape(-1)
     hits = _fault_hits(rng, pn.p_c, blocks * gates)
     cls = np.zeros(blocks * gates, np.int8)
     cls[hits] = rng.integers(0, 21, hits.size)
-    _flip_gates(mask, hits, _FAN_OUT_FLIPS[cls[hits]].T)
+    _flip_gates(xor, hits, gates, _FAN_OUT_FLIPS[cls[hits]].T)
     preps = _fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
-    flat[preps + (preps // (2 * gates) + 1) * gates] ^= 1
-    flat[_fault_hits(rng, pn.wire_prep, flat.size)] ^= 1
+    xor(preps + (preps // (2 * gates) + 1) * gates, 1)
+    xor(_fault_hits(rng, pn.wire_prep, blocks * 3 * gates), 1)
+
+
+def _draw_masks(noise: GateNoise, rng: np.random.Generator,
+                masks: np.ndarray, at: int, gates: int) -> None:
+    """Draw the faults of ``gates`` noisy MAJ3 gates per layer into columns
+    at..at + gates - 1 of the zeroed masks (blocks, lines, width).
+
+    The draws and their order are those of a mask of the gates alone
+    (``width == gates``), whatever the width and the offset: a flat index
+    f over (blocks, lines, gates) lands at f + (f // gates) (width - gates)
+    + at of the C-ordered masks.  An Idealized fault flips all three lines
+    together, so its mask has one line: entry [b, 0, g] flips every output
+    of gate g in layer b, one draw per gate.  A Componentwise mask has
+    three and entry [b, j, g] flips output line j.  Its gate is a vote
+    gate whose line 0 feeds a fan-out gate: a vote fault on that line (4/7
+    of its faults) is copied to all three lines, then the fan-out adds its
+    own faults.
+    """
+    blocks, _, width = masks.shape
+    flat = masks.reshape(-1)
+    skip = width - gates
+
+    def slots(f):  # where flat indices over (blocks, lines, gates) land
+        return f + f // gates * skip + at if skip else f
+
+    def xor(f, value):
+        flat[slots(f)] ^= value
+
+    if isinstance(noise, Idealized):  # one write: set, as the masks are 0
+        flat[slots(_fault_hits(rng, noise.epsilon, blocks * gates))] = 1
+        return
+    _flip_gates(xor, _fault_hits(rng, _VOTE_LINE0 * noise.noise.p_c,
+                                 blocks * gates), gates, (1, 1, 1))
+    _fan_out_faults(xor, noise.noise, rng, blocks, gates)
 
 
 def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
                 gates: int) -> np.ndarray:
-    """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates.
+    """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates,
+    shape (blocks, 1, gates) for Idealized gates and (blocks, 3, gates)
+    for Componentwise ones (see _draw_masks)."""
+    masks = np.zeros((blocks, _lines(noise), gates), np.uint8)
+    _draw_masks(noise, rng, masks, 0, gates)
+    return masks
 
-    An Idealized fault flips all three lines together, so its mask has
-    one line, shape (blocks, 1, gates): entry [b, 0, g] flips every output
-    of gate g in layer b, one draw per gate.  A Componentwise mask has
-    shape (blocks, 3, gates) and entry [b, j, g] flips output line j.  Its
-    gate is a vote gate whose line 0 feeds a fan-out gate: a vote fault on
-    that line (4/7 of its faults) is copied to all three lines, then the
-    fan-out adds its own faults.
-    """
-    if isinstance(noise, Idealized):
-        mask = np.zeros((blocks, 1, gates), np.uint8)
-        mask.reshape(-1)[_fault_hits(rng, noise.epsilon, blocks * gates)] = 1
-        return mask
-    mask = np.zeros((blocks, 3, gates), np.uint8)
-    _flip_gates(mask, _fault_hits(rng, _VOTE_LINE0 * noise.noise.p_c,
-                                  blocks * gates), (1, 1, 1))
-    _fan_out_faults(mask, noise.noise, rng)
-    return mask
+
+def _lines(noise: GateNoise) -> int:
+    """Lines of a gate-noise kind's masks: one per output, or one for all
+    three when a fault flips them together."""
+    return 1 if isinstance(noise, Idealized) else 3
 
 
 def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
@@ -232,10 +261,15 @@ def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
 
 
 def _majority(bits: np.ndarray) -> np.ndarray:
-    """Strict majority of each replica (column) of a 0/1 register, as
-    uint8, counted in the narrowest type that holds the size, exactly."""
-    count = bits.sum(axis=0, dtype=np.min_scalar_type(bits.shape[0]))
-    return (count > bits.shape[0] // 2).astype(np.uint8)
+    """Strict majority of each replica of a 0/1 register, as uint8, counted
+    in the narrowest type that holds the size, exactly.
+
+    bits is one register (size, replicas) or a stack of them (points,
+    size, replicas); the majorities come back flat, point by point.
+    """
+    size = bits.shape[-2]
+    count = bits.sum(axis=-2, dtype=np.min_scalar_type(size))
+    return (count > size // 2).astype(np.uint8).reshape(-1)
 
 
 # --- phase kernels ------------------------------------------------------------
@@ -289,21 +323,26 @@ def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
 
 
 def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
-                      rng: np.random.Generator) -> None:
+                      *rngs: np.random.Generator) -> None:
     """One multiplexing phase, in place on the (size, replicas) register.
 
-    Each replica (column) is shuffled (_shuffle_rows), then MAJ3 acts on
-    its triples (k, k + size/3, k + 2 size/3), with mask the layer's (3,
-    bits.size // 3) or (1, bits.size // 3) output mask (see _gate_masks).
-    The outputs stay in shuffled order: the next phase shuffles afresh and
-    the majority ignores order, so the law of every tally is unchanged.
-    Any layout works; ``order="F"`` keeps each replica contiguous.
+    The replicas (columns) fall into ``len(rngs)`` equal runs, and each
+    run is shuffled from its own stream (_shuffle_rows), so a stack of
+    registers shuffles each one as it would alone.  Then MAJ3 acts on each
+    replica's triples (k, k + size/3, k + 2 size/3), with mask the layer's
+    (3, bits.size // 3) or (1, bits.size // 3) output mask (see
+    _gate_masks).  The outputs stay in shuffled order: the next phase
+    shuffles afresh and the majority ignores order, so the law of every
+    tally is unchanged.  Any layout works; ``order="F"`` keeps each
+    replica contiguous.
     """
     size, r = bits.shape
     if size % 3:
         raise ValueError(f"register size {size} is not divisible by 3")
-    _shuffle_rows(bits.T, rng)
-    _maj3_layer(bits.T.reshape(r, 3, size // 3), mask)
+    rows = bits.T
+    for run, rng in zip(rows.reshape(len(rngs), -1, size), rngs):
+        _shuffle_rows(run, rng)
+    _maj3_layer(rows.reshape(r, 3, size // 3), mask)
 
 
 # --- logical rate estimation ----------------------------------------------------
@@ -312,6 +351,7 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
 _WARMUP = 50          # phases discarded per replica before tallying
 _LANES = 20_736       # register bits stepped per phase (81 bits x 256)
 _MASK_BYTES = 165_888  # 3-line mask bytes per draw: 8 phases of 81 x 256
+_STACK = 8            # points stepped together, at most
 
 
 def check_budget(n: int, min_flips: int, max_phases: int) -> None:
@@ -354,59 +394,130 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     counted.
 
     The run is a single deterministic stream: fixed (seed, parameters)
-    reproduce the result bit for bit regardless of how callers schedule it.
+    reproduce the result bit for bit regardless of how callers schedule it
+    and whichever points share its stack (see estimate_logical_rates,
+    whose one-point call this is).
+    """
+    return estimate_logical_rates(n, wiring, [(noise, seed)],
+                                  min_flips=min_flips,
+                                  max_phases=max_phases)[0]
+
+
+def estimate_logical_rates(n: int, wiring: str, points, *,
+                           min_flips: int = 100,
+                           max_phases: int = 10_000_000) -> list[TrialStats]:
+    """``estimate_logical_rate`` of each (noise, seed) of ``points``, in
+    order, the points stepped together in stacks of at most 8 (_STACK).
+
+    A stack is one register array: the hypercube registers lie one after
+    another on the bit axis, (points * 3^(n+1), replicas), and a phase
+    along an axis never straddles two of them, since 3^(axis+1) divides
+    3^(n+1); the randomized ones lie on the replica axis, each point's
+    replicas shuffled from its own stream.  So each phase is one call of
+    the gate kernel for the whole stack.  Each point draws its masks from
+    its own stream, in the order of a run alone, straight into its columns
+    of one mask buffer of at most _STACK * 165,888 bytes; the majority,
+    the block settle rule and the tallies each run once over the stack,
+    and a point leaves the stack when its run stops.  Every record is
+    therefore bit for bit the one-point call's.  The points must share
+    one gate-noise kind (Idealized or Componentwise), or ValueError.
     """
     check_budget(n, min_flips, max_phases)
     if wiring not in ("hypercube", "randomized"):
         raise ValueError(f"unknown wiring {wiring!r}; use hypercube or "
                          "randomized")
+    points = list(points)
+    if len({_lines(noise) for noise, _ in points}) > 1:
+        raise ValueError("a stack's points must share one gate-noise kind, "
+                         "Idealized or Componentwise")
+    return [stats for k in range(0, len(points), _STACK)
+            for stats in _run_stack(n, wiring, points[k:k + _STACK],
+                                    min_flips, max_phases)]
+
+
+def _run_stack(n: int, wiring: str, points: list, min_flips: int,
+               max_phases: int) -> list[TrialStats]:
+    """The records of one stack of (noise, seed) points (see
+    estimate_logical_rates)."""
     size = 3 ** (n + 1)
     replicas = max(1, _LANES // size)
+    gates = size * replicas // 3  # per point and phase
     # mask memory, not the width, bounds how many phases are drawn at
     # once; the count is sized for 3-line masks, so an Idealized draw (one
     # line per gate) fills a third of _MASK_BYTES
     block = max(1, _MASK_BYTES // (size * replicas))
-    rng = _generator(seed)
-    # replica state is one column of each array; the randomized wiring
-    # shuffles within columns, so it keeps them contiguous
-    bits = np.zeros((size, replicas), np.uint8,
-                    order="F" if wiring == "randomized" else "C")
-    # row 2 + i: the majority after phase i of the block; rows 0 and 1
-    # carry the block before's last two (zero at the start, which holds
-    # no new majority against the zero references)
-    maj = np.zeros((block + 2, replicas), np.uint8)
-    logical = np.zeros(replicas, np.uint8)
-    rows = np.arange(1, block + 1)[:, None]  # 1 + phase within the block
-    phases = flips = phase_idx = 0
-    while True:
-        for i, mask in enumerate(_gate_masks(noise, rng, block,
-                                             bits.size // 3)):
+    lines = _lines(points[0][0])
+    streams = [(noise, _generator(seed)) for noise, seed in points]
+    live = list(range(len(points)))  # the points still running, in order
+    buf = np.empty(block * lines * len(points) * gates, np.uint8)
+    # stack[j] holds live[j]'s replicas: (size, replicas), or (replicas,
+    # size) for the randomized wiring, which shuffles within replicas
+    stack = np.zeros((len(points), *((size, replicas) if wiring == "hypercube"
+                                     else (replicas, size))), np.uint8)
+    # row 2 + i: the majorities after phase i of the block, point by
+    # point; rows 0 and 1 carry the block before's last two (zero at the
+    # start, which holds no new majority against the zero references)
+    maj = np.zeros((block + 2, stack.size // size), np.uint8)
+    logical = np.zeros(stack.size // size, np.uint8)
+    keys = 2 * np.arange(1, block + 1, dtype=np.min_scalar_type(
+        2 * block + 1))[:, None]  # 2 (1 + phase within the block)
+    phases, flips = [0] * len(points), [0] * len(points)
+    records = [None] * len(points)
+    phase_idx = 0
+    while live:
+        k = len(live)
+        masks = buf[:block * lines * k * gates].reshape(block, lines,
+                                                        k * gates)
+        masks.fill(0)
+        for j, p in enumerate(live):
+            _draw_masks(*streams[p], masks, j * gates, gates)
+        rngs = [streams[p][1] for p in live]
+        for i, mask in enumerate(masks):
             if wiring == "hypercube":
-                _hypercube_phase(bits, (phase_idx + i) % (n + 1), mask)
+                _hypercube_phase(stack.reshape(-1, replicas),
+                                 (phase_idx + i) % (n + 1), mask)
+                maj[2 + i] = _majority(stack)
             else:
-                _randomized_phase(bits, mask, rng)
-            maj[2 + i] = _majority(bits)
+                bits = stack.reshape(-1, size).T
+                _randomized_phase(bits, mask, *rngs)
+                maj[2 + i] = _majority(bits)
         new = maj[2:]
-        held = (new == maj[1:-1]) & (new == maj[:-2])
+        ref = np.empty((block + 1, maj.shape[1]), keys.dtype)
         # ref[1 + i]: the reference after phase i, the majority of the
-        # last phase that held, or the carried ref[0] if none has; a held
-        # phase settles exactly when it changes the reference
-        last = np.maximum.accumulate(np.where(held, rows, 0), axis=0)
-        ref = np.vstack([logical, np.where(
-            last, np.take_along_axis(new, last - 1, axis=0), logical)])
+        # last phase that held, or the carried ref[0] if none has: the low
+        # bit of a running max over ref[0] (0 or 1) and the keys 2 (1 + i)
+        # + majority of the phases that held; a held phase settles exactly
+        # when it changes the reference
+        np.multiply((new == maj[1:-1]) & (new == maj[:-2]), keys | new,
+                    out=ref[1:])
+        ref[0] = logical
+        for i in range(block):
+            np.maximum(ref[i], ref[i + 1], out=ref[i + 1])
+        ref &= 1
         settled = ref[1:] != ref[:-1]
         logical = ref[-1]
-        per_phase = settled.sum(axis=1).tolist()
-        for i in range(block):
-            if phase_idx >= _WARMUP:
-                tally = min(replicas, max_phases - phases)
-                phases += tally
-                flips += (per_phase[i] if tally == replicas
-                          else int(settled[i, :tally].sum()))
-                if flips >= min_flips or phases >= max_phases:
-                    return TrialStats(phases=phases, flips=flips)
-            phase_idx += 1
+        per_phase = settled.reshape(block, k, replicas).sum(axis=2).tolist()
+        keep = []
+        for j, p in enumerate(live):
+            for i in range(max(0, _WARMUP - phase_idx), block):
+                tally = min(replicas, max_phases - phases[p])
+                phases[p] += tally
+                flips[p] += (per_phase[i][j] if tally == replicas else int(
+                    settled[i, j * replicas:j * replicas + tally].sum()))
+                if flips[p] >= min_flips or phases[p] >= max_phases:
+                    records[p] = TrialStats(phases=phases[p], flips=flips[p])
+                    break
+            else:
+                keep.append(j)
+        phase_idx += block
         maj[:2] = maj[-2:]
+        if len(keep) < k:  # the stopped points leave the stack
+            live = [live[j] for j in keep]
+            stack = stack[keep]
+            maj = maj.reshape(block + 2, k, replicas)[:, keep].reshape(
+                block + 2, -1)
+            logical = logical.reshape(k, replicas)[keep].reshape(-1)
+    return records
 
 
 # --- parallel driver ------------------------------------------------------------
@@ -455,8 +566,12 @@ def _amp_layer(bits: np.ndarray, pn: PhysicalNoise,
     votes across the three independently amplified thirds of the code.
     """
     c, r = bits.shape
-    mask = np.zeros((1, 3, c * r), np.uint8)
-    _fan_out_faults(mask, pn, rng)
+    mask = np.zeros(3 * c * r, np.uint8)
+
+    def xor(f, value):
+        mask[f] ^= value
+
+    _fan_out_faults(xor, pn, rng, 1, c * r)
     lines = mask.reshape(3, c, r)
     lines ^= bits
     return lines.reshape(3 * c, r)

@@ -165,23 +165,25 @@ def test_sweep_validates_grid_and_model():
 
 def test_mc_point_checks_budget_then_tag_then_domain():
     with pytest.raises(ValueError, match="unknown Monte Carlo model 'bogus'"):
-        mc_point("bogus", 1, False, 0.1, 0, 0, 5, 1000)
+        mc_point("bogus", 1, False, [(0.1, 0)], 0, 5, 1000)
     with pytest.raises(ValueError, match="budget"):
-        mc_point("bogus", 1, False, 0.1, 0, 0, 0, 1000)
+        mc_point("bogus", 1, False, [(0.1, 0)], 0, 0, 1000)
     # an unknown tag is refused before a gate error that would give a NaN
     # row (0.7) or raise (1.5)
     for x in (0.7, 1.5):
         with pytest.raises(ValueError, match="'bogus'"):
-            mc_point("bogus", 1, False, x, 0, 0, 5, 1000)
+            mc_point("bogus", 1, False, [(x, 0)], 0, 5, 1000)
+    # a bad point anywhere in the list refuses the whole list
     with pytest.raises(ValueError, match="outside"):
-        mc_point("vn_mc", 1, False, 1.5, 0, 0, 5, 1000)
+        mc_point("vn_mc", 1, False, [(0.1, 0), (1.5, 1)], 0, 5, 1000)
 
 
 def _mc_grid(model, grid, seed, min_flips, workers=1):
-    """An 81-bit Idealized grid as `simulate --level 3 --grid` runs it."""
-    jobs = [(model, 3, False, x, seed, i, min_flips, 10_000_000)
+    """An 81-bit Idealized grid as `simulate --level 3 --grid` runs it,
+    one point per job."""
+    jobs = [(model, 3, False, [(x, i)], seed, min_flips, 10_000_000)
             for i, x in enumerate(grid)]
-    return run_parallel(mc_point, jobs, workers)
+    return [r for recs in run_parallel(mc_point, jobs, workers) for r in recs]
 
 
 def test_sweep_mc_worker_invariant_and_sorted():
@@ -194,6 +196,17 @@ def test_sweep_mc_worker_invariant_and_sorted():
         assert isinstance(r, SweepRecord)
         assert r.y_lo <= r.y <= r.y_hi
         assert r.model == "vn_mc" and r.n == 3 and r.seed == 5
+
+
+def test_mc_point_list_gives_each_point_its_own_record():
+    # NaN points between running ones leave the others' records alone
+    points = [(0.1, 0), (0.7, 1), (0.12, 2), (0.0, 3), (0.14, 4)]
+    for model in ("hypercube_mc", "vn_mc"):
+        alone = [r for point in points
+                 for r in mc_point(model, 2, False, [point], 6, 30, 50_000)]
+        together = mc_point(model, 2, False, points, 6, 30, 50_000)
+        assert repr(together) == repr(alone)
+        assert [math.isnan(r.y) for r in together] == [0, 1, 0, 1, 0]
 
 
 def test_sweep_mc_seed_matters_and_domain_noted():

@@ -106,14 +106,34 @@ def test_nan_rows_survive_both_formats(tmp_path):
         assert math.isnan(recs[1].y)
 
 
+def _worker_bytes(base, tmp_path):
+    """The artifact of ``base`` at 1, 2 and 3 workers."""
+    out = []
+    for workers in ("1", "2", "3"):
+        path = tmp_path / f"w{workers}.csv"
+        assert main(base + ["--out", str(path), "--workers", workers]) == 0
+        out.append(path.read_bytes())
+    return out
+
+
 def test_simulate_worker_byte_identity(tmp_path):
-    a = tmp_path / "w1.csv"
-    b = tmp_path / "w3.csv"
-    base = ["simulate", "--model", "hypercube_mc", "--level", "2",
-            "--grid", "0.1:0.14:3", "--min-flips", "40", "--seed", "9"]
-    assert main(base + ["--out", str(a), "--workers", "1"]) == 0
-    assert main(base + ["--out", str(b), "--workers", "3"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # 1, 2 and 3 workers split the grid into one, two and three stacks,
+    # and a NaN point and stops at min_flips and at the cap all take part
+    for base in (
+            ["simulate", "--model", "hypercube_mc", "--level", "2",
+             "--grid", "0.1:0.14:3", "--min-flips", "40", "--seed", "9"],
+            ["simulate", "--model", "vn_mc", "--level", "2",
+             "--grid", "0:0.15:4", "--min-flips", "40", "--max-phases",
+             "30000", "--seed", "9"]):
+        a, b, c = _worker_bytes(base, tmp_path)
+        assert a == b == c
+
+
+def test_compare_vn_worker_byte_identity(tmp_path):
+    a, b, c = _worker_bytes(["compare-vn", "--grid", "0.1:0.13:4",
+                             "--min-flips", "20", "--max-phases", "40000",
+                             "--seed", "3"], tmp_path)
+    assert a == b == c
 
 
 def test_encode_worker_byte_identity(tmp_path):

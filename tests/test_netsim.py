@@ -10,7 +10,8 @@ import oracles
 from majmux import netsim
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.netsim import (Componentwise, Idealized, TrialStats,
-                           estimate_logical_rate, wilson_interval,
+                           estimate_logical_rate, estimate_logical_rates,
+                           wilson_interval,
                            _FAN_OUT_FLIPS, _fault_hits,
                            _gate_masks, _hypercube_phase, _maj3_layer,
                            _majority, _randomized_phase, _shuffle_rows)
@@ -378,21 +379,29 @@ def test_estimator_cap_is_exact(n, wiring):
 
 
 def test_estimator_mask_memory_is_bounded(monkeypatch):
-    # the masks of one draw stay at the 64 x 81 x 32 bytes of a narrow
-    # lockstep, however wide the register or the lockstep grows
-    drawn = []
+    # each point's draw stays at the 8 phases x 81 x 256 three-line masks
+    # of the n=3 lockstep, 165,888 bytes, however wide the register grows,
+    # and a stack draws every point's masks into one buffer of at most 8
+    # (_STACK) such draws, 1,327,104 bytes, however many points it is given
+    drawn, buffers = [], []
+    draw = netsim._draw_masks
 
-    def recording(*args):
-        masks = _gate_masks(*args)
-        drawn.append(masks.nbytes)
-        return masks
+    def recording(noise, rng, masks, at, gates):
+        drawn.append(masks.shape[0] * masks.shape[1] * gates)
+        buffers.append(masks.base.nbytes)
+        draw(noise, rng, masks, at, gates)
 
-    monkeypatch.setattr(netsim, "_gate_masks", recording)
+    monkeypatch.setattr(netsim, "_draw_masks", recording)
     for n in range(1, 6):
-        drawn.clear()
-        estimate_logical_rate(n, "hypercube", Idealized(0.1),
-                              seed=0, min_flips=10 ** 9, max_phases=1)
-        assert drawn and max(drawn) <= 165_888, (n, drawn)
+        for noise in (Idealized(0.1), Componentwise.from_p(0.05)):
+            for count in (1, 11):
+                drawn.clear()
+                buffers.clear()
+                estimate_logical_rates(n, "hypercube",
+                                       [(noise, s) for s in range(count)],
+                                       min_flips=10 ** 9, max_phases=1)
+                assert max(drawn) <= 165_888, (n, drawn)
+                assert max(buffers) <= 1_327_104, (n, buffers)
 
 
 def test_estimator_rate_increases_with_noise():
@@ -429,10 +438,10 @@ def test_estimator_below_level3_model():
     (3, "randomized", Idealized(0.10), 3.7572e-3, 50_000)],
     ids=["idealized_n3", "componentwise_n2", "randomized_n3"])
 def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
-    flips = sum(estimate_logical_rate(n, wiring, noise, seed,
-                                      min_flips=10 ** 9,
-                                      max_phases=phases).flips
-                for seed in range(8))
+    # the 8 seeds run as one stack
+    flips = sum(st.flips for st in estimate_logical_rates(
+        n, wiring, [(noise, seed) for seed in range(8)], min_flips=10 ** 9,
+        max_phases=phases))
     pooled = 8 * phases
     assert abs(flips - pooled * exact) <= 4 * math.sqrt(pooled * exact)
 
@@ -477,6 +486,68 @@ def test_block_settle_matches_at_short_blocks(block, monkeypatch):
             assert (got.phases, got.flips) == oracles.logical_rate_per_phase(
                 2, wiring, Idealized(0.12), 5, min_flips=min_flips,
                 max_phases=max_phases)
+
+
+# min_flips and max_phases: caps that end mid-phase (3001 is no multiple
+# of any lockstep width), caps below one phase's replicas, and min_flips
+# stops that make the points leave the stack in different blocks
+_BUDGETS = [(10 ** 9, 3001), (10 ** 9, 1), (20, 60_000)]
+
+
+@pytest.mark.parametrize("kind", ["idealized", "componentwise"])
+@pytest.mark.parametrize("wiring", ["hypercube", "randomized"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_runs_match_one_point_runs(n, wiring, kind):
+    # rates far apart: at every n the middle point stops early and the
+    # first runs on
+    noises = ([Idealized(x) for x in (0.01, 0.3, 0.1)] if kind == "idealized"
+              else [Componentwise.from_p(p) for p in (0.005, 0.12, 0.05)])
+    points = list(zip(noises, (3, 1, 2)))
+    for min_flips, max_phases in _BUDGETS:
+        got = estimate_logical_rates(n, wiring, points, min_flips=min_flips,
+                                     max_phases=max_phases)
+        assert got == [estimate_logical_rate(n, wiring, noise, seed,
+                                             min_flips=min_flips,
+                                             max_phases=max_phases)
+                       for noise, seed in points]
+        assert [(st.phases, st.flips) for st in got] == [
+            oracles.logical_rate_per_phase(n, wiring, noise, seed,
+                                           min_flips=min_flips,
+                                           max_phases=max_phases)
+            for noise, seed in points]
+        if min_flips == 20:  # the points left the stack in different blocks
+            # of 8 phases: a run stops at phase 49 + ceil(phases / replicas)
+            replicas = netsim._LANES // 3 ** (n + 1)
+            blocks = {(netsim._WARMUP - 1 - (-st.phases // replicas)) // 8
+                      for st in got}
+            assert len(blocks) > 1, got
+
+
+@pytest.mark.parametrize("wiring", ["hypercube", "randomized"])
+def test_any_split_into_stacks_gives_the_same_records(wiring, monkeypatch):
+    # noisy points leave in different blocks while the others' majorities
+    # still move, so the history each carries into the next block counts
+    points = [(Idealized(x), seed) for seed, x in
+              enumerate((0.12, 0.3, 0.16, 0.25, 0.2, 0.35, 0.14))]
+    budget = dict(min_flips=1000, max_phases=60_000)
+    whole = estimate_logical_rates(2, wiring, points, **budget)
+    assert len(whole) == 7
+    for cut in (1, 3, 6):
+        assert whole == (estimate_logical_rates(2, wiring, points[:cut],
+                                                **budget)
+                         + estimate_logical_rates(2, wiring, points[cut:],
+                                                  **budget))
+    for stack in (1, 2, 3, 5):
+        monkeypatch.setattr(netsim, "_STACK", stack)
+        assert estimate_logical_rates(2, wiring, points, **budget) == whole
+
+
+def test_stack_refuses_mixed_noise_kinds():
+    with pytest.raises(ValueError, match="one gate-noise kind"):
+        estimate_logical_rates(2, "hypercube", [
+            (Idealized(0.1), 0), (Componentwise.from_p(0.05), 1)],
+            max_phases=1)
+    assert estimate_logical_rates(2, "hypercube", []) == []
 
 
 def test_estimator_stats_are_consistent():

@@ -84,9 +84,12 @@ SEEDS = st.integers(0, 2 ** 63)
        grid=st.lists(st.floats(0.05, 0.2), min_size=2, max_size=3,
                      unique=True).map(sorted))
 def test_mc_points_do_not_depend_on_workers(seed, model, level, grid):
-    jobs = [(model, level, False, x, seed, i, 20, 20_000)
-            for i, x in enumerate(grid)]
-    assert run_parallel(mc_point, jobs, 1) == run_parallel(mc_point, jobs, 2)
+    # one point per job on two workers, or the whole grid as one stack
+    points = list(zip(grid, range(len(grid))))
+    jobs = [(model, level, False, [point], seed, 20, 20_000)
+            for point in points]
+    alone = [r for recs in run_parallel(mc_point, jobs, 2) for r in recs]
+    assert alone == mc_point(model, level, False, points, seed, 20, 20_000)
 
 
 @few
