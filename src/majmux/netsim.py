@@ -21,12 +21,13 @@ vote gate and the fan-out gate each draw an error class flipping exactly
 with probability (2/3) p.
 
 Gate noise is sampled sparsely: a gate layer is its noiseless bitwise
-majority XOR a uint8 mask, one line of it for Idealized gates (a fault
-flips all three outputs alike) and one per output line for Componentwise
-gates.  The masks are built from a Poisson number of uniform hits, which
-by Poisson splitting hit every slot independently with exactly its
-Bernoulli probability (_fault_hits), so their cost grows with the number
-of faults, not with the number of gates.
+majority XOR a uint8 mask.  Every gate first draws its vote line, whose
+fault flips all three outputs alike.  That line is an Idealized gate's
+whole mask; a Componentwise gate repeats it onto its three output lines,
+then XORs in its fan-out gate's own faults.  The masks are built from a
+Poisson number of uniform hits, which by Poisson splitting hit every slot
+independently with exactly its Bernoulli probability (_fault_hits), so
+their cost grows with the number of faults, not with the number of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -167,18 +168,10 @@ def _fault_hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     return rng.integers(0, n, rng.poisson(-n * math.log1p(-p)))
 
 
-def _flip_gates(xor, hits: np.ndarray, gates: int, lines) -> None:
-    """XOR ``lines[j]`` into line j of the gates at ``hits`` (flat indices
-    over blocks * gates) of a (blocks, 3, gates) mask, through ``xor``."""
-    line0 = hits + 2 * gates * (hits // gates)
-    for j, flip in enumerate(lines):
-        xor(line0 + j * gates, flip)
-
-
-def _fan_out_faults(xor, pn: PhysicalNoise, rng: np.random.Generator,
-                    blocks: int, gates: int) -> None:
+def _fan_out_faults(flat: np.ndarray, pn: PhysicalNoise,
+                    rng: np.random.Generator, blocks: int, gates: int) -> None:
     """XOR the faults of ``blocks`` layers of ``gates`` noisy fan-out gates
-    into a (blocks, 3, gates) mask through ``xor(flat indices, values)``.
+    into ``flat``, a C-ordered (blocks, 3, gates) mask read flat.
 
     Per gate: a fault class with probability p_c (see _FAN_OUT_FLIPS), a
     flip of the ancilla prepared for each of lines 1 and 2, and a flip of
@@ -189,53 +182,37 @@ def _fan_out_faults(xor, pn: PhysicalNoise, rng: np.random.Generator,
     hits = _fault_hits(rng, pn.p_c, blocks * gates)
     cls = np.zeros(blocks * gates, np.int8)
     cls[hits] = rng.integers(0, 21, hits.size)
-    _flip_gates(xor, hits, gates, _FAN_OUT_FLIPS[cls[hits]].T)
+    line0 = hits + 2 * gates * (hits // gates)
+    for j, flip in enumerate(_FAN_OUT_FLIPS[cls[hits]].T):
+        flat[line0 + j * gates] ^= flip
     preps = _fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
-    xor(preps + (preps // (2 * gates) + 1) * gates, 1)
-    xor(_fault_hits(rng, pn.wire_prep, blocks * 3 * gates), 1)
-
-
-def _draw_masks(noise: GateNoise, rng: np.random.Generator,
-                masks: np.ndarray, at: int, gates: int) -> None:
-    """Draw the faults of ``gates`` noisy MAJ3 gates per layer into columns
-    at..at + gates - 1 of the zeroed masks (blocks, lines, width).
-
-    The draws and their order are those of a mask of the gates alone
-    (``width == gates``), whatever the width and the offset: a flat index
-    f over (blocks, lines, gates) lands at f + (f // gates) (width - gates)
-    + at of the C-ordered masks.  An Idealized fault flips all three lines
-    together, so its mask has one line: entry [b, 0, g] flips every output
-    of gate g in layer b, one draw per gate.  A Componentwise mask has
-    three and entry [b, j, g] flips output line j.  Its gate is a vote
-    gate whose line 0 feeds a fan-out gate: a vote fault on that line (4/7
-    of its faults) is copied to all three lines, then the fan-out adds its
-    own faults.
-    """
-    blocks, _, width = masks.shape
-    flat = masks.reshape(-1)
-    skip = width - gates
-
-    def slots(f):  # where flat indices over (blocks, lines, gates) land
-        return f + f // gates * skip + at if skip else f
-
-    def xor(f, value):
-        flat[slots(f)] ^= value
-
-    if isinstance(noise, Idealized):  # one write: set, as the masks are 0
-        flat[slots(_fault_hits(rng, noise.epsilon, blocks * gates))] = 1
-        return
-    _flip_gates(xor, _fault_hits(rng, _VOTE_LINE0 * noise.noise.p_c,
-                                 blocks * gates), gates, (1, 1, 1))
-    _fan_out_faults(xor, noise.noise, rng, blocks, gates)
+    flat[preps + (preps // (2 * gates) + 1) * gates] ^= 1
+    flat[_fault_hits(rng, pn.wire_prep, blocks * 3 * gates)] ^= 1
 
 
 def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
                 gates: int) -> np.ndarray:
-    """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates,
-    shape (blocks, 1, gates) for Idealized gates and (blocks, 3, gates)
-    for Componentwise ones (see _draw_masks)."""
-    masks = np.zeros((blocks, _lines(noise), gates), np.uint8)
-    _draw_masks(noise, rng, masks, 0, gates)
+    """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates.
+
+    Every gate first draws its vote line, one (blocks, 1, gates) line that
+    is hit with probability eps for Idealized gates and (4/7) p_c for
+    Componentwise ones.  An Idealized fault flips all three outputs alike,
+    so its mask is that line: entry [b, 0, g] flips every output of gate g
+    in layer b.  A Componentwise gate is a vote gate whose line 0 feeds a
+    fan-out gate: a vote fault on that line (4/7 of its faults) reaches all
+    three outputs, so the line is repeated onto three lines, entry [b, j,
+    g] flipping output line j, and the fan-out then adds its own faults
+    (_fan_out_faults).
+    """
+    ideal = isinstance(noise, Idealized)
+    vote = np.zeros((blocks, 1, gates), np.uint8)
+    vote.reshape(-1)[_fault_hits(
+        rng, noise.epsilon if ideal else _VOTE_LINE0 * noise.noise.p_c,
+        blocks * gates)] = 1
+    if ideal:
+        return vote
+    masks = vote.repeat(3, axis=1)
+    _fan_out_faults(masks.reshape(-1), noise.noise, rng, blocks, gates)
     return masks
 
 
@@ -414,19 +391,24 @@ def estimate_logical_rates(n: int, wiring: str, points, *,
     along an axis never straddles two of them, since 3^(axis+1) divides
     3^(n+1); the randomized ones lie on the replica axis, each point's
     replicas shuffled from its own stream.  So each phase is one call of
-    the gate kernel for the whole stack.  Each point draws its masks from
-    its own stream, in the order of a run alone, straight into its columns
-    of one mask buffer of at most _STACK * 165,888 bytes; the majority,
-    the block settle rule and the tallies each run once over the stack,
-    and a point leaves the stack when its run stops.  Every record is
-    therefore bit for bit the one-point call's.  The points must share
-    one gate-noise kind (Idealized or Componentwise), or ValueError.
+    the gate kernel for the whole stack.  Each point draws its own
+    contiguous masks from its own stream, as a run alone does
+    (_gate_masks), and they are copied into its columns of one mask buffer
+    of at most _STACK * 165,888 bytes; the majority, the block settle rule
+    and the tallies each run once over the stack, and a point leaves the
+    stack when its run stops.  Every record is therefore bit for bit the
+    one-point call's.  Every point's noise must be Idealized or
+    Componentwise, all of one kind, or ValueError before any draw.
     """
     check_budget(n, min_flips, max_phases)
     if wiring not in ("hypercube", "randomized"):
         raise ValueError(f"unknown wiring {wiring!r}; use hypercube or "
                          "randomized")
     points = list(points)
+    for noise, _ in points:
+        if not isinstance(noise, GateNoise):
+            raise ValueError(f"gate noise {noise!r} is neither Idealized nor "
+                             "Componentwise")
     if len({_lines(noise) for noise, _ in points}) > 1:
         raise ValueError("a stack's points must share one gate-noise kind, "
                          "Idealized or Componentwise")
@@ -468,9 +450,9 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
         k = len(live)
         masks = buf[:block * lines * k * gates].reshape(block, lines,
                                                         k * gates)
-        masks.fill(0)
         for j, p in enumerate(live):
-            _draw_masks(*streams[p], masks, j * gates, gates)
+            masks[:, :, j * gates:(j + 1) * gates] = _gate_masks(
+                *streams[p], block, gates)
         rngs = [streams[p][1] for p in live]
         for i, mask in enumerate(masks):
             if wiring == "hypercube":
@@ -535,12 +517,15 @@ def substream(seed: int, index: int) -> np.random.SeedSequence:
 
 
 def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
-    """``[fn(*job) for job in jobs]``, on a process pool when workers > 1.
+    """``[fn(*job) for job in jobs]``, on a process pool when workers > 1
+    (workers >= 1, or ValueError).
 
     Every job seeds itself from its own substream, so the results are the
     same for any worker count and any execution order.  The pool module
     is imported only here, so a one-worker run never loads it.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -567,11 +552,7 @@ def _amp_layer(bits: np.ndarray, pn: PhysicalNoise,
     """
     c, r = bits.shape
     mask = np.zeros(3 * c * r, np.uint8)
-
-    def xor(f, value):
-        mask[f] ^= value
-
-    _fan_out_faults(xor, pn, rng, 1, c * r)
+    _fan_out_faults(mask, pn, rng, 1, c * r)
     lines = mask.reshape(3, c, r)
     lines ^= bits
     return lines.reshape(3 * c, r)

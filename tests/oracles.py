@@ -22,13 +22,15 @@ probabilities of all 512 gate-failure patterns in rationals.
 steady state: it evaluates a chain's integer coefficients at 50 digits and
 solves the stationary equations with mpmath.
 
-``cascade_shard_bytes`` and ``logical_rate_per_phase`` are of another
-kind: each replays a product function's own draws through another route.
-``cascade_shard_bytes`` runs the encoder shard's correction phases on one
-byte per trial bit, the register that the bit-packed phases of
-``netsim._cascade_shard`` stand for.  ``logical_rate_per_phase`` applies
-the settle rule phase by phase, where ``netsim.estimate_logical_rate``
-resolves it once per mask block.
+``cascade_shard_bytes``, ``gate_masks_loop`` and ``logical_rate_per_phase``
+are of another kind: each replays a product function's own draws through
+another route.  ``cascade_shard_bytes`` runs the encoder shard's
+correction phases on one byte per trial bit, the register that the
+bit-packed phases of ``netsim._cascade_shard`` stand for.
+``gate_masks_loop`` writes the gate masks of ``netsim._gate_masks`` one
+fault hit at a time.  ``logical_rate_per_phase`` applies the settle rule
+phase by phase, where ``netsim.estimate_logical_rate`` resolves it once
+per mask block.
 """
 
 from __future__ import annotations
@@ -200,6 +202,38 @@ def cascade_shard_bytes(p: float, seed: int, shard: int, size: int,
         mask = netsim._gate_masks(corrector, rng, 1, bits.size // 3)[0]
         netsim._hypercube_phase(bits, k % netsim.CASCADE_DEPTH, mask)
     return int((netsim._majority(bits) != input_bit).sum())
+
+
+def gate_masks_loop(noise, rng, blocks: int, gates: int) -> np.ndarray:
+    """``netsim._gate_masks`` with the same draws in the same order, each
+    hit written on its own in a Python loop: a slot hit more than once
+    flips once, and a fan-out gate hit more than once keeps its last class
+    draw.  Class v = 3 slot + pick flips line ``pick`` (slot < 3), every
+    line but ``pick`` (slot 3-5) or all three (slot 6)."""
+    ideal = isinstance(noise, netsim.Idealized)
+    masks = np.zeros((blocks, 1 if ideal else 3, gates), np.uint8)
+    vote = noise.epsilon if ideal else 4.0 / 7.0 * noise.noise.p_c
+    for f in netsim._fault_hits(rng, vote, blocks * gates).tolist():
+        masks[f // gates, :, f % gates] = 1
+    if ideal:
+        return masks
+    pn = noise.noise
+    hits = netsim._fault_hits(rng, pn.p_c, blocks * gates).tolist()
+    classes = dict(zip(hits, rng.integers(0, 21, len(hits)).tolist()))
+    for f, v in classes.items():
+        slot, pick = divmod(v, 3)
+        for j in range(3):
+            if slot == 6 or (slot < 3) == (j == pick):
+                masks[f // gates, j, f % gates] ^= 1
+    preps = netsim._fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
+    for f in dict.fromkeys(preps.tolist()):
+        b, r = divmod(f, 2 * gates)
+        masks[b, 1 + r // gates, r % gates] ^= 1
+    wires = netsim._fault_hits(rng, pn.wire_prep, blocks * 3 * gates)
+    for f in dict.fromkeys(wires.tolist()):
+        b, r = divmod(f, 3 * gates)
+        masks[b, r // gates, r % gates] ^= 1
+    return masks
 
 
 def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,

@@ -122,6 +122,9 @@ def test_mc_validation():
     for phases in (0, -3):
         with pytest.raises(ValueError, match="phases"):
             cascade_mc(0.02, seed=1, trials=10, phases=phases)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            cascade_mc(0.02, seed=1, trials=1000, workers=workers)
 
 
 def test_mc_zero_noise_never_fails():

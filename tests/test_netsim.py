@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import types
 
 import numpy as np
@@ -381,27 +382,49 @@ def test_estimator_cap_is_exact(n, wiring):
 def test_estimator_mask_memory_is_bounded(monkeypatch):
     # each point's draw stays at the 8 phases x 81 x 256 three-line masks
     # of the n=3 lockstep, 165,888 bytes, however wide the register grows,
-    # and a stack draws every point's masks into one buffer of at most 8
-    # (_STACK) such draws, 1,327,104 bytes, however many points it is given
-    drawn, buffers = [], []
-    draw = netsim._draw_masks
+    # and a stack copies at most 8 (_STACK) points' draws into one buffer,
+    # 1,327,104 bytes, however many points it is given
+    drawn, stacked = [], []
+    draw, run = netsim._gate_masks, netsim._run_stack
 
-    def recording(noise, rng, masks, at, gates):
-        drawn.append(masks.shape[0] * masks.shape[1] * gates)
-        buffers.append(masks.base.nbytes)
-        draw(noise, rng, masks, at, gates)
+    def drawing(*args):
+        masks = draw(*args)
+        drawn.append(masks.nbytes)
+        return masks
 
-    monkeypatch.setattr(netsim, "_draw_masks", recording)
+    def running(n, wiring, points, *budget):
+        stacked.append(len(points))
+        return run(n, wiring, points, *budget)
+
+    monkeypatch.setattr(netsim, "_gate_masks", drawing)
+    monkeypatch.setattr(netsim, "_run_stack", running)
     for n in range(1, 6):
         for noise in (Idealized(0.1), Componentwise.from_p(0.05)):
             for count in (1, 11):
                 drawn.clear()
-                buffers.clear()
+                stacked.clear()
                 estimate_logical_rates(n, "hypercube",
                                        [(noise, s) for s in range(count)],
                                        min_flips=10 ** 9, max_phases=1)
                 assert max(drawn) <= 165_888, (n, drawn)
-                assert max(buffers) <= 1_327_104, (n, buffers)
+                assert max(stacked) * max(drawn) <= 1_327_104, (n, stacked)
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+@pytest.mark.parametrize("noise", [
+    Idealized(0.0), Idealized(0.05), Idealized(1.0),
+    Componentwise.from_p(0.0), Componentwise.from_p(0.05),
+    Componentwise.from_p(1.0), Componentwise(PhysicalNoise(1.0, 1.0, 1.0))],
+    ids=["ideal0", "ideal0.05", "ideal1", "comp0", "comp0.05", "comp1",
+         "comp_all_hit"])
+def test_gate_masks_match_a_hit_by_hit_loop(noise, blocks):
+    # the same draws written one hit at a time give the same bytes; p = 1
+    # (and every share at 1) takes the arange path of _fault_hits
+    got = _gate_masks(noise, np.random.default_rng(7), blocks, 300)
+    want = oracles.gate_masks_loop(noise, np.random.default_rng(7), blocks,
+                                   300)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_estimator_rate_increases_with_noise():
@@ -540,6 +563,26 @@ def test_any_split_into_stacks_gives_the_same_records(wiring, monkeypatch):
     for stack in (1, 2, 3, 5):
         monkeypatch.setattr(netsim, "_STACK", stack)
         assert estimate_logical_rates(2, wiring, points, **budget) == whole
+
+
+@pytest.mark.parametrize("bad", [0.1, None, PhysicalNoise.from_p(0.05)])
+def test_estimator_refuses_unknown_noise_before_any_draw(bad, monkeypatch):
+    def drawing(*args):
+        raise AssertionError("drew masks")
+
+    monkeypatch.setattr(netsim, "_gate_masks", drawing)
+    with pytest.raises(ValueError, match="neither Idealized nor Componentwise"):
+        estimate_logical_rate(2, "hypercube", bad, 1)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        estimate_logical_rates(2, "hypercube",
+                               [(Idealized(0.1), 0), (bad, 1)], max_phases=1)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_parallel_refuses_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        netsim.run_parallel(abs, [(1,), (-2,)], workers)
+    assert netsim.run_parallel(abs, [(1,), (-2,)], 1) == [1, 2]
 
 
 def test_stack_refuses_mixed_noise_kinds():
