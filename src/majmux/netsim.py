@@ -9,8 +9,11 @@ gates under one of two wirings:
 * ``randomized``: each phase shuffles all bits afresh and applies MAJ3 to
   triples of the shuffled order (classic multiplexing).  Sorting 32-bit
   keys, 31 random bits above the bit itself, shuffles exactly uniformly,
-  redrawn on a tie.  Outputs stay in shuffled order, with no write-back:
-  the next phase shuffles afresh and the majority ignores order.
+  redrawn on a tie; the keys live in one buffer of one register's size,
+  reused by every point of a stack and every phase, and their low bits
+  go straight back into the register.  Outputs stay in shuffled order,
+  with no write-back: the next phase shuffles afresh and the majority
+  ignores order.
 
 Two gate-noise models are provided.  ``Idealized`` treats the MAJ3 as a
 black box whose three identical outputs are all flipped together with
@@ -21,13 +24,15 @@ vote gate and the fan-out gate each draw an error class flipping exactly
 with probability (2/3) p.
 
 Gate noise is sampled sparsely: a gate layer is its noiseless bitwise
-majority XOR a uint8 mask.  Every gate first draws its vote line, whose
-fault flips all three outputs alike.  That line is an Idealized gate's
-whole mask; a Componentwise gate repeats it onto its three output lines,
-then XORs in its fan-out gate's own faults.  The masks are built from a
-Poisson number of uniform hits, which by Poisson splitting hit every slot
-independently with exactly its Bernoulli probability (_fault_hits), so
-their cost grows with the number of faults, not with the number of gates.
+majority XOR a uint8 mask, one line XORed once and copied onto the three
+outputs, or three lines XORed one output line each (_maj3_layer).  Every
+gate first draws its vote line, whose fault flips all three outputs
+alike.  That line is an Idealized gate's whole mask; a Componentwise
+gate repeats it onto its three output lines, then XORs in its fan-out
+gate's own faults.  The masks are built from a Poisson number of uniform
+hits, which by Poisson splitting hit every slot independently with
+exactly its Bernoulli probability (_fault_hits), so their cost grows
+with the number of faults, not with the number of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -227,14 +232,25 @@ def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
 
     Gate (g, l) reads ``gates[g, :, l]``; its output line j then holds
     their majority XOR ``mask[j, g * L + l]``.  mask has shape (3, G * L),
-    or (1, G * L) when one line flips all three outputs (see _gate_masks),
-    and one XOR writes all three lines, broadcasting a one-line mask.
+    or (1, G * L) when one line flips all three outputs (see _gate_masks):
+    that line is XORed once into the majority, which is then copied onto
+    the three lines.  A three-line mask is XORed in line by line, in one
+    call that walks the (line, G, L) view of the outputs, so each line's
+    mask is read in order even where L is short (27 lanes on the
+    randomized wiring's replica-major rows).
     """
     a, b, c = gates[:, 0], gates[:, 1], gates[:, 2]
-    m = (a & b) | (c & (a | b))
+    m = a & b
+    either = a | b
+    either &= c
+    m |= either
     g, _, width = gates.shape
-    np.bitwise_xor(m[:, None], mask.reshape(len(mask), g, width)
-                   .transpose(1, 0, 2), out=gates)
+    lines = mask.reshape(len(mask), g, width)
+    if len(lines) == 1:
+        m ^= lines[0]
+        gates[...] = m[:, None]
+    else:
+        np.bitwise_xor(m, lines, out=gates.transpose(1, 0, 2))
 
 
 def _majority(bits: np.ndarray) -> np.ndarray:
@@ -242,10 +258,20 @@ def _majority(bits: np.ndarray) -> np.ndarray:
     in the narrowest type that holds the size, exactly.
 
     bits is one register (size, replicas) or a stack of them (points,
-    size, replicas); the majorities come back flat, point by point.
+    size, replicas); the majorities come back flat, point by point.  On
+    replica-major rows, a register whose transpose is C-contiguous as the
+    randomized wiring stores it, each replica is counted by one
+    ``np.add.reduceat`` segment of the flat array, about twice as fast as
+    ``sum`` over rows of 27 to 243 bits.
     """
     size = bits.shape[-2]
-    count = bits.sum(axis=-2, dtype=np.min_scalar_type(size))
+    dtype = np.min_scalar_type(size)
+    if bits.ndim == 2 and bits.T.flags.c_contiguous:
+        flat = bits.T.reshape(-1)
+        count = np.add.reduceat(flat, np.arange(0, flat.size, size),
+                                dtype=dtype)
+    else:
+        count = bits.sum(axis=-2, dtype=dtype)
     return (count > size // 2).astype(np.uint8).reshape(-1)
 
 
@@ -265,14 +291,17 @@ def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
     _maj3_layer(bits.reshape(size // (3 * low), 3, low * r), mask)
 
 
-def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
-    """Shuffle each row of a 0/1 uint8 array in place, exactly uniformly.
+def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator,
+                  keys: np.ndarray) -> None:
+    """Shuffle each row of a 0/1 uint8 array in place, exactly uniformly,
+    through ``keys``, a uint32 buffer of the same shape.
 
     Each bit rides in bit 0 of a 32-bit key under 31 random bits, half of
     one raw 64-bit word; sorting a row's keys shuffles its bits, and
-    ``keys & 1`` reads them back.  If two keys of any row share their
-    random bits (one row in about 7e5 at 81 bits, 8e3 at 729), all keys
-    are redrawn: distinct i.i.d. keys come in uniformly random order.
+    ``keys & 1`` writes them back into ``rows``.  If two keys of any row
+    share their random bits (one row in about 7e5 at 81 bits, 8e3 at
+    729), all keys are redrawn: distinct i.i.d. keys come in uniformly
+    random order.
 
     The tie check compares neighbours across the whole sorted array in one
     flat pass.  A pair that crosses a row end is one row's largest key
@@ -289,28 +318,33 @@ def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
                          "generator (PCG64, SFC64)")
     while True:
         raw = rng.bit_generator.random_raw(-(-rows.size // 2))
-        keys = raw.view(np.uint32)[:rows.size].reshape(rows.shape)
-        keys &= np.uint32(0xFFFF_FFFE)
+        words = raw.view(np.uint32)
+        np.bitwise_and(words[:rows.size].reshape(rows.shape),
+                       np.uint32(0xFFFF_FFFE), out=keys)
         keys |= rows
         keys.sort(axis=1)
         flat = keys.reshape(-1)
-        if (flat[1:] ^ flat[:-1]).min() > 1:
+        # the spent words hold the neighbours' XOR: no array is allocated
+        # past the draw itself
+        gaps = np.bitwise_xor(flat[1:], flat[:-1], out=words[:flat.size - 1])
+        if gaps.min() > 1:
             break
     np.bitwise_and(keys, 1, out=rows, casting="unsafe")
 
 
-def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
+def _randomized_phase(bits: np.ndarray, mask: np.ndarray, keys: np.ndarray,
                       *rngs: np.random.Generator) -> None:
     """One multiplexing phase, in place on the (size, replicas) register.
 
     The replicas (columns) fall into ``len(rngs)`` equal runs, and each
-    run is shuffled from its own stream (_shuffle_rows), so a stack of
-    registers shuffles each one as it would alone.  Then MAJ3 acts on each
-    replica's triples (k, k + size/3, k + 2 size/3), with mask the layer's
-    (3, bits.size // 3) or (1, bits.size // 3) output mask (see
-    _gate_masks).  The outputs stay in shuffled order: the next phase
-    shuffles afresh and the majority ignores order, so the law of every
-    tally is unchanged.  Any layout works; ``order="F"`` keeps each
+    run is shuffled from its own stream (_shuffle_rows) through ``keys``,
+    a (replicas / len(rngs), size) uint32 buffer that every run reuses, so
+    a stack of registers shuffles each one as it would alone.  Then MAJ3
+    acts on each replica's triples (k, k + size/3, k + 2 size/3), with
+    mask the layer's (3, bits.size // 3) or (1, bits.size // 3) output
+    mask (see _gate_masks).  The outputs stay in shuffled order: the next
+    phase shuffles afresh and the majority ignores order, so the law of
+    every tally is unchanged.  Any layout works; ``order="F"`` keeps each
     replica contiguous.
     """
     size, r = bits.shape
@@ -318,7 +352,7 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
         raise ValueError(f"register size {size} is not divisible by 3")
     rows = bits.T
     for run, rng in zip(rows.reshape(len(rngs), -1, size), rngs):
-        _shuffle_rows(run, rng)
+        _shuffle_rows(run, rng, keys)
     _maj3_layer(rows.reshape(r, 3, size // 3), mask)
 
 
@@ -436,6 +470,8 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
     # size) for the randomized wiring, which shuffles within replicas
     stack = np.zeros((len(points), *((size, replicas) if wiring == "hypercube"
                                      else (replicas, size))), np.uint8)
+    # the randomized wiring's shuffle keys, for one point at a time
+    sort_keys = np.empty((replicas, size), np.uint32)
     # row 2 + i: the majorities after phase i of the block, point by
     # point; rows 0 and 1 carry the block before's last two (zero at the
     # start, which holds no new majority against the zero references)
@@ -461,7 +497,7 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
                 maj[2 + i] = _majority(stack)
             else:
                 bits = stack.reshape(-1, size).T
-                _randomized_phase(bits, mask, *rngs)
+                _randomized_phase(bits, mask, sort_keys, *rngs)
                 maj[2 + i] = _majority(bits)
         new = maj[2:]
         ref = np.empty((block + 1, maj.shape[1]), keys.dtype)

@@ -246,6 +246,7 @@ def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,
     rng = netsim._generator(seed)
     bits = np.zeros((size, replicas), np.uint8,
                     order="F" if wiring == "randomized" else "C")
+    keys = np.empty((replicas, size), np.uint32)
     logical = np.zeros(replicas, np.uint8)
     prev = np.zeros(replicas, np.uint8)
     streak = np.zeros(replicas, np.int64)  # phases at the current majority
@@ -257,7 +258,7 @@ def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,
         if wiring == "hypercube":
             netsim._hypercube_phase(bits, phase_idx % (n + 1), mask)
         else:
-            netsim._randomized_phase(bits, mask, rng)
+            netsim._randomized_phase(bits, mask, keys, rng)
         maj = netsim._majority(bits)
         streak = np.where(maj == prev, streak + 1, 1)
         prev = maj

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -579,3 +580,105 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     _, recs = parse_table(proc.stdout)
     assert recs[0].y == pytest.approx(0.013320770977, rel=1e-9)
+
+
+# the work of a run at two sizes, one argv each
+_CAPPED = ["--level", "3", "--eps", "0.1", "--min-flips", "1000000000",
+           "--max-phases"]
+_SIZED = {
+    "simulate hypercube": [["simulate", "--model", "hypercube_mc", *_CAPPED,
+                            phases] for phases in ("20000", "200000")],
+    "simulate randomized": [["simulate", "--model", "vn_mc", *_CAPPED,
+                             phases] for phases in ("20000", "200000")],
+    "encode": [["encode", "--p", "0.02", "--trials", trials]
+               for trials in ("3000", "30000")],
+    "sweep": [["sweep", "--model", "level3", "--grid", grid]
+              for grid in ("0.01:0.1:3", "0.01:0.1:300")],
+}
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects in unreachable cycles that ``main(argv)`` leaves behind,
+    run with the collector off and counted before it is back on."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("small, large", _SIZED.values(), ids=_SIZED)
+def test_cyclic_garbage_of_a_run_does_not_grow_with_its_work(small, large,
+                                                             capsys):
+    # entry() runs a command with the collector off; that holds memory
+    # flat only if the cycles a run leaves do not grow with its size
+    _cyclic_garbage(small)  # first imports leave garbage of their own
+    assert _cyclic_garbage(small) == _cyclic_garbage(large)
+
+
+def test_main_leaves_the_callers_collector_as_it_was(capsys):
+    frozen = gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(_RUNS["simulate"]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
+
+
+_ENTRIES = {
+    "module": ["-m", "majmux.cli"],
+    # as the console script's wrapper calls it; entry() exits by itself
+    "script": ["-c", "from majmux.cli import entry; entry()"],
+}
+
+
+def _entry(how, argv):
+    """A fresh process running ``argv`` through entry(), as ``python -m
+    majmux.cli`` or as the ``majmux`` console script."""
+    return subprocess.run([sys.executable, *_ENTRIES[how], *argv],
+                          capture_output=True, env=_src_env(), timeout=120)
+
+
+@pytest.mark.parametrize("how", _ENTRIES)
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "level3", "--grid", "0.01:0.1:4"],
+    *[["compare-vn", "--grid", "0.1:0.13:3", "--min-flips", "20",
+       "--max-phases", "40000", "--seed", "3", "--workers", workers]
+      for workers in ("1", "2")],
+], ids=["analytic", "monte-carlo-1-worker", "monte-carlo-2-workers"])
+def test_entry_prints_the_in_process_artifact(how, argv, capsys):
+    # pool workers fork from a process whose collector is off
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    proc = _entry(how, argv)
+    assert (proc.returncode, proc.stdout) == (0, want)
+
+
+@pytest.mark.parametrize("how", _ENTRIES)
+def test_entry_exits_with_mains_status_and_error_line(how, tmp_path):
+    out = tmp_path / "artifact.csv"
+    for argv, code, line in (
+            (["sweep", "--model", "nope", "--eps", "0.01", "--out", str(out)],
+             1, "error: unknown analytic model"),
+            (["simulate", "--model", "vn_mc", "--level", "2", "--eps", "0.1",
+              "--min-flips", "0", "--out", str(out)],
+             1, "error: need n >= 0 and a budget >= 1"),
+            (["encode", "--pcrit", "--out", str(tmp_path / "no" / "x.csv")],
+             1, f"error: cannot write {tmp_path / 'no' / 'x.csv'}: "),
+            (["simulate", "--model", "vn_mc", "--level", "9", "--eps", "0.1",
+              "--out", str(out)], 2, "error: --level must be in 1..5"),
+            (["sweep", "--bogus", "--out", str(out)],
+             2, "majmux: error: unrecognized arguments: --bogus")):
+        proc = _entry(how, argv)
+        last = proc.stderr.decode().splitlines()[-1]
+        assert (proc.returncode, proc.stdout) == (code, b""), argv
+        assert last.startswith(line), argv
+        assert list(tmp_path.iterdir()) == [], argv  # not even a temp file
+    proc = _entry(how, ["encode", "--pcrit", "--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (0, b"")
+    assert parse_table(out.read_text())[0].pcrit

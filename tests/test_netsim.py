@@ -117,11 +117,34 @@ def test_one_line_mask_acts_as_three_equal_lines(kind):
                 _hypercube_phase(three, axis, np.repeat(mask, 3, axis=0))
             else:
                 twin = copy.deepcopy(rng)
-                _randomized_phase(one, mask, rng)
-                _randomized_phase(three, np.repeat(mask, 3, axis=0), twin)
+                keys = np.empty((r, size), np.uint32)
+                _randomized_phase(one, mask, keys, rng)
+                _randomized_phase(three, np.repeat(mask, 3, axis=0), keys,
+                                  twin)
             np.testing.assert_array_equal(one, three)
             bits = one
 
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+@pytest.mark.parametrize("shape", [(9, 3, 64), (1, 3, 243), (40, 3, 27),
+                                   (3, 3, 100), (4, 3, 1)])
+def test_maj3_layer_matches_a_gate_by_gate_loop(shape, lines):
+    # hypercube axis views, the randomized wiring's 27-lane rows and wide
+    # packed encoder rows; bytes of eight packed bits, so every bit counts
+    rng = np.random.default_rng(31)
+    g, _, width = shape
+    gates = rng.integers(0, 256, shape, np.uint8)
+    mask = rng.integers(0, 256, (lines, g * width), np.uint8)
+    want = np.empty_like(gates)
+    for gi in range(g):
+        for lane in range(width):
+            a, b, c = (int(x) for x in gates[gi, :, lane])
+            vote = (a & b) | (b & c) | (a & c)
+            for j in range(3):
+                want[gi, j, lane] = vote ^ mask[j % lines, gi * width + lane]
+    _maj3_layer(gates, mask)
+    np.testing.assert_array_equal(gates, want)
 
 def _odd_parity(probs):
     """P(odd number of independent events)."""
@@ -253,7 +276,8 @@ def test_randomized_phase_clears_sparse_errors():
     rng = np.random.default_rng(33)
     bits = np.zeros((9, 4), np.uint8)
     bits[0] = 1
-    _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0], rng)
+    _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0],
+                      np.empty((4, 9), np.uint32), rng)
     assert bits.sum() == 0
 
 
@@ -274,14 +298,16 @@ def test_shuffle_redraws_a_tie():
     keys = second.view(np.uint32)[:bits.size].reshape(rows, size) >> 1
     want = np.take_along_axis(bits, np.argsort(keys, axis=1), axis=1)
     got = bits.copy()
-    _shuffle_rows(got, _scripted(tied, second))
+    _shuffle_rows(got, _scripted(tied, second),
+                  np.empty((rows, size), np.uint32))
     np.testing.assert_array_equal(got, want)
 
 
 def test_shuffle_refuses_32_bit_words():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(ValueError, match="MT19937"):
-        _shuffle_rows(np.zeros((4, 81), np.uint8), rng)
+        _shuffle_rows(np.zeros((4, 81), np.uint8), rng,
+                      np.empty((4, 81), np.uint32))
 
 
 @pytest.mark.parametrize("size", [255, 256, 729])
@@ -296,6 +322,15 @@ def test_majority_count_is_exact(size):
     for layout in ("C", "F"):
         np.testing.assert_array_equal(
             _majority(np.asarray(cols, order=layout)), want)
+    # stacks of two registers, as the estimator counts them: the
+    # hypercube's (points, size, replicas) and the randomized wiring's
+    # replica-major rows of both points, read as (size, replicas)
+    rows = np.ascontiguousarray(cols.T)
+    both = np.concatenate([want, want[::-1]])
+    np.testing.assert_array_equal(
+        _majority(np.stack([cols, cols[:, ::-1]])), both)
+    np.testing.assert_array_equal(
+        _majority(np.concatenate([rows, rows[::-1]]).T), both)
 
 
 def test_randomized_phase_groups_two_ones_uniformly():
@@ -307,7 +342,7 @@ def test_randomized_phase_groups_two_ones_uniformly():
         bits = np.zeros((size, cols), np.uint8)
         bits[:2] = 1
         _randomized_phase(bits, np.zeros((3, size * cols // 3), np.uint8),
-                          rng)
+                          np.empty((cols, size), np.uint32), rng)
         ones = bits.sum(axis=0)
         assert set(np.unique(ones)) <= {0, 3}
         sigma = math.sqrt(share * (1 - share) / cols)
@@ -317,6 +352,7 @@ def test_randomized_phase_groups_two_ones_uniformly():
 def test_randomized_phase_size_must_be_triples():
     with pytest.raises(ValueError):
         _randomized_phase(np.zeros((8, 1), np.uint8), np.zeros((3, 2), np.uint8),
+                          np.empty((1, 8), np.uint32),
                           np.random.default_rng(0))
 
 

@@ -107,7 +107,7 @@ def test_shuffle_keeps_every_row_count(seed, rows, size):
     rng = np.random.Generator(np.random.Philox(seed))
     bits = rng.integers(0, 2, (rows, size), np.uint8)
     shuffled = bits.copy()
-    _shuffle_rows(shuffled, rng)
+    _shuffle_rows(shuffled, rng, np.empty((rows, size), np.uint32))
     np.testing.assert_array_equal(shuffled.sum(axis=1), bits.sum(axis=1))
 
 
