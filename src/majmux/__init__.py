@@ -17,13 +17,12 @@ __version__ = "0.1.0"
 
 # the module that defines each public name
 _HOME = {name: module for module, names in (
-    ("rates", "EPSILON_PER_P EncodeBound EncodingRates Maj3Rates "
-     "PhysicalNoise SweepRecord derive_rates epsilon_of_p jvn_stable_eta "
-     "p_crit pfail_bound single_triple_map"),
-    ("chains", "LEVEL2_LABELS LEVEL3_LABELS ErrorChain SteadyState "
-     "build_level2_chain build_level3_chain pattern_class "
-     "propagated_bit_error serialize_chain steady_state"),
-    ("netsim", "Componentwise GateNoise Idealized TrialStats cascade_mc "
+    ("rates", "EPSILON_PER_P EncodeBound PhysicalNoise SweepRecord "
+     "derive_rates epsilon_of_p jvn_stable_eta p_crit pfail_bound "
+     "single_triple_map"),
+    ("chains", "ErrorChain build_level2_chain build_level3_chain "
+     "pattern_class propagated_bit_error serialize_chain steady_state"),
+    ("netsim", "Componentwise Idealized TrialStats cascade_mc "
      "estimate_logical_rate estimate_logical_rates hypercube_schedule "
      "randomized_schedule wilson_interval"),
     ("analysis", "concat_baseline correction_threshold feedback_constants "

@@ -27,8 +27,9 @@ look the same.  A configuration whose grid has two or more lines carrying
 two or more marks is a logical failure.
 
 All transition probabilities are exact integer-coefficient polynomials in
-eps, built once from the square law: the nine gates fail independently, so
-each square's failure count has one Poisson-binomial law, and the three
+eps, built once from the square law: a square's three gates fail
+independently, so its failure count has one Poisson-binomial law.  The
+27-bit chain steps on one square's count; in the 81-bit chain the three
 squares' counts are the next line counts.  Evaluation is Horner's rule on
 those coefficients, so the leading-order cancellations are exact and
 failure rates stay accurate down to ~1e-16.  Evaluation and the
@@ -52,17 +53,6 @@ def _pmul(*polys: np.ndarray) -> np.ndarray:
     for q in polys:
         out = np.convolve(out, np.asarray(q, dtype=np.int64))
     return out
-
-
-def _ppad(a: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.int64)
-    out[: len(a)] = a
-    return out
-
-
-def _psub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    return _ppad(a, n) - _ppad(b, n)
 
 
 def _horner(coeffs: np.ndarray, epsilon) -> np.ndarray:
@@ -90,13 +80,11 @@ def _horner(coeffs: np.ndarray, epsilon) -> np.ndarray:
 
 
 _ONE = np.array([1], dtype=np.int64)
-_EPS = np.array([0, 1], dtype=np.int64)
 
 # gate failure probability by propagated-input count m (see module docstring)
 _POLY_I = np.array([0, 0, 3, -2], dtype=np.int64)   # 3 e^2 - 2 e^3
 _POLY_P = np.array([0, 2, -1], dtype=np.int64)      # 2 e - e^2
 _FAIL_BY_COUNT = {0: _POLY_I, 1: _POLY_P, 2: _ONE, 3: _ONE}
-_OK_BY_COUNT = {m: _psub(_ONE, f) for m, f in _FAIL_BY_COUNT.items()}
 
 
 # --- configuration classes for the 81-bit corrector --------------------------
@@ -229,51 +217,34 @@ def build_level2_chain() -> ErrorChain:
         P(A|B) = (1-eps)^6                   P(B|B) = 6 eps (1-eps)^5
                                                       + 3 eps^2 (1-eps)^4
         P(fail|B) = 1 - P(A|B) - P(B|B)
+
+    Both rows are square laws q(c) (see _square_law), c the number of the
+    three gates that fail: c = 0 leads to A, c = 1 to B, and c >= 2 is a
+    logical failure.  A reads counts (0, 0, 0).  B reads (1, 1, 1): its one
+    propagated bundle is an input to all three gates, as the closed form
+    P(A|B) = (1-eps)^6 = (1 - P)^3 says, P = 2 eps - eps^2.
     """
-    g = _POLY_I  # gamma coincides with the m=0 gate failure probability
-    one_m_g = _psub(_ONE, g)
-    p_ba = _pmul(np.array([3], np.int64), g, one_m_g, one_m_g)
-    fail_a = _psub(3 * _pmul(g, g), 2 * _pmul(g, g, g))
-    p_aa = _psub(_psub(_ONE, p_ba), fail_a)
-
-    one_m_e = _psub(_ONE, _EPS)
-    p_ab = _pmul(*([one_m_e] * 6))
-    # both terms have degree 6, so their coefficient arrays add as they are
-    p_bb = (_pmul(np.array([0, 6], np.int64), *([one_m_e] * 5))
-            + _pmul(np.array([0, 0, 3], np.int64), *([one_m_e] * 4)))
-    fail_b = _psub(_psub(_ONE, p_ab), p_bb)
-
-    width = max(len(q) for q in (p_aa, p_ba, fail_a, p_ab, p_bb, fail_b))
-    trans = np.stack([
-        np.stack([_ppad(p_aa, width), _ppad(p_ba, width)]),
-        np.stack([_ppad(p_ab, width), _ppad(p_bb, width)]),
-    ])
-    fail = np.stack([_ppad(fail_a, width), _ppad(fail_b, width)])
-
+    laws = [_square_law((0, 0, 0)), _square_law((1, 1, 1))]
+    trans = np.stack([law[:2] for law in laws])
+    fail = np.stack([law[2] + law[3] for law in laws])
     _check_substochastic_identity(trans, fail)
-
     # state B holds one erroneous bundle out of the nine in the square
-    return ErrorChain(
-        name="level2",
-        labels=LEVEL2_LABELS,
-        trans_coeffs=trans,
-        fail_coeffs=fail,
-        marks=(0, 1),
-    )
+    return ErrorChain(name="level2", labels=LEVEL2_LABELS, trans_coeffs=trans,
+                      fail_coeffs=fail, marks=(0, 1))
 
 
 def _square_law(counts: tuple[int, int, int]) -> np.ndarray:
     """(4, 10) coefficients of q(c), c = 0..3: the chance that c of one
     square's three gates fail, the line-k gate failing with f(m_k).  Built
-    gate by gate as q'(c) = q(c) (1 - f) + q(c - 1) f; a gate adds at most
-    three degrees, so cutting products to ten coefficients drops zeros."""
+    gate by gate as q'(c) = q(c) - f q(c) + f q(c - 1), one convolution
+    per gate; a gate adds at most three degrees, so cutting products to
+    ten coefficients drops zeros."""
     law = np.zeros((4, 10), dtype=np.int64)
     law[0, 0] = 1
     for m in counts:
-        ok = np.array([np.convolve(q, _OK_BY_COUNT[m])[:10] for q in law])
-        fail = np.array([np.convolve(q, _FAIL_BY_COUNT[m])[:10] for q in law])
-        law = ok
-        law[1:] += fail[:-1]
+        fq = np.array([np.convolve(q, _FAIL_BY_COUNT[m])[:10] for q in law])
+        law -= fq
+        law[1:] += fq[:-1]
     return law
 
 

@@ -399,10 +399,10 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     rate is flat in the settling length over 2..6.
 
     The phases run in blocks, one per draw of masks, and the settle rule
-    is resolved once per block from the block's majorities and the last
-    two before it.  A block may run past the stop, but the tallies are
-    those of stopping at the exact phase: the extra phases are not
-    counted.
+    is resolved once per block, in one scan over the block's majorities
+    and the last two before it.  A block may run past the stop, but the
+    tallies are those of stopping at the exact phase: the extra phases
+    are not counted.
 
     The run is a single deterministic stream: fixed (seed, parameters)
     reproduce the result bit for bit regardless of how callers schedule it
@@ -472,13 +472,11 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
                                      else (replicas, size))), np.uint8)
     # the randomized wiring's shuffle keys, for one point at a time
     sort_keys = np.empty((replicas, size), np.uint32)
-    # row 2 + i: the majorities after phase i of the block, point by
-    # point; rows 0 and 1 carry the block before's last two (zero at the
+    # row 2 + i: the (points, replicas) majorities after phase i of the
+    # block; rows 0 and 1 carry the block before's last two (zero at the
     # start, which holds no new majority against the zero references)
-    maj = np.zeros((block + 2, stack.size // size), np.uint8)
-    logical = np.zeros(stack.size // size, np.uint8)
-    keys = 2 * np.arange(1, block + 1, dtype=np.min_scalar_type(
-        2 * block + 1))[:, None]  # 2 (1 + phase within the block)
+    maj = np.zeros((block + 2, len(points), replicas), np.uint8)
+    logical = np.zeros((len(points), replicas), np.uint8)
     phases, flips = [0] * len(points), [0] * len(points)
     records = [None] * len(points)
     phase_idx = 0
@@ -494,34 +492,27 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
             if wiring == "hypercube":
                 _hypercube_phase(stack.reshape(-1, replicas),
                                  (phase_idx + i) % (n + 1), mask)
-                maj[2 + i] = _majority(stack)
+                bits = stack
             else:
                 bits = stack.reshape(-1, size).T
                 _randomized_phase(bits, mask, sort_keys, *rngs)
-                maj[2 + i] = _majority(bits)
+            maj[2 + i] = _majority(bits).reshape(k, replicas)
+        # a phase holds when its majority matches the two before it; a
+        # held phase settles when its majority differs from the reference,
+        # which then flips to it: one scan over the block's phases
         new = maj[2:]
-        ref = np.empty((block + 1, maj.shape[1]), keys.dtype)
-        # ref[1 + i]: the reference after phase i, the majority of the
-        # last phase that held, or the carried ref[0] if none has: the low
-        # bit of a running max over ref[0] (0 or 1) and the keys 2 (1 + i)
-        # + majority of the phases that held; a held phase settles exactly
-        # when it changes the reference
-        np.multiply((new == maj[1:-1]) & (new == maj[:-2]), keys | new,
-                    out=ref[1:])
-        ref[0] = logical
-        for i in range(block):
-            np.maximum(ref[i], ref[i + 1], out=ref[i + 1])
-        ref &= 1
-        settled = ref[1:] != ref[:-1]
-        logical = ref[-1]
-        per_phase = settled.reshape(block, k, replicas).sum(axis=2).tolist()
+        settled = (new == maj[1:-1]) & (new == maj[:-2])
+        for held, m in zip(settled, new):
+            held &= m != logical
+            logical ^= held
+        per_phase = settled.sum(axis=2).tolist()
         keep = []
         for j, p in enumerate(live):
             for i in range(max(0, _WARMUP - phase_idx), block):
                 tally = min(replicas, max_phases - phases[p])
                 phases[p] += tally
-                flips[p] += (per_phase[i][j] if tally == replicas else int(
-                    settled[i, j * replicas:j * replicas + tally].sum()))
+                flips[p] += (per_phase[i][j] if tally == replicas
+                             else int(settled[i, j, :tally].sum()))
                 if flips[p] >= min_flips or phases[p] >= max_phases:
                     records[p] = TrialStats(phases=phases[p], flips=flips[p])
                     break
@@ -531,10 +522,7 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
         maj[:2] = maj[-2:]
         if len(keep) < k:  # the stopped points leave the stack
             live = [live[j] for j in keep]
-            stack = stack[keep]
-            maj = maj.reshape(block + 2, k, replicas)[:, keep].reshape(
-                block + 2, -1)
-            logical = logical.reshape(k, replicas)[keep].reshape(-1)
+            stack, maj, logical = stack[keep], maj[:, keep], logical[keep]
     return records
 
 

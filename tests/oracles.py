@@ -30,7 +30,7 @@ bit-packed phases of ``netsim._cascade_shard`` stand for.
 ``gate_masks_loop`` writes the gate masks of ``netsim._gate_masks`` one
 fault hit at a time.  ``logical_rate_per_phase`` applies the settle rule
 phase by phase, where ``netsim.estimate_logical_rate`` resolves it once
-per mask block.
+per mask block, in one scan over the block's held phases.
 """
 
 from __future__ import annotations

@@ -33,6 +33,24 @@ def test_level2_matches_closed_form():
         assert t[1, 1] == pytest.approx(
             6.0 * eps * (1.0 - eps) ** 5 + 3.0 * eps**2 * (1.0 - eps) ** 4,
             abs=1e-13)
+    # and exactly: the closed forms' integer coefficients, expanded by
+    # sympy, constant term first, zero-padded to the chain's ten
+    import sympy
+    e = sympy.Symbol("e")
+    g = 3 * e**2 - 2 * e**3
+    p_ba, fail_a = 3 * g * (1 - g) ** 2, 3 * g**2 - 2 * g**3
+    p_ab, p_bb = (1 - e) ** 6, 6 * e * (1 - e) ** 5 + 3 * e**2 * (1 - e) ** 4
+
+    def coeffs(expr):
+        c = [int(x) for x in sympy.Poly(sympy.expand(expr), e).all_coeffs()]
+        return c[::-1] + [0] * (10 - len(c))
+
+    assert (L2.trans_coeffs.dtype, L2.fail_coeffs.dtype) == (np.int64,) * 2
+    assert L2.trans_coeffs.tolist() == [
+        [coeffs(1 - p_ba - fail_a), coeffs(p_ba)],
+        [coeffs(p_ab), coeffs(p_bb)]]
+    assert L2.fail_coeffs.tolist() == [coeffs(fail_a),
+                                       coeffs(1 - p_ab - p_bb)]
 
 
 def test_level2_failure_is_quartic_at_low_noise():
