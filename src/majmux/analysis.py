@@ -141,12 +141,13 @@ def mc_point(model: str, level: int, use_p: bool, points, seed: int,
     Runs the 3^(level+1)-bit register wired by ``model`` (an ``"mc"`` tag
     of ``MODELS``) at each (x, index) of ``points``: with Idealized(x)
     gates, or Componentwise gates at physical rate x when ``use_p`` is
-    set, on substream ``index`` of ``seed``.  The points run as stacks
-    (``netsim.estimate_logical_rates``), and each record is the one its
-    point gives alone.  A gate error x outside (0, 0.5) gives a NaN record
-    with a note.  An empty run budget, then an unknown tag, then a gate
-    error outside [0, 1] or a physical rate outside its domain raises
-    ValueError.  It alone loads ``netsim``, which no analytic run needs.
+    set, each seeded by ``substream(seed, index)``.  The points run as
+    stacks (``netsim.estimate_logical_rates``), and each record is the
+    one-point ``estimate_logical_rate`` with that seed.  A gate error x
+    outside (0, 0.5) gives a NaN record with a note.  An empty run
+    budget, then an unknown tag, then a gate error outside [0, 1] or a
+    physical rate outside its domain raises ValueError.  It alone loads
+    ``netsim``, which no analytic run needs.
     """
     from .netsim import (Componentwise, Idealized, check_budget,
                          estimate_logical_rates, substream)
@@ -158,8 +159,7 @@ def mc_point(model: str, level: int, use_p: bool, points, seed: int,
     for k, (x, index) in enumerate(points):
         noise = Componentwise.from_p(x) if use_p else Idealized(x)
         if use_p or 0.0 < x < 0.5:
-            sub = substream(seed, index).generate_state(2)
-            runs[k] = (noise, int(sub[0]) << 32 | int(sub[1]))
+            runs[k] = (noise, substream(seed, index))
     stats = dict(zip(runs, estimate_logical_rates(
         level, MODELS[model][2], runs.values(), min_flips=min_flips,
         max_phases=max_phases)))

@@ -50,7 +50,9 @@ Its phases run the same gate kernel on trials packed eight to a byte.
 
 Every estimator run and every encoder shard draws from its own PCG64
 stream (O'Neill, 2014), built in one place (_generator); the shuffle
-reads its raw 64-bit words.
+reads its raw 64-bit words.  The command line seeds every stream by one
+rule, PCG64(substream(seed, index)), with index the grid point or the
+encoder shard.
 """
 
 from __future__ import annotations
@@ -373,7 +375,8 @@ def check_budget(n: int, min_flips: int, max_phases: int) -> None:
 
 
 def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
-                          seed: int, *, min_flips: int = 100,
+                          seed: int | np.random.SeedSequence, *,
+                          min_flips: int = 100,
                           max_phases: int = 10_000_000) -> TrialStats:
     """Per-phase logical flip rate of the corrected register.
 
@@ -404,10 +407,13 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     tallies are those of stopping at the exact phase: the extra phases
     are not counted.
 
-    The run is a single deterministic stream: fixed (seed, parameters)
-    reproduce the result bit for bit regardless of how callers schedule it
-    and whichever points share its stack (see estimate_logical_rates,
-    whose one-point call this is).
+    The run is a single deterministic stream, PCG64 seeded by ``seed``,
+    an int or a ``SeedSequence`` handed to it as is: fixed (seed,
+    parameters) reproduce the result bit for bit regardless of how callers
+    schedule it and whichever points share its stack (see
+    estimate_logical_rates, whose one-point call this is).  The record of
+    grid point i of ``simulate`` or ``compare-vn`` is this call with
+    ``substream(seed, i)``.
     """
     return estimate_logical_rates(n, wiring, [(noise, seed)],
                                   min_flips=min_flips,
@@ -419,6 +425,7 @@ def estimate_logical_rates(n: int, wiring: str, points, *,
                            max_phases: int = 10_000_000) -> list[TrialStats]:
     """``estimate_logical_rate`` of each (noise, seed) of ``points``, in
     order, the points stepped together in stacks of at most 8 (_STACK).
+    Each seed, an int or a ``SeedSequence``, seeds its point's PCG64.
 
     A stack is one register array: the hypercube registers lie one after
     another on the bit axis, (points * 3^(n+1), replicas), and a phase

@@ -10,8 +10,11 @@ import warnings
 import pytest
 
 import majmux
+from majmux.analysis import MODELS
 from majmux.cli import (_OPTIONS, RunConfig, _build_parser, _fmt, main,
                         parse_table, run)
+from majmux.netsim import (Componentwise, Idealized, estimate_logical_rate,
+                           substream)
 from majmux.rates import pfail_bound
 
 # each command and the options of all its _OPTIONS rows
@@ -199,6 +202,31 @@ def test_compare_vn_rows_paired_and_sorted(capsys):
     assert keys == sorted(keys)
     assert [r.model for r in recs] == ["hypercube_mc", "vn_mc"] * 2
     assert all(r.n == 3 for r in recs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "hypercube_mc", "--level", "2",
+     "--grid", "0.1:0.14:3", "--workers", "2"],
+    ["simulate", "--model", "vn_mc", "--level", "2", "--eps", "0.12"],
+    ["simulate", "--model", "hypercube_mc", "--level", "1", "--p", "0.05"],
+    ["simulate", "--model", "vn_mc", "--level", "1", "--p", "0.05"],
+    ["compare-vn", "--grid", "0.1:0.12:2", "--max-phases", "8000"],
+])
+def test_mc_records_follow_the_one_seed_rule(argv, capsys):
+    # grid point i of a Monte Carlo command is the one-point estimator run
+    # on PCG64(substream(seed, i)), the rule encoder shards follow too
+    assert main([*argv, "--min-flips", "15", "--seed", "6"]) == 0
+    config, recs = parse_table(capsys.readouterr().out)
+    level = 3 if config.command == "compare-vn" else config.level
+    xs = sorted({r.x for r in recs})
+    assert len(recs) == len(xs) * (2 if config.command == "compare-vn" else 1)
+    for r in recs:
+        noise = (Componentwise.from_p(r.x) if config.p is not None
+                 else Idealized(r.x))
+        stats = estimate_logical_rate(
+            level, MODELS[r.model][2], noise, substream(6, xs.index(r.x)),
+            min_flips=15, max_phases=config.max_phases)
+        assert (r.y, r.y_lo, r.y_hi) == (stats.p_hat, *stats.ci95), r
 
 
 def test_simulate_accepts_physical_rate(capsys):
