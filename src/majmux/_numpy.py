@@ -1,4 +1,5 @@
-"""The package's one numpy import: every module takes ``np`` from here.
+"""The package's one numpy import: a module that uses numpy (only
+``netsim``; the analytic modules use none) takes ``np`` from here.
 
 Unless the caller has set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS``, or has imported numpy already, numpy is imported with

@@ -9,7 +9,8 @@ Carlo point function behind ``simulate`` and ``compare-vn``.  ``MODELS``
 is the one table of the CLI's model tags.  The fan-out encoder's bound
 needs no chain and lives in ``rates``.  ``chains`` is imported only by
 the functions that build or solve a chain, so a Monte Carlo run never
-loads it.
+loads it, and nothing here uses numpy, so an analytic run never loads
+that.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from ._numpy import np
-from .rates import SweepRecord, bisect, derive_rates
+from .rates import SweepRecord, bisect, derive_rates, linspace
 
 if TYPE_CHECKING:
     from .chains import ErrorChain
@@ -55,25 +55,25 @@ def chain_of(model: str) -> ErrorChain:
 def correction_threshold(chain: ErrorChain) -> float:
     """Largest eps below which the corrector suppresses its own noise.
 
-    Scans p_ss(eps) - eps on a grid over (0, 0.25) in one batched solve,
-    brackets the last sign change, and bisects it to 1e-6.  Below the
-    returned point the per-phase logical failure rate is smaller than the
-    per-gate rate feeding it, so adding the corrector is a net win.
+    Scans p_ss(eps) - eps down a 250-point grid over (0, 0.25) from the
+    top, brackets the highest sign change from below to above, and
+    bisects it to 1e-6.  Below the returned point the per-phase logical
+    failure rate is smaller than the per-gate rate feeding it, so adding
+    the corrector is a net win.
 
     Raises:
         RuntimeError: if p_ss(eps) - eps never changes sign in range.
     """
     from .chains import steady_state
     g = lambda e: steady_state(chain, e).p_ss - e
-    grid = np.linspace(1e-3, _CHAIN_EPS_MAX - 1e-4, 250)
-    vals = steady_state(chain, grid).p_ss - grid
-    bracket = None
-    for (a, ga), (b, gb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if ga < 0.0 <= gb:
-            bracket = (a, b)
-    if bracket is None:
-        raise RuntimeError("no crossing of p_ss(eps) = eps in (0, 0.25)")
-    return bisect(g, *bracket)
+    grid = linspace(1e-3, _CHAIN_EPS_MAX - 1e-4, 250)
+    above = g(grid[-1])
+    for a, b in zip(grid[-2::-1], grid[::-1]):
+        below = g(a)
+        if below < 0.0 <= above:
+            return bisect(g, a, b)
+        above = below
+    raise RuntimeError("no crossing of p_ss(eps) = eps in (0, 0.25)")
 
 
 def p_target(p: float) -> float:
@@ -176,7 +176,7 @@ def sweep(model: str, grid: Sequence[float], *,
 
     ``model`` is a ``"chain"`` tag of ``MODELS``, ``level2`` or ``level3``
     (stationary logical rate of the analytic chain, eps in [0, 0.25], one
-    batched solve over the grid), or a ``"concat"`` tag, ``concat(t,L)``
+    solve per point), or a ``"concat"`` tag, ``concat(t,L)``
     for t in 6, 7 and L in 2, 3, 4 (the concatenation baseline, eps in
     [0, 1/t]).  Off-domain points come back as NaN records with an
     explanatory note; ``seed`` is carried only for provenance.  A grid
@@ -198,8 +198,7 @@ def sweep(model: str, grid: Sequence[float], *,
     inside = [x for x in xs if 0.0 <= x <= hi]
     if kind == "chain":
         from .chains import steady_state
-        ys = iter(steady_state(chain_of(model),
-                               np.array(inside, dtype=float)).p_ss)
+        ys = iter(steady_state(chain_of(model), inside).p_ss)
     else:
         ys = iter([concat_baseline(t, n, x) for x in inside])
     records = []

@@ -27,13 +27,15 @@ look the same.  A configuration whose grid has two or more lines carrying
 two or more marks is a logical failure.
 
 All transition probabilities are exact integer-coefficient polynomials in
-eps, built once from the square law: a square's three gates fail
-independently, so its failure count has one Poisson-binomial law.  The
-27-bit chain steps on one square's count; in the 81-bit chain the three
-squares' counts are the next line counts.  Evaluation is Horner's rule on
-those coefficients, so the leading-order cancellations are exact and
-failure rates stay accurate down to ~1e-16.  Evaluation and the
-steady-state solve take a whole eps grid at once.
+eps, built once from the square law as tuples of Python ints: a square's
+three gates fail independently, so its failure count has one
+Poisson-binomial law.  The 27-bit chain steps on one square's count; in
+the 81-bit chain the three squares' counts are the next line counts.
+Evaluation is Horner's rule on those coefficients, one eps at a time, so
+the leading-order cancellations are exact and failure rates stay accurate
+down to ~1e-16.  Building, evaluating and solving use plain Python
+numbers and no numpy, so the analytic commands never load it; the same
+evaluation and solve run in exact rationals on a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -41,49 +43,61 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from ._numpy import np
+Poly = tuple[int, ...]  # integer coefficients in eps, constant term first
 
 # --- exact integer polynomial helpers ---------------------------------------
 
 
-def _pmul(*polys: np.ndarray) -> np.ndarray:
-    out = np.array([1], dtype=np.int64)
+def _pmul(*polys: Poly) -> Poly:
+    """The product of integer polynomials, one convolution per factor."""
+    out = (1,)
     for q in polys:
-        out = np.convolve(out, np.asarray(q, dtype=np.int64))
+        terms = [(j, b) for j, b in enumerate(q) if b]
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in terms:
+                    prod[i + j] += a * b
+        out = tuple(prod)
     return out
 
 
-def _horner(coeffs: np.ndarray, epsilon) -> np.ndarray:
-    """Integer polynomials evaluated in float64 at eps by Horner's rule.
+def _padd(polys) -> Poly:
+    """The coefficientwise sum of integer polynomials of one length."""
+    return tuple(map(sum, zip(*polys)))
 
-    coeffs is (..., D), constant term first; epsilon is a float or an
-    array, and the result has shape epsilon.shape + coeffs.shape[:-1].
-    Every step is acc * eps + c_k on the whole grid, so a grid costs one
-    pass of D - 1 steps.
+
+def _horner(polys, epsilon) -> list:
+    """Integer polynomials evaluated at eps by Horner's rule, in order.
+
+    Each polynomial (constant term first) is acc * eps + c_k from the top
+    coefficient down, every step rounded as written; a float eps gives
+    floats, a ``fractions.Fraction`` exact Fractions.  High zero
+    coefficients may be cut beforehand: they add exact zeros.
 
     Error: the coefficients are integers below 2**53, exact in float64,
-    and Horner's rule on a degree-d polynomial (d = D - 1) satisfies
-    |fl(p(eps)) - p(eps)| <= gamma_2d * sum_k |c_k| eps**k, with
-    gamma_n = n u / (1 - n u) and u = 2**-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 5.1).
+    and Horner's rule on a degree-d polynomial (d = D - 1 for D
+    coefficients, uncut) satisfies |fl(p(eps)) - p(eps)| <= gamma_2d *
+    sum_k |c_k| eps**k, with gamma_n = n u / (1 - n u) and u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 5.1).
     """
-    x = np.asarray(epsilon, dtype=float)
-    c = coeffs.reshape(-1, coeffs.shape[-1]).T.astype(float)
-    xs = x.reshape(-1, 1)
-    acc = c[-1] + 0.0 * xs
-    for ck in c[-2::-1]:
-        acc *= xs
-        acc += ck
-    return acc.reshape(x.shape + coeffs.shape[:-1])
+    out = []
+    for cs in polys:
+        acc = 0 * epsilon
+        for c in reversed(cs):
+            acc = acc * epsilon + c
+        out.append(acc)
+    return out
 
 
-_ONE = np.array([1], dtype=np.int64)
+_ONE: Poly = (1,)
 
 # gate failure probability by propagated-input count m (see module docstring)
-_POLY_I = np.array([0, 0, 3, -2], dtype=np.int64)   # 3 e^2 - 2 e^3
-_POLY_P = np.array([0, 2, -1], dtype=np.int64)      # 2 e - e^2
+_POLY_I: Poly = (0, 0, 3, -2)   # 3 e^2 - 2 e^3
+_POLY_P: Poly = (0, 2, -1)      # 2 e - e^2
 _FAIL_BY_COUNT = {0: _POLY_I, 1: _POLY_P, 2: _ONE, 3: _ONE}
 
 
@@ -145,9 +159,12 @@ def pattern_class(pattern) -> int | None:
     """Coarse class index (0..6) of a 3x3 mark pattern, None if logical.
 
     Rows of ``pattern`` are the lines the gates act along at this step.
+    A pattern that is not three rows of three is a ValueError.
     """
-    grid = np.asarray(pattern, dtype=int).reshape(3, 3)
-    prof = _profile_or_none(tuple(int(c) for c in grid.sum(axis=1)))
+    rows = [[int(mark) for mark in row] for row in pattern]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise ValueError(f"a mark pattern is 3x3, got {rows}")
+    prof = _profile_or_none(tuple(map(sum, rows)))
     return None if prof is None else REFINED_CLASS[_PROFILE_INDEX[prof]]
 
 
@@ -161,16 +178,18 @@ class ErrorChain:
     trans(eps) is the row-substochastic transition matrix among non-failure
     states, fail(eps) the per-state logical-failure probabilities; for every
     eps in [0, 1] each row of trans plus its fail entry sums to one exactly
-    (the underlying integer polynomials sum to the constant 1).  marks
-    counts the marked (erroneous-bundle) positions of each state, None
-    where a state lumps different counts; refined is the finer chain that
-    resolves them, None for chains that need no splitting.
+    (the underlying integer polynomials sum to the constant 1).  The
+    coefficients are nested tuples of Python ints, constant term first,
+    every polynomial of one length D.  marks counts the marked
+    (erroneous-bundle) positions of each state, None where a state lumps
+    different counts; refined is the finer chain that resolves them, None
+    for chains that need no splitting.
     """
 
     name: str
     labels: tuple[str, ...]
-    trans_coeffs: np.ndarray = field(repr=False)   # (k, k, D) int64
-    fail_coeffs: np.ndarray = field(repr=False)    # (k, D) int64
+    trans_coeffs: tuple[tuple[Poly, ...], ...] = field(repr=False)  # (k, k, D)
+    fail_coeffs: tuple[Poly, ...] = field(repr=False)               # (k, D)
     marks: tuple[int, ...] | None = None
     refined: ErrorChain | None = field(default=None, repr=False)
 
@@ -178,29 +197,41 @@ class ErrorChain:
     def n_states(self) -> int:
         return len(self.labels)
 
-    def trans(self, epsilon) -> np.ndarray:
-        """Transition matrix T(eps) among non-failure states.
+    @cached_property
+    def _polys(self) -> tuple[Poly, ...]:
+        """The trans entries row by row, then the fail entries, as int
+        tuples without their high zero coefficients (Horner skips them)."""
+        polys = []
+        for p in (*(p for row in self.trans_coeffs for p in row),
+                  *self.fail_coeffs):
+            cs = [int(c) for c in p]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            polys.append(tuple(cs))
+        return tuple(polys)
 
-        (k, k) for a float eps, (G, k, k) for a grid of G values.
-        """
-        return _horner(self.trans_coeffs, epsilon)
+    def trans(self, epsilon) -> list[list]:
+        """Transition matrix T(eps) among non-failure states, k rows of k."""
+        k = self.n_states
+        flat = _horner(self._polys[:k * k], epsilon)
+        return [flat[i * k:(i + 1) * k] for i in range(k)]
 
-    def fail(self, epsilon) -> np.ndarray:
-        """Per-state logical failure probabilities, (k,) or (G, k)."""
-        return _horner(self.fail_coeffs, epsilon)
+    def fail(self, epsilon) -> list:
+        """Per-state logical failure probabilities, k of them."""
+        return _horner(self._polys[self.n_states ** 2:], epsilon)
 
 
 @dataclass(frozen=True)
 class SteadyState:
     """Stationary occupancies conditioned on no logical failure.
 
-    For a float eps pi is (k,) and p_ss, residual are floats; for a grid
-    of G values pi is (G, k) and p_ss, residual are (G,) arrays.
+    For a float eps pi is a k-tuple and p_ss, residual are floats; for a
+    grid of G values each field is a G-tuple of those.
     """
 
-    pi: np.ndarray               # over non-failure states, sums to 1
-    p_ss: float | np.ndarray     # per-phase logical failure, pi . fail
-    residual: float | np.ndarray  # max |pi M - pi|, M row-normalized
+    pi: tuple                    # over non-failure states, sums to 1
+    p_ss: float | tuple          # per-phase logical failure, pi . fail
+    residual: float | tuple      # max |pi M - pi|, M row-normalized
 
 
 # --- chain builders -----------------------------------------------------------
@@ -225,44 +256,45 @@ def build_level2_chain() -> ErrorChain:
     P(A|B) = (1-eps)^6 = (1 - P)^3 says, P = 2 eps - eps^2.
     """
     laws = [_square_law((0, 0, 0)), _square_law((1, 1, 1))]
-    trans = np.stack([law[:2] for law in laws])
-    fail = np.stack([law[2] + law[3] for law in laws])
+    trans = tuple(law[:2] for law in laws)
+    fail = tuple(_padd(law[2:]) for law in laws)
     _check_substochastic_identity(trans, fail)
     # state B holds one erroneous bundle out of the nine in the square
     return ErrorChain(name="level2", labels=LEVEL2_LABELS, trans_coeffs=trans,
                       fail_coeffs=fail, marks=(0, 1))
 
 
-def _square_law(counts: tuple[int, int, int]) -> np.ndarray:
-    """(4, 10) coefficients of q(c), c = 0..3: the chance that c of one
+def _square_law(counts: tuple[int, int, int]) -> tuple[Poly, ...]:
+    """The ten coefficients of q(c), c = 0..3: the chance that c of one
     square's three gates fail, the line-k gate failing with f(m_k).  Built
     gate by gate as q'(c) = q(c) - f q(c) + f q(c - 1), one convolution
     per gate; a gate adds at most three degrees, so cutting products to
     ten coefficients drops zeros."""
-    law = np.zeros((4, 10), dtype=np.int64)
-    law[0, 0] = 1
+    zero = (0,) * 10
+    law = [(1,) + zero[1:], zero, zero, zero]
     for m in counts:
-        fq = np.array([np.convolve(q, _FAIL_BY_COUNT[m])[:10] for q in law])
-        law -= fq
-        law[1:] += fq[:-1]
-    return law
+        fq = [_pmul(q, _FAIL_BY_COUNT[m])[:10] for q in law]
+        law = [tuple(q - f + g for q, f, g in zip(law[c], fq[c], below))
+               for c, below in enumerate([zero, *fq[:-1]])]
+    return tuple(law)
 
 
-def _level3_row(law: np.ndarray) -> np.ndarray:
+def _level3_row(law: tuple[Poly, ...]) -> list[list[int]]:
     """Refined transition row of a grid whose squares follow ``law``.
 
     The three squares fail independently, and their failure counts
-    (c0, c1, c2) are the line counts of the next step.  Returns an
-    (11, 28) int64 array of polynomial coefficients: entries 0..9 are the
-    refined-profile targets, entry 10 is logical failure.  Each multiset
-    of counts adds its number of orderings times q(c0) q(c1) q(c2).
+    (c0, c1, c2) are the line counts of the next step.  Returns 11 lists
+    of 28 polynomial coefficients: entries 0..9 are the refined-profile
+    targets, entry 10 is logical failure.  Each multiset of counts adds
+    its number of orderings times q(c0) q(c1) q(c2).
     """
-    row = np.zeros((11, 28), dtype=np.int64)
+    row = [[0] * 28 for _ in range(11)]
     for c0, c1, c2 in itertools.combinations_with_replacement(range(4), 3):
         prof = _profile_or_none((c0, c1, c2))  # raises if unclassifiable
         orderings = len(set(itertools.permutations((c0, c1, c2))))
-        row[10 if prof is None else _PROFILE_INDEX[prof]] += (
-            orderings * _pmul(law[c0], law[c1], law[c2]))
+        target = row[10 if prof is None else _PROFILE_INDEX[prof]]
+        for d, c in enumerate(_pmul(law[c0], law[c1], law[c2])):
+            target[d] += orderings * c
     return row
 
 
@@ -281,24 +313,26 @@ def build_level3_chain() -> ErrorChain:
         RuntimeError: if a reachable configuration falls outside the
             enumerated classes, or if two lumped profiles disagree.
     """
-    rows = np.stack([_level3_row(_square_law(q)) for q in REFINED_PROFILES])
+    rows = [_level3_row(_square_law(q)) for q in REFINED_PROFILES]
 
-    refined_trans = rows[:, :10, :]
-    refined_fail = rows[:, 10, :]
+    refined_trans = tuple(tuple(map(tuple, row[:10])) for row in rows)
+    refined_fail = tuple(tuple(row[10]) for row in rows)
     _check_substochastic_identity(refined_trans, refined_fail)
 
     # saturated-line profiles with 2 vs 3 in-line marks must behave alike
     for a, b in ((4, 5), (6, 7), (8, 9)):
-        if not np.array_equal(rows[a], rows[b]):
+        if rows[a] != rows[b]:
             raise RuntimeError(
                 f"profiles {REFINED_PROFILES[a]} and {REFINED_PROFILES[b]} "
                 "are not lumpable; class structure is wrong")
 
     # each class keeps its first profile's row, columns summed by class
     reps = [REFINED_CLASS.index(c) for c in range(7)]
-    lump = np.eye(7, dtype=np.int64)[list(REFINED_CLASS)]
-    trans = np.einsum("ijd,jc->icd", refined_trans[reps], lump)
-    fail = refined_fail[reps]
+    trans = tuple(
+        tuple(_padd(p for p, cls in zip(refined_trans[r], REFINED_CLASS)
+                    if cls == c) for c in range(7))
+        for r in reps)
+    fail = tuple(refined_fail[r] for r in reps)
     _check_substochastic_identity(trans, fail)
 
     return ErrorChain(
@@ -316,52 +350,80 @@ def build_level3_chain() -> ErrorChain:
     )
 
 
-def _check_substochastic_identity(trans: np.ndarray, fail: np.ndarray) -> None:
+def _check_substochastic_identity(trans, fail) -> None:
     """Assert rowsum(T) + fail == 1 as exact integer polynomials."""
-    total = trans.sum(axis=1) + fail
-    want = np.zeros_like(total)
-    want[:, 0] = 1
-    if not np.array_equal(total, want):
-        raise RuntimeError("transition rows plus failure do not sum to one")
+    for row, f in zip(trans, fail, strict=True):
+        if _padd((*row, f)) != (1,) + (0,) * (len(f) - 1):
+            raise RuntimeError("transition rows plus failure do not sum "
+                               "to one")
 
 
 # --- steady state -------------------------------------------------------------
 
 
-def _stationary(trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary laws of a (G, k, k) stack of substochastic matrices,
-    each row-normalized first.
+def _stationary(trans) -> tuple[list, object]:
+    """Stationary law of a k x k substochastic matrix (k rows of k),
+    row-normalized first.
 
     Grassmann-Taksar-Heyman state reduction (Oper. Res. 33:1107, 1985):
     states k-1..1 are censored out one at a time, and the column of each is
     divided by its row's mass to the states still kept, never by one minus
     its diagonal, so no step subtracts and the relative accuracy holds as
-    eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Every step
-    acts on the whole stack.  The back-substitution sums elementwise
-    products in numpy, not in BLAS, as does the residual max |pi M - pi|
-    for the row-normalized M, so no last bit depends on the BLAS build.
-    Returns pi (G, k) and the residuals (G,).
+    eps -> 0.  Back-substitution from pi_0 = 1 then gives pi.  Every sum
+    runs in index order, with each product and sum rounded as written, as
+    does the residual max |pi M - pi| for the row-normalized M.  A float
+    matrix gives floats, a Fraction one exact Fractions.  Returns pi (a
+    list of k) and the residual.
     """
-    rowsums = trans.sum(axis=2)
-    if (rowsums <= 0.0).any():
-        raise ValueError("a row of the transition matrix has no survivors; "
-                         "cannot condition on non-failure")
-    m = trans / rowsums[:, :, None]
-    a = m.copy()
-    k = a.shape[1]
+    k = len(trans)
+    m = []
+    for row in trans:
+        total = row[0]
+        for x in row[1:]:
+            total += x
+        if total <= 0:
+            raise ValueError("a row of the transition matrix has no "
+                             "survivors; cannot condition on non-failure")
+        m.append([x / total for x in row])
+    a = [row[:] for row in m]
     for n in range(k - 1, 0, -1):
-        s = a[:, n, :n].sum(axis=1)
-        if (s <= 0.0).any():
+        an = a[n]
+        s = an[0]
+        for x in an[1:n]:
+            s += x
+        if s <= 0:
             raise ValueError(f"state {n} cannot reach a lower state; "
                              "the chain is reducible")
-        a[:, :n, n] /= s[:, None]
-        a[:, :n, :n] += a[:, :n, n, None] * a[:, None, n, :n]
-    pi = np.ones(a.shape[:2])
+        for ai in a[:n]:
+            ain = ai[n] = ai[n] / s
+            for j in range(n):
+                ai[j] += ain * an[j]
+    pi = [1]
     for j in range(1, k):
-        pi[:, j] = (pi[:, :j] * a[:, :j, j]).sum(axis=1)
-    pi /= pi.sum(axis=1, keepdims=True)
-    residual = np.abs((pi[:, :, None] * m).sum(axis=1) - pi).max(axis=1)
+        acc = pi[0] * a[0][j]
+        for i in range(1, j):
+            acc += pi[i] * a[i][j]
+        pi.append(acc)
+    total = pi[0]
+    for x in pi[1:]:
+        total += x
+    pi = [x / total for x in pi]
+    residual = 0 * total
+    for j in range(k):
+        acc = pi[0] * m[0][j]
+        for i in range(1, k):
+            acc += pi[i] * m[i][j]
+        residual = max(residual, abs(acc - pi[j]))
     return pi, residual
+
+
+def _solve(chain: ErrorChain, epsilon) -> SteadyState:
+    """steady_state at one eps."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    pi, residual = _stationary(chain.trans(epsilon))
+    p_ss = math.fsum(p * f for p, f in zip(pi, chain.fail(epsilon)))
+    return SteadyState(pi=tuple(pi), p_ss=p_ss, residual=residual)
 
 
 def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
@@ -372,37 +434,30 @@ def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
     that step's survival; it is not the quasi-stationary (Perron)
     distribution of T.  pi comes from a direct GTH solve (no iteration),
     p_ss = pi . fail(eps) is the per-phase logical failure probability,
-    summed by ``math.fsum`` so its last bit depends on no BLAS, and
-    residual is max |pi M - pi|.  eps = 0 goes through the same solve,
+    summed by ``math.fsum`` so its last bit depends on no summation order,
+    and residual is max |pi M - pi|.  eps = 0 goes through the same solve,
     which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
-    A 1-D array of eps values is one batched solve over the grid, with the
-    same bits per point as a call per float; a float is a grid of one.
+    A 1-D sequence of eps values is solved point by point, and each field
+    comes back as a tuple over the grid.
 
     Args:
         chain: a chain from build_level2_chain or build_level3_chain, or
             the refined view of one.
         epsilon: per-bundle incipient error probability, 0 <= eps < 1, as
-            a float or a 1-D array.
+            a float or a 1-D sequence of floats.
     """
-    eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim > 1:
-        raise ValueError(f"epsilon must be a float or a 1-D array, "
-                         f"got shape {eps.shape}")
-    grid = eps.reshape(-1)
-    inside = (grid >= 0.0) & (grid < 1.0)
-    if not inside.all():
-        raise ValueError(f"epsilon must lie in [0, 1), got {grid[~inside][0]}")
-    # T and fail side by side, (G, k, k + 1), in one Horner pass
-    k = chain.n_states
-    tf = _horner(np.concatenate([chain.trans_coeffs,
-                                 chain.fail_coeffs[:, None]], axis=1), grid)
-    pi, residual = _stationary(tf[:, :, :k])
-    p_ss = np.array([math.fsum(row) for row in pi * tf[:, :, k]])
-    if eps.ndim == 0:
-        return SteadyState(pi=pi[0], p_ss=float(p_ss[0]),
-                           residual=float(residual[0]))
-    return SteadyState(pi=pi, p_ss=p_ss, residual=residual)
+    try:
+        grid = tuple(epsilon)
+    except TypeError:  # one eps
+        return _solve(chain, epsilon)
+    if any(hasattr(x, "__iter__") for x in grid):
+        raise ValueError("epsilon must be a float or a 1-D sequence of "
+                         "floats")
+    solves = [_solve(chain, x) for x in grid]
+    return SteadyState(pi=tuple(s.pi for s in solves),
+                       p_ss=tuple(s.p_ss for s in solves),
+                       residual=tuple(s.residual for s in solves))
 
 
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
@@ -417,18 +472,18 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     view = chain.refined or chain
     if view.marks is None:
         raise ValueError(f"chain {view.name!r} has no mark counts")
-    return math.fsum(steady_state(view, epsilon).pi * view.marks) / 9.0
+    pi = steady_state(view, epsilon).pi
+    return math.fsum(p * mk for p, mk in zip(pi, view.marks)) / 9.0
 
 
 # --- serialization ------------------------------------------------------------
 
 
-def _rows(prefix: str, labels, trans: np.ndarray, fail: np.ndarray
-          ) -> list[str]:
+def _rows(prefix: str, labels, trans, fail) -> list[str]:
     """The label, trans and fail lines of one view of a chain."""
     k = len(labels)
     return ([f"{prefix}label {i} {lab}" for i, lab in enumerate(labels)]
-            + [f"{prefix}trans {i} {j} " + " ".join(map(str, trans[i, j]))
+            + [f"{prefix}trans {i} {j} " + " ".join(map(str, trans[i][j]))
                for i in range(k) for j in range(k)]
             + [f"{prefix}fail {i} " + " ".join(map(str, fail[i]))
                for i in range(k)])
@@ -448,7 +503,7 @@ def serialize_chain(chain: ErrorChain) -> str:
         "# constant term first",
         f"chain {chain.name}",
         f"states {chain.n_states}",
-        f"degree {chain.trans_coeffs.shape[2] - 1}",
+        f"degree {len(chain.trans_coeffs[0][0]) - 1}",
         *_rows("", chain.labels, chain.trans_coeffs, chain.fail_coeffs),
     ]
     if chain.refined is not None:

@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .rates import SweepRecord, p_crit, pfail_bound
+from .rates import SweepRecord, linspace, p_crit, pfail_bound
 
 COLUMNS = ("x", "y", "y_lo", "y_hi", "model", "n", "seed")
 # a CSV field converts to its column's type; a JSON value must have it
@@ -216,14 +216,7 @@ def _parse_grid(config: RunConfig) -> list[float]:
                 raise ValueError("need finite lo < hi and steps >= 2")
         except ValueError as err:
             raise ValueError(f"bad --grid {config.grid!r}: {err}") from None
-        # np.linspace's arithmetic, so every point equals it bit for bit;
-        # a step that underflows to 0 is formed as (i / div) * delta
-        delta, div = hi - lo, steps - 1
-        step = delta / div
-        pts = [(i * step if step != 0 else i / div * delta) + lo
-               for i in range(steps)]
-        pts[-1] = hi
-        return pts
+        return linspace(lo, hi, steps)
     if given:
         return [config.eps if config.eps is not None else config.p]
     raise ValueError("need " + " or ".join(

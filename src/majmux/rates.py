@@ -4,8 +4,9 @@ Everything downstream is driven by a single physical error probability ``p``
 assigned to each 3-bit gate (MAJ1 and AMP).  This module maps ``p`` to every
 derived per-location rate, and evaluates the classic single-triple majority
 fixed point used by randomized multiplexing.  With no numpy, it also holds
-the package's one bisection root finder, the fan-out encoder's failure
-bound and its crossover rate p_crit, and ``SweepRecord``, the artifact row.
+the package's one grid rule (``linspace``, numpy's arithmetic), its one
+bisection root finder, the fan-out encoder's failure bound and its
+crossover rate p_crit, and ``SweepRecord``, the artifact row.
 
 Rate conventions
 ----------------
@@ -190,6 +191,20 @@ def single_triple_map(eta: float, epsilon: float) -> float:
         raise ValueError(f"eta={eta}, epsilon={epsilon}: both must be in [0, 1]")
     g = 3.0 * eta * eta - 2.0 * eta ** 3
     return (1.0 - epsilon) * g + epsilon * (1.0 - g)
+
+
+def linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi inclusive, each equal
+    bit for bit to ``numpy.linspace(lo, hi, steps)``, whose arithmetic
+    this is: lo + i * step, step = (hi - lo) / (steps - 1), with a step
+    that underflows to 0 formed as (i / (steps - 1)) * (hi - lo), and the
+    last point set to hi.  steps >= 2."""
+    delta, div = hi - lo, steps - 1
+    step = delta / div
+    pts = [(i * step if step != 0 else i / div * delta) + lo
+           for i in range(steps)]
+    pts[-1] = hi
+    return pts
 
 
 def bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:

@@ -156,8 +156,7 @@ def trajectory_mark_fraction(eps: float, steps: int,
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
 
 
-def stationary_reference(trans_coeffs: np.ndarray, fail_coeffs: np.ndarray,
-                         eps: float):
+def stationary_reference(trans_coeffs, fail_coeffs, eps: float):
     """Stationary law and failure rate of a chain, to 50 digits.
 
     Same definition as the product: pi is the stationary law of the
@@ -172,8 +171,8 @@ def stationary_reference(trans_coeffs: np.ndarray, fail_coeffs: np.ndarray,
         def poly(cs):
             return mpmath.fsum(int(c) * e ** i for i, c in enumerate(cs))
 
-        k = trans_coeffs.shape[0]
-        t = [[poly(trans_coeffs[i, j]) for j in range(k)] for i in range(k)]
+        k = len(trans_coeffs)
+        t = [[poly(trans_coeffs[i][j]) for j in range(k)] for i in range(k)]
         a = mpmath.matrix(k, k)
         for i in range(k):
             rowsum = mpmath.fsum(t[i])

@@ -9,7 +9,7 @@ from majmux.analysis import (MEASUREMENT_SLOPE, SweepRecord, concat_baseline,
 from majmux.chains import (ErrorChain, build_level2_chain, build_level3_chain,
                            propagated_bit_error, steady_state)
 from majmux.netsim import run_parallel
-from majmux.rates import derive_rates, epsilon_of_p
+from majmux.rates import bisect, derive_rates, epsilon_of_p
 
 L2 = build_level2_chain()
 L3 = build_level3_chain()
@@ -36,9 +36,22 @@ def test_threshold_separates_regimes():
 def test_dead_chain_has_no_threshold():
     dead = ErrorChain(name="dead", labels=L2.labels,
                       trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=np.zeros_like(L2.fail_coeffs))
+                      fail_coeffs=((0,) * 10,) * 2)
     with pytest.raises(RuntimeError):
         correction_threshold(dead)
+
+
+@pytest.mark.parametrize("chain", [L2, L3], ids=["level2", "level3"])
+def test_threshold_scan_from_the_top_keeps_the_full_scans_bracket(chain):
+    # the last sign change from below to above over the whole 250-point
+    # grid, bisected, is the root the top-down scan returns, bit for bit
+    grid = [float(x) for x in np.linspace(1e-3, 0.25 - 1e-4, 250)]
+    g = lambda e: steady_state(chain, e).p_ss - e
+    vals = [g(x) for x in grid]
+    brackets = [(a, b) for a, b, ga, gb in zip(grid, grid[1:], vals, vals[1:])
+                if ga < 0.0 <= gb]
+    assert correction_threshold(chain).hex() == bisect(
+        g, *brackets[-1]).hex()
 
 
 def test_universal_threshold_frozen_values():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from majmux import chains
+from majmux.analysis import correction_threshold
 from majmux.chains import (REFINED_CLASS, REFINED_MARKS, REFINED_PROFILES,
                            ErrorChain, build_level2_chain, build_level3_chain,
                            pattern_class, propagated_bit_error,
                            serialize_chain, steady_state)
+from majmux.rates import linspace
 
 import oracles
 
@@ -28,10 +30,10 @@ def test_level2_matches_closed_form():
         g = _gamma(eps)
         t = L2.trans(eps)
         f = L2.fail(eps)
-        assert t[0, 1] == pytest.approx(3.0 * g * (1.0 - g) ** 2, abs=1e-13)
+        assert t[0][1] == pytest.approx(3.0 * g * (1.0 - g) ** 2, abs=1e-13)
         assert f[0] == pytest.approx(3.0 * g**2 - 2.0 * g**3, abs=1e-13)
-        assert t[1, 0] == pytest.approx((1.0 - eps) ** 6, abs=1e-13)
-        assert t[1, 1] == pytest.approx(
+        assert t[1][0] == pytest.approx((1.0 - eps) ** 6, abs=1e-13)
+        assert t[1][1] == pytest.approx(
             6.0 * eps * (1.0 - eps) ** 5 + 3.0 * eps**2 * (1.0 - eps) ** 4,
             abs=1e-13)
     # and exactly: the closed forms' integer coefficients, expanded by
@@ -44,14 +46,17 @@ def test_level2_matches_closed_form():
 
     def coeffs(expr):
         c = [int(x) for x in sympy.Poly(sympy.expand(expr), e).all_coeffs()]
-        return c[::-1] + [0] * (10 - len(c))
+        return tuple(c[::-1] + [0] * (10 - len(c)))
 
-    assert (L2.trans_coeffs.dtype, L2.fail_coeffs.dtype) == (np.int64,) * 2
-    assert L2.trans_coeffs.tolist() == [
-        [coeffs(1 - p_ba - fail_a), coeffs(p_ba)],
-        [coeffs(p_ab), coeffs(p_bb)]]
-    assert L2.fail_coeffs.tolist() == [coeffs(fail_a),
-                                       coeffs(1 - p_ab - p_bb)]
+    # exact Python ints, in tuples, as tuple equality below also checks
+    for chain in (L2, L3, L3.refined):
+        assert {type(c) for row in chain.trans_coeffs for p in row
+                for c in p} == {int}
+        assert {type(c) for p in chain.fail_coeffs for c in p} == {int}
+    assert L2.trans_coeffs == (
+        (coeffs(1 - p_ba - fail_a), coeffs(p_ba)),
+        (coeffs(p_ab), coeffs(p_bb)))
+    assert L2.fail_coeffs == (coeffs(fail_a), coeffs(1 - p_ab - p_bb))
 
 
 def test_level2_failure_is_quartic_at_low_noise():
@@ -90,10 +95,10 @@ def test_steady_state_reports_small_residual():
     for chain in (L2, L3):
         for eps in np.linspace(0.001, 0.25, 60):
             ss = steady_state(chain, eps)
-            m = chain.trans(eps)
+            m = np.array(chain.trans(eps))
             m /= m.sum(axis=1)[:, None]
             assert ss.residual == np.max(
-                np.abs((ss.pi[:, None] * m).sum(axis=0) - ss.pi))
+                np.abs((np.array(ss.pi)[:, None] * m).sum(axis=0) - ss.pi))
             assert ss.residual <= 1e-15
 
 
@@ -107,8 +112,7 @@ def test_level3_refined_transitions_closed_form():
     eps = 0.1
     prop = 2.0 * eps - eps**2
     idle = _gamma(eps)
-    powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
-    t = L3.refined.trans_coeffs @ powers
+    t = np.array(L3.refined.trans_coeffs) @ eps ** np.arange(28)
     i000 = REFINED_PROFILES.index((0, 0, 0))
     i100 = REFINED_PROFILES.index((1, 0, 0))
     assert t[i000, i000] == pytest.approx((1.0 - idle) ** 9, abs=1e-13)
@@ -120,8 +124,8 @@ def test_rows_substochastic_and_nonnegative():
     rng = np.random.default_rng(11)
     for chain in (L2, L3):
         for eps in rng.uniform(0.0, 0.25, size=200):
-            t = chain.trans(eps)
-            f = chain.fail(eps)
+            t = np.array(chain.trans(eps))
+            f = np.array(chain.fail(eps))
             assert np.all(t >= -1e-14) and np.all(t <= 1.0 + 1e-14)
             assert np.all(f >= -1e-14) and np.all(f <= 1.0 + 1e-14)
             np.testing.assert_allclose(t.sum(axis=1) + f,
@@ -132,9 +136,9 @@ def test_refined_rows_substochastic():
     rng = np.random.default_rng(13)
     k = len(REFINED_PROFILES)
     for eps in rng.uniform(0.0, 0.25, size=200):
-        powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
-        t = L3.refined.trans_coeffs @ powers
-        f = L3.refined.fail_coeffs @ powers
+        powers = eps ** np.arange(28)
+        t = np.array(L3.refined.trans_coeffs) @ powers
+        f = np.array(L3.refined.fail_coeffs) @ powers
         np.testing.assert_allclose(t.sum(axis=1) + f, np.ones(k), atol=1e-12)
 
 
@@ -142,14 +146,13 @@ def test_refined_lumping_reproduces_class_chain():
     # summing refined columns by class must give a row of the 7-state
     # matrix whenever the class has a single refined representative
     eps = 0.17
-    powers = eps ** np.arange(L3.refined.trans_coeffs.shape[2])
-    rt = L3.refined.trans_coeffs @ powers
+    rt = np.array(L3.refined.trans_coeffs) @ eps ** np.arange(28)
     t = L3.trans(eps)
     cls = np.array(REFINED_CLASS)
     for ci in range(4):  # classes 0..3 have one refined state each
         ri = list(cls).index(ci)
         for cj in range(7):
-            assert t[ci, cj] == pytest.approx(rt[ri, cls == cj].sum(),
+            assert t[ci][cj] == pytest.approx(rt[ri, cls == cj].sum(),
                                               abs=1e-12)
 
 
@@ -160,7 +163,7 @@ def test_refined_rows_equal_exact_census_of_gate_failure_patterns(eps):
 
     r = L3.refined
     for i, prof in enumerate(REFINED_PROFILES):
-        got = {q: exact(r.trans_coeffs[i, j])
+        got = {q: exact(r.trans_coeffs[i][j])
                for j, q in enumerate(REFINED_PROFILES)}
         got[None] = exact(r.fail_coeffs[i])
         assert got == oracles.level3_step_exact(prof, eps), prof
@@ -172,7 +175,7 @@ def test_square_law_is_invariant_under_permuting_counts():
     for counts in itertools.product(range(4), repeat=3):
         law = chains._square_law(counts)
         for perm in itertools.permutations(counts):
-            assert np.array_equal(chains._square_law(perm), law), perm
+            assert chains._square_law(perm) == law, perm
 
 
 def test_pattern_class_examples():
@@ -207,9 +210,9 @@ def test_one_step_distribution_matches_oracle():
     rng = np.random.default_rng(21)
     n = 400_000
     freq = oracles.step_distribution((1, 1, 0), eps, n, rng)
-    powers = eps ** np.arange(L3.trans_coeffs.shape[2])
-    row = np.concatenate([L3.trans_coeffs[2] @ powers,
-                          [L3.fail_coeffs[2] @ powers]])
+    powers = eps ** np.arange(28)
+    row = np.concatenate([np.array(L3.trans_coeffs[2]) @ powers,
+                          [np.array(L3.fail_coeffs[2]) @ powers]])
     sig = np.sqrt(row * (1.0 - row) / n)
     assert np.all(np.abs(freq - row) <= 5.0 * sig + 5.0 / n)
 
@@ -218,7 +221,7 @@ def test_steady_state_at_zero_noise():
     # the GTH solve itself, no special case: every state drains into 0
     for chain in (L2, L3, L3.refined):
         ss = steady_state(chain, 0.0)
-        assert np.array_equal(ss.pi, np.eye(chain.n_states)[0])
+        assert ss.pi == (1.0,) + (0.0,) * (chain.n_states - 1)
         assert ss.p_ss == 0.0 and ss.residual == 0.0
 
 
@@ -234,33 +237,57 @@ def test_steady_state_rejects_bad_epsilon():
 def test_horner_error_within_stated_bound():
     # |fl(p(eps)) - p(eps)| <= gamma_2d sum_k |c_k| eps^k, with p(eps) and
     # the bound evaluated exactly in rationals at the float eps
-    grid = np.array([0.0, 0.005, 0.01, 0.06, 0.1494, 0.25])
     u = Fraction(1, 2**53)
     for chain in (L2, L3, L3.refined):
-        for coeffs, values in ((chain.trans_coeffs, chain.trans(grid)),
-                               (chain.fail_coeffs, chain.fail(grid))):
-            two_d = 2 * (coeffs.shape[-1] - 1)
-            gamma = two_d * u / (1 - two_d * u)
-            for g, eps in enumerate(grid):
-                x = Fraction(float(eps))
-                for idx in np.ndindex(coeffs.shape[:-1]):
-                    exact = scale = Fraction(0)
-                    for c in coeffs[idx][::-1].tolist():
-                        exact = exact * x + c
-                        scale = scale * x + abs(c)
-                    err = abs(Fraction(float(values[g][idx])) - exact)
-                    assert err <= gamma * scale, (chain.name, eps, idx)
+        polys = [*(p for row in chain.trans_coeffs for p in row),
+                 *chain.fail_coeffs]
+        two_d = 2 * (len(polys[0]) - 1)
+        gamma = two_d * u / (1 - two_d * u)
+        for eps in (0.0, 0.005, 0.01, 0.06, 0.1494, 0.25):
+            values = [*(v for row in chain.trans(eps) for v in row),
+                      *chain.fail(eps)]
+            assert {type(v) for v in values} == {float}
+            x = Fraction(eps)
+            for n, (coeffs, value) in enumerate(zip(polys, values,
+                                                    strict=True)):
+                exact = scale = Fraction(0)
+                for c in reversed(coeffs):
+                    exact = exact * x + c
+                    scale = scale * x + abs(c)
+                err = abs(Fraction(value) - exact)
+                assert err <= gamma * scale, (chain.name, eps, n)
+
+
+@pytest.mark.parametrize("chain", [L2, L3],
+                         ids=["level2", "level3"])
+def test_printed_threshold_is_certified_in_exact_rationals(chain):
+    # the same Horner and GTH code on Fractions: p_ss(eps) - eps, exactly,
+    # changes sign within 1e-6 of the printed root, and the float solve
+    # there is within a relative 1e-13 of the exact rate
+    root = Fraction(correction_threshold(chain))
+    for eps, sign in ((root - Fraction(1, 10**6), -1),
+                      (root + Fraction(1, 10**6), 1)):
+        trans, fail = chain.trans(eps), chain.fail(eps)
+        assert {type(v) for v in (*trans[0], *fail)} == {Fraction}
+        pi, residual = chains._stationary(trans)
+        assert residual == 0 and sum(pi) == 1
+        p_ss = sum(p * f for p, f in zip(pi, fail))
+        assert (p_ss - eps) * sign > 0, (chain.name, float(eps))
+        approx = steady_state(chain, float(eps)).p_ss
+        assert abs(Fraction(approx) - p_ss) <= Fraction(1, 10**13) * p_ss
 
 
 @pytest.mark.parametrize("chain", [L2, L3, L3.refined],
                          ids=["level2", "level3", "level3_refined"])
 def test_batched_solve_matches_per_float_calls_bitwise(chain):
-    grid = np.concatenate([[0.0], np.linspace(1e-3, 0.25, 60)])
+    grid = [0.0, *linspace(1e-3, 0.25, 60)]
     batch = steady_state(chain, grid)
-    assert batch.pi.shape == (len(grid), chain.n_states)
+    assert len(batch.pi) == len(grid)
     for i, eps in enumerate(grid):
-        one = steady_state(chain, float(eps))
-        assert batch.pi[i].tobytes() == one.pi.tobytes()
+        one = steady_state(chain, eps)
+        assert len(batch.pi[i]) == chain.n_states
+        assert ([x.hex() for x in batch.pi[i]]
+                == [x.hex() for x in one.pi])
         assert batch.p_ss[i].hex() == one.p_ss.hex()
         assert batch.residual[i].hex() == one.residual.hex()
 
@@ -277,53 +304,55 @@ def _strided(a):
 @pytest.mark.parametrize("chain", [L2, L3, L3.refined],
                          ids=["level2", "level3", "level3_refined"])
 def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
-    # no BLAS sum decides a last bit: p_ss is the correctly rounded sum
-    # of pi * fail, whatever the memory layout of the coefficients
-    grid = np.linspace(1e-3, 0.25, 40)
-    copy = dataclasses.replace(chain, trans_coeffs=layout(chain.trans_coeffs),
-                               fail_coeffs=layout(chain.fail_coeffs))
+    # the solve reads each coefficient as an int, so the same coefficients
+    # as int64 arrays, in any memory layout, give the tuples' bits; and
+    # p_ss is the correctly rounded sum of pi * fail
+    grid = linspace(1e-3, 0.25, 40)
+    copy = dataclasses.replace(
+        chain, trans_coeffs=layout(np.array(chain.trans_coeffs)),
+        fail_coeffs=layout(np.array(chain.fail_coeffs)))
     want, got = steady_state(chain, grid), steady_state(copy, grid)
-    assert got.pi.tobytes() == want.pi.tobytes()
-    assert got.p_ss.tobytes() == want.p_ss.tobytes()
-    assert got.residual.tobytes() == want.residual.tobytes()
+    for w, g in zip((want.pi, want.p_ss, want.residual),
+                    (got.pi, got.p_ss, got.residual), strict=True):
+        assert np.array(g).tobytes() == np.array(w).tobytes()
     for i, eps in enumerate(grid):
-        assert want.p_ss[i] == math.fsum(want.pi[i] * chain.fail(eps))
+        assert want.p_ss[i] == math.fsum(
+            p * f for p, f in zip(want.pi[i], chain.fail(eps)))
     if chain.marks is not None:
         assert (propagated_bit_error(copy, 0.05)
                 == propagated_bit_error(chain, 0.05))
 
 
-@pytest.mark.parametrize("bad", [-1e-3, 1.0, np.nan])
+@pytest.mark.parametrize("bad", [-1e-3, 1.0, math.nan])
 @pytest.mark.parametrize("where", [0, 3, 6])
 def test_batched_solve_rejects_a_bad_epsilon_anywhere(bad, where):
-    grid = np.linspace(0.01, 0.2, 7)
+    grid = linspace(0.01, 0.2, 7)
     grid[where] = bad
     with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\)"):
         steady_state(L3, grid)
+
+
+ZERO = (0,) * 10  # the zero polynomial, as long as L2's
 
 
 def test_batched_solve_rejects_one_dead_or_reducible_point():
     # state 1 of a two-state chain keeps mass 1 - 10 eps toward state 0,
     # which is exactly 0.0 at eps = 0.1; the rest of its row goes to
     # failure (dead) or stays in state 1 (reducible)
-    shape = L2.trans_coeffs.shape
-    to_zero, ten_eps = np.zeros((2, shape[2]), dtype=np.int64)
-    to_zero[:2], ten_eps[1] = (1, -10), 10
-    trans = L2.trans_coeffs.copy()
-    trans[1, 0], trans[1, 1] = to_zero, 0
-    dead = ErrorChain(name="dead", labels=L2.labels, trans_coeffs=trans,
+    to_zero, ten_eps = (1, -10, *ZERO[2:]), (0, 10, *ZERO[2:])
+    dead = ErrorChain(name="dead", labels=L2.labels,
+                      trans_coeffs=(L2.trans_coeffs[0], (to_zero, ZERO)),
                       fail_coeffs=L2.fail_coeffs)
-    trans = trans.copy()
-    trans[1, 1] = ten_eps
-    stuck = ErrorChain(name="stuck", labels=L2.labels, trans_coeffs=trans,
-                       fail_coeffs=np.zeros_like(L2.fail_coeffs))
-    grid = np.array([0.02, 0.1, 0.05])
+    stuck = ErrorChain(name="stuck", labels=L2.labels,
+                       trans_coeffs=(L2.trans_coeffs[0], (to_zero, ten_eps)),
+                       fail_coeffs=(ZERO, ZERO))
+    grid = [0.02, 0.1, 0.05]
     with pytest.raises(ValueError, match="no survivors"):
         steady_state(dead, grid)
     with pytest.raises(ValueError, match="reducible"):
         steady_state(stuck, grid)
     for chain in (dead, stuck):
-        assert np.all(steady_state(chain, grid[[0, 2]]).residual <= 1e-15)
+        assert all(r <= 1e-15 for r in steady_state(chain, grid[::2]).residual)
 
 
 def test_propagated_bit_error_monotone():
@@ -378,7 +407,7 @@ def test_parse_round_trip():
 
         assert rows("chain") == [chain.name]
         assert rows("states") == [str(chain.n_states)]
-        assert rows("degree") == [str(chain.trans_coeffs.shape[2] - 1)]
+        assert rows("degree") == [str(len(chain.trans_coeffs[0][0]) - 1)]
         tags = {"chain", "states", "degree", "label", "trans", "fail"}
         views = [("", chain.labels, chain.trans_coeffs, chain.fail_coeffs)]
         if chain.refined is not None:
@@ -395,29 +424,27 @@ def test_parse_round_trip():
             k = len(labels)
             assert rows(prefix + "label") == [
                 f"{i} {lab}" for i, lab in enumerate(labels)]
-            t = np.array([r.split() for r in rows(prefix + "trans")],
-                         dtype=np.int64)
-            np.testing.assert_array_equal(t[:, :2], list(np.ndindex(k, k)))
-            np.testing.assert_array_equal(t[:, 2:].reshape(trans.shape),
-                                          trans)
-            f = np.array([r.split() for r in rows(prefix + "fail")],
-                         dtype=np.int64)
-            np.testing.assert_array_equal(f[:, 0], np.arange(k))
-            np.testing.assert_array_equal(f[:, 1:], fail)
+            t = [tuple(map(int, r.split())) for r in rows(prefix + "trans")]
+            assert [r[:2] for r in t] == list(itertools.product(range(k),
+                                                                repeat=2))
+            assert [r[2:] for r in t] == [p for row in trans for p in row]
+            f = [tuple(map(int, r.split())) for r in rows(prefix + "fail")]
+            assert [r[0] for r in f] == list(range(k))
+            assert [r[1:] for r in f] == list(fail)
 
 
 def test_dead_chain_has_zero_failure():
     dead = ErrorChain(name="dead", labels=L2.labels,
                       trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=np.zeros_like(L2.fail_coeffs))
+                      fail_coeffs=(ZERO, ZERO))
     assert steady_state(dead, 0.1).p_ss == 0.0
 
 
 def test_reducible_chain_is_rejected():
     # both states are absorbing, so the stationary law is not unique
-    trans = np.zeros_like(L2.trans_coeffs)
-    trans[0, 0, 0] = trans[1, 1, 0] = 1
-    stuck = ErrorChain(name="stuck", labels=L2.labels, trans_coeffs=trans,
-                       fail_coeffs=np.zeros_like(L2.fail_coeffs))
+    one = (1, *ZERO[1:])
+    stuck = ErrorChain(name="stuck", labels=L2.labels,
+                       trans_coeffs=((one, ZERO), (ZERO, one)),
+                       fail_coeffs=(ZERO, ZERO))
     with pytest.raises(ValueError, match="reducible"):
         steady_state(stuck, 0.1)

@@ -40,12 +40,15 @@ ENV_KEPT = ("import os; env = dict(os.environ); {load}; "
 on_linux = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                               reason="counts threads in /proc/self/task")
 # every way numpy first comes in: a module that uses it, a name of the
-# package read lazily, and a command that runs numpy code
+# package read lazily, and commands that run numpy code; the analytic
+# modules load none (test_commands_load_only_the_layers_they_run)
 FIRST_LOADS = (
-    "import majmux.chains",
     "import majmux.netsim",
-    "import majmux; majmux.steady_state",
-    "from majmux.cli import main; main(['threshold', '--model', 'level2'])",
+    "import majmux; majmux.cascade_mc",
+    "from majmux.cli import main; main(['simulate', '--model', 'vn_mc', "
+    "'--level', '1', '--eps', '0.1', '--min-flips', '2'])",
+    "from majmux.cli import main; main(['encode', '--p', '0.02', "
+    "'--trials', '100'])",
 )
 
 
@@ -77,8 +80,8 @@ def test_package_import_loads_no_submodule_and_no_numpy():
     assert _run(f"import sys, majmux; {LOADED}") == "['majmux']"
 
 
-ANALYTIC = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.chains",
-            "majmux.rates", "numpy"]
+# an analytic run loads no numpy
+ANALYTIC = ["majmux", "majmux.analysis", "majmux.chains", "majmux.rates"]
 # a Monte Carlo run builds no chain
 MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
                "majmux.rates", "numpy"]
@@ -91,10 +94,16 @@ MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
      ["majmux", "majmux.rates"]),
     (["threshold", "--model", "universal"], ANALYTIC),
     (["sweep", "--model", "level3", "--grid", "0.01:0.1:3"], ANALYTIC),
+    (["threshold", "--model", "level3"], ANALYTIC),
+    (["threshold", "--model", "level2"], ANALYTIC),
+    (["sweep", "--model", "level2", "--eps", "0.1"], ANALYTIC),
+    (["sweep", "--model", "concat(6,2)", "--grid", "0.01:0.1:3"],
+     ["majmux", "majmux.analysis", "majmux.rates"]),
     (["simulate", "--model", "vn_mc", "--level", "2", "--eps", "0.1",
       "--min-flips", "5"], MONTE_CARLO),
     (["compare-vn", "--eps", "0.1", "--min-flips", "5"], MONTE_CARLO),
-], ids=["help", "pcrit", "bound", "threshold", "sweep", "simulate",
+], ids=["help", "pcrit", "bound", "threshold", "sweep", "threshold-level3",
+        "threshold-level2", "sweep-level2", "sweep-concat", "simulate",
         "compare-vn"])
 def test_commands_load_only_the_layers_they_run(argv, loaded):
     # run as ``python -m majmux.cli``; the modules are listed at exit
