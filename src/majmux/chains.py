@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 Poly = tuple[int, ...]  # integer coefficients in eps, constant term first
 
@@ -171,7 +171,6 @@ def pattern_class(pattern) -> int | None:
 # --- chain container ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class ErrorChain:
     """A substochastic jump process over propagated-error classes.
 
@@ -183,32 +182,39 @@ class ErrorChain:
     every polynomial of one length D.  marks counts the marked
     (erroneous-bundle) positions of each state, None where a state lumps
     different counts; refined is the finer chain that resolves them, None
-    for chains that need no splitting.
+    for chains that need no splitting.  A chain is immutable and equal
+    only to itself.
     """
 
-    name: str
-    labels: tuple[str, ...]
-    trans_coeffs: tuple[tuple[Poly, ...], ...] = field(repr=False)  # (k, k, D)
-    fail_coeffs: tuple[Poly, ...] = field(repr=False)               # (k, D)
-    marks: tuple[int, ...] | None = None
-    refined: ErrorChain | None = field(default=None, repr=False)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def _polys(self) -> tuple[Poly, ...]:
-        """The trans entries row by row, then the fail entries, as int
-        tuples without their high zero coefficients (Horner skips them)."""
+    def __init__(self, name: str, labels: tuple[str, ...],
+                 trans_coeffs: tuple[tuple[Poly, ...], ...],  # (k, k, D)
+                 fail_coeffs: tuple[Poly, ...],               # (k, D)
+                 marks: tuple[int, ...] | None = None,
+                 refined: ErrorChain | None = None):
+        # the trans entries row by row, then the fail entries, as int
+        # tuples without their high zero coefficients (Horner skips them)
         polys = []
-        for p in (*(p for row in self.trans_coeffs for p in row),
-                  *self.fail_coeffs):
+        for p in (*(p for row in trans_coeffs for p in row), *fail_coeffs):
             cs = [int(c) for c in p]
             while cs and cs[-1] == 0:
                 cs.pop()
             polys.append(tuple(cs))
-        return tuple(polys)
+        vars(self).update(name=name, labels=labels, trans_coeffs=trans_coeffs,
+                          fail_coeffs=fail_coeffs, marks=marks,
+                          refined=refined, _polys=tuple(polys))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return (f"ErrorChain(name={self.name!r}, labels={self.labels!r}, "
+                f"marks={self.marks!r})")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.labels)
 
     def trans(self, epsilon) -> list[list]:
         """Transition matrix T(eps) among non-failure states, k rows of k."""
@@ -221,8 +227,7 @@ class ErrorChain:
         return _horner(self._polys[self.n_states ** 2:], epsilon)
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     """Stationary occupancies conditioned on no logical failure.
 
     For a float eps pi is a k-tuple and p_ss, residual are floats; for a

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rates import SweepRecord, linspace, p_crit, pfail_bound
 
@@ -70,7 +70,7 @@ def _checked(fields: dict, accepted: tuple[str, ...]) -> "RunConfig":
         raise ValueError(f"{row} does not read {sorted(unread)}")
     for key, value in fields.items():
         if key == "command" or (value is None
-                                and getattr(RunConfig, key) is None):
+                                and RunConfig._field_defaults[key] is None):
             continue  # the command picked the row; None is an unset option
         kind = _ARGS[key].get("type", bool if "action" in _ARGS[key] else str)
         if type(value) is not kind:  # bool is an int, but not here
@@ -87,8 +87,7 @@ def _checked(fields: dict, accepted: tuple[str, ...]) -> "RunConfig":
     return config
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One CLI invocation, fully serializable.
 
     The header embedded in every artifact is the command and the options
@@ -114,7 +113,7 @@ class RunConfig:
     workers: int = 1
 
     def header(self) -> dict:
-        keys = ("command", *_OPTIONS[_row(vars(self))], *_RECORDED)
+        keys = ("command", *_OPTIONS[_row(self._asdict())], *_RECORDED)
         return {k: getattr(self, k) for k in keys}
 
     @classmethod
@@ -221,7 +220,7 @@ def _parse_grid(config: RunConfig) -> list[float]:
         return [config.eps if config.eps is not None else config.p]
     raise ValueError("need " + " or ".join(
         f"--{k}" for k in ("eps", "p", "grid")
-        if k in _OPTIONS[_row(vars(config))]))
+        if k in _OPTIONS[_row(config._asdict())]))
 
 
 def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:

@@ -58,7 +58,7 @@ encoder shard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .rates import PhysicalNoise, epsilon_of_p
@@ -66,19 +66,26 @@ from .rates import PhysicalNoise, epsilon_of_p
 # --- domain types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Idealized:
-    """MAJ3 as one unit: all three outputs flip together with probability eps."""
-
+class _Idealized(NamedTuple):
     epsilon: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon={self.epsilon} outside [0, 1]")
+
+class Idealized(_Idealized):
+    """MAJ3 as one unit: all three outputs flip together with probability eps."""
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon: float):
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon={epsilon} outside [0, 1]")
+        return super().__new__(cls, epsilon)
+
+    @classmethod
+    def _make(cls, fields) -> "Idealized":  # so _replace checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Componentwise:
+class Componentwise(NamedTuple):
     """MAJ3 assembled from vote + fan-out gates, preps and wires (see module
     docstring); per-output marginal error is at most epsilon(p)."""
 
@@ -102,8 +109,7 @@ def randomized_schedule() -> str:
     return "randomized"
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Monte Carlo tallies, flips over phases (or trials), and their rate."""
 
     phases: int

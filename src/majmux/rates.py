@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # --- exact rate constants -------------------------------------------------
 
@@ -50,17 +50,25 @@ def _clamp01(x: float, name: str) -> float:
 # --- rate records -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhysicalNoise:
-    """Base gate error probability and its fixed per-location shares."""
-
+class _PhysicalNoise(NamedTuple):
     p: float          # per 3-bit gate
     p_c: float        # classical bit-flip share, (8/9) p
     wire_prep: float  # per wire or preparation location, (2/3) p
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
+
+class PhysicalNoise(_PhysicalNoise):
+    """Base gate error probability and its fixed per-location shares."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: float, p_c: float, wire_prep: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p={p} outside [0, 1]")
+        return super().__new__(cls, p, p_c, wire_prep)
+
+    @classmethod
+    def _make(cls, fields) -> "PhysicalNoise":  # so _replace checks too
+        return cls(*fields)
 
     @classmethod
     def from_p(cls, p: float) -> "PhysicalNoise":
@@ -68,8 +76,7 @@ class PhysicalNoise:
         return cls(p, _CLASSICAL_SHARE * p, _WIRE_PREP_SHARE * p)
 
 
-@dataclass(frozen=True)
-class Maj3Rates:
+class Maj3Rates(NamedTuple):
     """Per-output error budgets of the composite MAJ3 gate."""
 
     epsilon: float        # full restorative-phase budget, (148/63) p
@@ -77,8 +84,7 @@ class Maj3Rates:
     epsilon_zero: float   # encoding-equivalent incipient rate, (208/63) p
 
 
-@dataclass(frozen=True)
-class EncodingRates:
+class EncodingRates(NamedTuple):
     """Per-location rates of the AMP fan-out used by the encoder."""
 
     q_i: float  # correlated control-input error, (4/7) p_c
@@ -220,8 +226,7 @@ def bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class EncodeBound:
+class EncodeBound(NamedTuple):
     """Closed-form overestimate of the encoded failure probability.
 
     alpha is the chance that a majority of one bundle's three feed lines
@@ -278,8 +283,7 @@ def p_crit(tol: float = _BISECT_TOL) -> float:
     return bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One evaluated grid point of a model sweep.
 
     For analytic models y_lo == y == y_hi and seed is carried only for

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -308,9 +307,11 @@ def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
     # as int64 arrays, in any memory layout, give the tuples' bits; and
     # p_ss is the correctly rounded sum of pi * fail
     grid = linspace(1e-3, 0.25, 40)
-    copy = dataclasses.replace(
-        chain, trans_coeffs=layout(np.array(chain.trans_coeffs)),
-        fail_coeffs=layout(np.array(chain.fail_coeffs)))
+    copy = ErrorChain(
+        chain.name, chain.labels,
+        trans_coeffs=layout(np.array(chain.trans_coeffs)),
+        fail_coeffs=layout(np.array(chain.fail_coeffs)),
+        marks=chain.marks, refined=chain.refined)
     want, got = steady_state(chain, grid), steady_state(copy, grid)
     for w, g in zip((want.pi, want.p_ss, want.residual),
                     (got.pi, got.p_ss, got.residual), strict=True):

@@ -87,7 +87,8 @@ MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
                "majmux.rates", "numpy"]
 
 
-@pytest.mark.parametrize("argv, loaded", [
+# each command with the modules of majmux, and numpy, that it loads
+COMMANDS = [
     (["--help"], ["majmux", "majmux.rates"]),
     (["encode", "--pcrit"], ["majmux", "majmux.rates"]),
     (["encode", "--bound", "--grid", "0.001:0.2:5", "--format", "json"],
@@ -102,15 +103,36 @@ MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
     (["simulate", "--model", "vn_mc", "--level", "2", "--eps", "0.1",
       "--min-flips", "5"], MONTE_CARLO),
     (["compare-vn", "--eps", "0.1", "--min-flips", "5"], MONTE_CARLO),
-], ids=["help", "pcrit", "bound", "threshold", "sweep", "threshold-level3",
-        "threshold-level2", "sweep-level2", "sweep-concat", "simulate",
-        "compare-vn"])
-def test_commands_load_only_the_layers_they_run(argv, loaded):
-    # run as ``python -m majmux.cli``; the modules are listed at exit
-    probe = (f"import atexit, runpy, sys; atexit.register(lambda: {LOADED}); "
+]
+COMMAND_IDS = ["help", "pcrit", "bound", "threshold", "sweep",
+               "threshold-level3", "threshold-level2", "sweep-level2",
+               "sweep-concat", "simulate", "compare-vn"]
+
+
+def _at_exit(argv, listing):
+    """The last line ``listing`` prints at the exit of ``python -m
+    majmux.cli *argv``."""
+    probe = (f"import atexit, runpy, sys; atexit.register(lambda: {listing}); "
              f"sys.argv = {['majmux', *argv]}; "
              "runpy.run_module('majmux.cli', run_name='__main__')")
-    assert _run(probe) == str(loaded)
+    return _run(probe)
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=COMMAND_IDS)
+def test_commands_load_only_the_layers_they_run(argv, loaded):
+    assert _at_exit(argv, LOADED) == str(loaded)
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=COMMAND_IDS)
+def test_commands_load_no_dataclasses_and_no_inspect_without_numpy(argv,
+                                                                   loaded):
+    # the records are NamedTuples and plain classes: ``import dataclasses``
+    # and the ``inspect`` it loads would cost a numpy-free child ~20 ms
+    got = _at_exit(argv, "print(sorted(m for m in ('dataclasses', 'inspect') "
+                         "if m in sys.modules))")
+    assert "dataclasses" not in got
+    if "numpy" not in loaded:  # numpy itself imports inspect
+        assert "inspect" not in got
 
 
 def test_only_the_pin_module_imports_numpy():
