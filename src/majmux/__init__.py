@@ -8,7 +8,7 @@ jump-process models of the propagated errors.
 
 ``import majmux`` loads no submodule: a public name is imported from its
 module on first use (PEP 562), so a command loads only the layers it runs,
-and numpy only through ``majmux._numpy``, which pins OpenBLAS to one thread.
+and numpy only through ``majmux.netsim``, which pins OpenBLAS to one thread.
 """
 
 import importlib

@@ -195,16 +195,14 @@ def sweep(model: str, grid: Sequence[float], *,
     kind, n, t = MODELS[model]
     hi, edge = ((_CHAIN_EPS_MAX, f"{_CHAIN_EPS_MAX:g}") if kind == "chain"
                 else (1.0 / t, f"1/{t}"))
-    inside = [x for x in xs if 0.0 <= x <= hi]
     if kind == "chain":
         from .chains import steady_state
-        ys = iter(steady_state(chain_of(model), inside).p_ss)
-    else:
-        ys = iter([concat_baseline(t, n, x) for x in inside])
+        chain = chain_of(model)
     records = []
     for x in xs:
         if 0.0 <= x <= hi:
-            y = float(next(ys))
+            y = (steady_state(chain, x).p_ss if kind == "chain"
+                 else concat_baseline(t, n, x))
             records.append(SweepRecord(x, y, y, y, model, n, seed))
         else:
             records.append(SweepRecord(x, math.nan, math.nan, math.nan,

@@ -228,15 +228,11 @@ class ErrorChain:
 
 
 class SteadyState(NamedTuple):
-    """Stationary occupancies conditioned on no logical failure.
+    """Stationary occupancies conditioned on no logical failure."""
 
-    For a float eps pi is a k-tuple and p_ss, residual are floats; for a
-    grid of G values each field is a G-tuple of those.
-    """
-
-    pi: tuple                    # over non-failure states, sums to 1
-    p_ss: float | tuple          # per-phase logical failure, pi . fail
-    residual: float | tuple      # max |pi M - pi|, M row-normalized
+    pi: tuple        # k floats over non-failure states, sums to 1
+    p_ss: float      # per-phase logical failure, pi . fail
+    residual: float  # max |pi M - pi|, M row-normalized
 
 
 # --- chain builders -----------------------------------------------------------
@@ -422,16 +418,7 @@ def _stationary(trans) -> tuple[list, object]:
     return pi, residual
 
 
-def _solve(chain: ErrorChain, epsilon) -> SteadyState:
-    """steady_state at one eps."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    pi, residual = _stationary(chain.trans(epsilon))
-    p_ss = math.fsum(p * f for p, f in zip(pi, chain.fail(epsilon)))
-    return SteadyState(pi=tuple(pi), p_ss=p_ss, residual=residual)
-
-
-def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
+def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     """Stationary state of the chain at eps, conditioned on survival.
 
     Convention: pi is the stationary law of the row-normalized transition
@@ -443,26 +430,17 @@ def steady_state(chain: ErrorChain, epsilon) -> SteadyState:
     and residual is max |pi M - pi|.  eps = 0 goes through the same solve,
     which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
-    A 1-D sequence of eps values is solved point by point, and each field
-    comes back as a tuple over the grid.
-
     Args:
         chain: a chain from build_level2_chain or build_level3_chain, or
             the refined view of one.
-        epsilon: per-bundle incipient error probability, 0 <= eps < 1, as
-            a float or a 1-D sequence of floats.
+        epsilon: per-bundle incipient error probability, 0 <= eps < 1,
+            or ValueError (NaN included).
     """
-    try:
-        grid = tuple(epsilon)
-    except TypeError:  # one eps
-        return _solve(chain, epsilon)
-    if any(hasattr(x, "__iter__") for x in grid):
-        raise ValueError("epsilon must be a float or a 1-D sequence of "
-                         "floats")
-    solves = [_solve(chain, x) for x in grid]
-    return SteadyState(pi=tuple(s.pi for s in solves),
-                       p_ss=tuple(s.p_ss for s in solves),
-                       residual=tuple(s.residual for s in solves))
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    pi, residual = _stationary(chain.trans(epsilon))
+    p_ss = math.fsum(p * f for p, f in zip(pi, chain.fail(epsilon)))
+    return SteadyState(pi=tuple(pi), p_ss=p_ss, residual=residual)
 
 
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:

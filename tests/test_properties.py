@@ -62,18 +62,6 @@ def test_encoding_bound_is_nondecreasing(pair):
     assert pfail_bound(a).p_fail <= pfail_bound(b).p_fail
 
 
-@CHAINS
-@derandomized
-@given(grid=st.lists(st.floats(0.0, 0.25), min_size=1, max_size=8))
-def test_batched_solve_equals_per_float_calls(chain, grid):
-    batch = steady_state(chain, grid)
-    for i, eps in enumerate(grid):
-        one = steady_state(chain, eps)
-        assert batch.p_ss[i] == one.p_ss
-        assert batch.residual[i] == one.residual
-        assert batch.pi[i] == one.pi
-
-
 # each example starts a process pool, so a handful keeps the suite fast
 few = settings(derandomized, max_examples=5)
 SEEDS = st.integers(0, 2 ** 63)
