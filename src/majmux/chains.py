@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 Poly = tuple[int, ...]  # integer coefficients in eps, constant term first
@@ -178,12 +179,12 @@ class ErrorChain:
     states, fail(eps) the per-state logical-failure probabilities; for every
     eps in [0, 1] each row of trans plus its fail entry sums to one exactly
     (the underlying integer polynomials sum to the constant 1).  The
-    coefficients are nested tuples of Python ints, constant term first,
-    every polynomial of one length D.  marks counts the marked
-    (erroneous-bundle) positions of each state, None where a state lumps
-    different counts; refined is the finer chain that resolves them, None
-    for chains that need no splitting.  A chain is immutable and equal
-    only to itself.
+    coefficients are nested tuples of integers, constant term first, every
+    polynomial of one length D; any other number, a float or a Fraction,
+    raises TypeError.  marks counts the marked (erroneous-bundle)
+    positions of each state, None where a state lumps different counts;
+    refined is the finer chain that resolves them, None for chains that
+    need no splitting.  A chain is immutable and equal only to itself.
     """
 
     def __init__(self, name: str, labels: tuple[str, ...],
@@ -195,7 +196,7 @@ class ErrorChain:
         # tuples without their high zero coefficients (Horner skips them)
         polys = []
         for p in (*(p for row in trans_coeffs for p in row), *fail_coeffs):
-            cs = [int(c) for c in p]
+            cs = [index(c) for c in p]
             while cs and cs[-1] == 0:
                 cs.pop()
             polys.append(tuple(cs))

@@ -110,7 +110,7 @@ class Componentwise(NamedTuple):
 
     @classmethod
     def from_p(cls, p: float) -> "Componentwise":
-        return cls(noise=PhysicalNoise.from_p(p))
+        return cls(noise=PhysicalNoise(p))
 
 
 GateNoise = Idealized | Componentwise
@@ -590,6 +590,7 @@ def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
 # --- fan-out encoder cascade ------------------------------------------------------
 
 CASCADE_DEPTH = 4
+_CASCADE_PHASES = 12  # correction phases after the fan-out: three axis cycles
 _CHUNK = 8192  # trials per RNG substream; fixed so results never depend on workers
 
 
@@ -616,7 +617,7 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
                    input_bit: int) -> int:
     """Failures among ``size`` trials on the shard's own RNG substream."""
     rng = _generator(substream(seed, shard))
-    pn = PhysicalNoise.from_p(p)
+    pn = PhysicalNoise(p)
     corrector = Idealized(epsilon_of_p(p))
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
@@ -633,22 +634,22 @@ def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
     return int((_majority(bits) != input_bit).sum())
 
 
-def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
-               input_bit: int = 0, workers: int = 1) -> TrialStats:
+def cascade_mc(p: float, seed: int, trials: int, *,
+               workers: int = 1) -> TrialStats:
     """Monte Carlo of the full encode-then-correct pipeline.
 
-    Each trial amplifies ``input_bit`` through four levels of fan-out
-    gates into an 81-bit register, with componentwise noise at physical
-    rate p, runs ``phases`` correction phases (idealized gates at the
-    derived per-output rate, cycling the register's four axes starting
-    with the cross-block one), and scores a failure when the final strict
-    majority disagrees with the input.  The phases act on the register
-    packed along the trial axis, eight trials per byte, with the masks
-    packed alike; the draws are those of a register of one byte per bit,
-    so the failure count is that register's, bit for bit.  Twelve phases,
-    three full axis cycles, are enough for the propagated-error population
-    to relax; the estimate moves by well under a standard deviation between
-    8 and 24 phases.
+    Each trial amplifies the input 0 through four levels of fan-out gates
+    into an 81-bit register, with componentwise noise at physical rate p,
+    runs twelve correction phases (idealized gates at the derived
+    per-output rate, cycling the register's four axes starting with the
+    cross-block one), and scores a failure when the final strict majority
+    is 1.  The phases act on the register packed along the trial axis,
+    eight trials per byte, with the masks packed alike; the draws are
+    those of a register of one byte per bit, so the failure count is that
+    register's, bit for bit.  Twelve phases, three full axis cycles, are
+    enough for the propagated-error population to relax; the estimate
+    moves by well under a standard deviation between 8 and 24 phases, and
+    the input 1 fails as often.
 
     Trials are processed in fixed-size shards, each on its own PCG64
     stream seeded by a substream of ``seed``, so the result is identical
@@ -657,11 +658,7 @@ def cascade_mc(p: float, seed: int, trials: int, *, phases: int = 12,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if phases < 1:
-        raise ValueError("phases must be >= 1")
-    if input_bit not in (0, 1):
-        raise ValueError("input_bit must be 0 or 1")
-    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK), phases, input_bit)
+    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK), _CASCADE_PHASES, 0)
             for i in range((trials + _CHUNK - 1) // _CHUNK)]
     return TrialStats(phases=trials,
                       flips=sum(run_parallel(_cascade_shard, jobs, workers)))

@@ -51,29 +51,30 @@ def _clamp01(x: float, name: str) -> float:
 
 
 class _PhysicalNoise(NamedTuple):
-    p: float          # per 3-bit gate
-    p_c: float        # classical bit-flip share, (8/9) p
-    wire_prep: float  # per wire or preparation location, (2/3) p
+    p: float  # per 3-bit gate
 
 
 class PhysicalNoise(_PhysicalNoise):
-    """Base gate error probability and its fixed per-location shares."""
+    """Base gate error probability; every per-location share is fixed by p."""
 
     __slots__ = ()
 
-    def __new__(cls, p: float, p_c: float, wire_prep: float):
+    def __new__(cls, p: float):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p={p} outside [0, 1]")
-        return super().__new__(cls, p, p_c, wire_prep)
+        return super().__new__(cls, p)
 
     @classmethod
     def _make(cls, fields) -> "PhysicalNoise":  # so _replace checks too
         return cls(*fields)
 
-    @classmethod
-    def from_p(cls, p: float) -> "PhysicalNoise":
-        """The shares of p alone; no derived rate is formed or clamped."""
-        return cls(p, _CLASSICAL_SHARE * p, _WIRE_PREP_SHARE * p)
+    @property
+    def p_c(self) -> float:  # classical bit-flip share, (8/9) p
+        return _CLASSICAL_SHARE * self.p
+
+    @property
+    def wire_prep(self) -> float:  # per wire or preparation location, (2/3) p
+        return _WIRE_PREP_SHARE * self.p
 
 
 class Maj3Rates(NamedTuple):
@@ -109,10 +110,7 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
     Raises:
         ValueError: if p is outside [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-
-    noise = PhysicalNoise.from_p(p)
+    noise = PhysicalNoise(p)
     p_c, wire_prep = noise.p_c, noise.wire_prep
     epsilon = _clamp01(_epsilon(noise), "epsilon")
     # the computational phase drops one wire/prep location and one gate
@@ -139,7 +137,7 @@ def _epsilon(noise: PhysicalNoise) -> float:
 def epsilon_of_p(p: float) -> float:
     """The canonical per-output MAJ3 budget epsilon(p), as derive_rates
     clamps it, without forming (or warning about) any other rate."""
-    return _clamp01(_epsilon(PhysicalNoise.from_p(p)), "epsilon")
+    return _clamp01(_epsilon(PhysicalNoise(p)), "epsilon")
 
 
 def jvn_stable_eta(epsilon: float) -> tuple[float, float]:
@@ -213,11 +211,11 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
     return pts
 
 
-def bisect(g, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    """Root of g on [lo, hi] given g(lo) < 0 < g(hi)."""
+def bisect(g, lo: float, hi: float) -> float:
+    """Root of g on [lo, hi] given g(lo) < 0 < g(hi), to within 1e-6."""
     if not (g(lo) < 0.0 < g(hi)):
         raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
             lo = mid
@@ -273,23 +271,26 @@ def pfail_bound(p: float) -> EncodeBound:
                        p_fail=terms[0] + terms[1] + terms[2] + terms[3])
 
 
-def p_crit(tol: float = _BISECT_TOL) -> float:
+def p_crit() -> float:
     """Physical rate where the encoding bound stops beating bare preparation.
 
     Bisects p_fail(p) - p on (1e-6, 0.2).  Below the root the cascade's
     failure bound is smaller than the raw preparation error; above it the
     correlated build-up during amplification dominates.
     """
-    return bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2, tol)
+    return bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2)
 
 
 class SweepRecord(NamedTuple):
     """One evaluated grid point of a model sweep.
 
     For analytic models y_lo == y == y_hi and seed is carried only for
-    provenance.  For Monte Carlo models (y_lo, y_hi) is the 95% confidence
-    interval.  A point outside the model's domain yields NaN values and a
-    non-empty note instead of being silently dropped.
+    provenance.  For Monte Carlo models (y_lo, y_hi) is the 95% Wilson
+    interval, which treats every replica-phase as an independent trial;
+    flips are not independent, so at randomized n=3, eps 0.10 it covers
+    only about 90% (ROADMAP item 14).  A point outside the model's domain
+    yields NaN values and a non-empty note instead of being silently
+    dropped.
     """
 
     x: float

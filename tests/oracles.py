@@ -192,7 +192,7 @@ def cascade_shard_bytes(p: float, seed: int, shard: int, size: int,
     """Failures of ``netsim._cascade_shard`` with the same draws in the same
     order, every phase on the (81, size) uint8 register."""
     rng = netsim._generator(netsim.substream(seed, shard))
-    pn = PhysicalNoise.from_p(p)
+    pn = PhysicalNoise(p)
     corrector = netsim.Idealized(epsilon_of_p(p))
     bits = np.full((1, size), input_bit, np.uint8)
     for _ in range(netsim.CASCADE_DEPTH):
@@ -236,9 +236,12 @@ def gate_masks_loop(noise, rng, blocks: int, gates: int) -> np.ndarray:
 
 
 def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,
-                           min_flips: int, max_phases: int) -> tuple[int, int]:
+                           min_flips: int, max_phases: int,
+                           settle: int = 3) -> tuple[int, int]:
     """(phases, flips) of ``netsim.estimate_logical_rate`` with the same
-    draws in the same order, the settle rule applied after every phase."""
+    draws in the same order, the settle rule applied after every phase: a
+    flip is ``settle`` consecutive majorities that differ from the carried
+    reference (the estimator's rule is ``settle=3``)."""
     size = 3 ** (n + 1)
     replicas = max(1, netsim._LANES // size)
     block = max(1, netsim._MASK_BYTES // (size * replicas))
@@ -261,7 +264,7 @@ def logical_rate_per_phase(n: int, wiring: str, noise, seed: int, *,
         maj = netsim._majority(bits)
         streak = np.where(maj == prev, streak + 1, 1)
         prev = maj
-        settled = (streak >= 3) & (maj != logical)
+        settled = (streak >= settle) & (maj != logical)
         logical = np.where(settled, maj, logical)
         if phase_idx >= netsim._WARMUP:
             tally = min(replicas, max_phases - phases)

@@ -312,7 +312,7 @@ def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
 ZERO = (0,) * 10  # the zero polynomial, as long as L2's
 
 
-def test_batched_solve_rejects_one_dead_or_reducible_point():
+def test_solve_rejects_a_dead_or_reducible_point():
     # state 1 of a two-state chain keeps mass 1 - 10 eps toward state 0,
     # which is exactly 0.0 at eps = 0.1; the rest of its row goes to
     # failure (dead) or stays in state 1 (reducible)
@@ -330,6 +330,18 @@ def test_batched_solve_rejects_one_dead_or_reducible_point():
     for chain in (dead, stuck):
         for eps in (0.02, 0.05):
             assert steady_state(chain, eps).residual <= 1e-15
+
+
+@pytest.mark.parametrize("half", [Fraction(1, 2), 0.5],
+                         ids=["Fraction", "float"])
+def test_chain_refuses_a_coefficient_that_is_not_an_integer(half):
+    # int() would read 1/2 as 0, and the solve would then see a chain
+    # whose every row is dead
+    row = (half, half, *ZERO[2:])
+    with pytest.raises(TypeError):
+        ErrorChain(name="halves", labels=L2.labels,
+                   trans_coeffs=((row, ZERO), (ZERO, row)),
+                   fail_coeffs=(row, row))
 
 
 def test_propagated_bit_error_monotone():

@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -240,3 +241,28 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``majmux`` line in the README's sh blocks, with
+    lines that end in a backslash joined to the next."""
+    readme = (ROOT / "README.md").read_text()
+    commands = []
+    for block in readme.split("```sh\n")[1:]:
+        text = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [shlex.split(line)[1:] for line in text.splitlines()
+                     if line.startswith("majmux ")]
+    return commands
+
+
+def test_readme_commands_parse_and_check():
+    # parsed, checked and their grids read as the CLI would, not run
+    from majmux import cli
+
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        given = vars(cli._build_parser().parse_args(argv))
+        config = cli._checked(given, cli._RECORDED + cli._VOLATILE)
+        if {"eps", "p", "grid"} & set(cli._OPTIONS[cli._row(given)]):
+            assert cli._parse_grid(config), argv

@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import types
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,14 @@ from majmux.netsim import (Componentwise, Idealized, TrialStats,
                            _gate_masks, _hypercube_phase, _maj3_layer,
                            _majority, _randomized_phase, _shuffle_rows)
 from majmux.rates import PhysicalNoise, epsilon_of_p
+
+
+class Shares(NamedTuple):
+    """The two fan-out shares the gate kernels read, set apart from p so
+    that a probe can use shares that no gate error probability gives."""
+
+    p_c: float
+    wire_prep: float
 
 
 def _gates(triples, noise, rng):
@@ -202,9 +211,9 @@ def _xor_law(parts):
 # at p = 0.3 one fan-out hit in seven repeats a gate; with p_c = 0.9 and
 # no prep or wire flips most hit gates are hit again (Poisson mean 2.3),
 # so the pattern law shows whether each gate keeps one class
-@pytest.mark.parametrize("pn", [PhysicalNoise.from_p(0.02),
-                                PhysicalNoise.from_p(0.3),
-                                PhysicalNoise(0.3, 0.9, 0.0)],
+@pytest.mark.parametrize("pn", [PhysicalNoise(0.02),
+                                PhysicalNoise(0.3),
+                                Shares(p_c=0.9, wire_prep=0.0)],
                          ids=["p0.02", "p0.3", "classes_only"])
 def test_componentwise_mask_pattern_law(pn):
     # a vote fault on all three lines, one fan-out class row, a prep flip
@@ -394,7 +403,7 @@ def test_estimator_deterministic_in_seed():
     assert (a.flips, a.phases) != (c.flips, c.phases)
 
 
-def test_estimator_bound_flag_when_no_flips():
+def test_estimator_without_flips_reports_a_zero_rate():
     stats = estimate_logical_rate(1, "hypercube", Idealized(0.0),
                                   seed=1, min_flips=10, max_phases=500)
     assert stats.flips == 0
@@ -449,7 +458,7 @@ def test_estimator_mask_memory_is_bounded(monkeypatch):
 @pytest.mark.parametrize("noise", [
     Idealized(0.0), Idealized(0.05), Idealized(1.0),
     Componentwise.from_p(0.0), Componentwise.from_p(0.05),
-    Componentwise.from_p(1.0), Componentwise(PhysicalNoise(1.0, 1.0, 1.0))],
+    Componentwise.from_p(1.0), Componentwise(Shares(1.0, 1.0))],
     ids=["ideal0", "ideal0.05", "ideal1", "comp0", "comp0.05", "comp1",
          "comp_all_hit"])
 def test_gate_masks_match_a_hit_by_hit_loop(noise, blocks):
@@ -546,6 +555,31 @@ def test_block_settle_matches_at_short_blocks(block, monkeypatch):
                 max_phases=max_phases)
 
 
+# the exact flip rates of the n=3 hypercube at eps 0.10 for a flip that
+# needs L = 2, 3 or 6 settled phases, from its settle-product law
+SETTLE_EXACT = {2: 2.755e-3, 3: 2.261e-3, 6: 1.989e-3}
+
+
+def test_flip_rate_depends_on_the_settle_length():
+    # the claims of estimate_logical_rate's docstring: at eps 0.10, L = 3
+    # reads about 14 % above L = 6, and L = 2 about 22 % above L = 3; the
+    # runs share their draws, so an independent-count sigma is wide
+    noise, budget = Idealized(0.10), {"min_flips": 10 ** 9,
+                                      "max_phases": 1_000_000}
+    runs = {settle: oracles.logical_rate_per_phase(3, "hypercube", noise, 5,
+                                                   settle=settle, **budget)
+            for settle in SETTLE_EXACT}
+    assert runs[3] == tuple(estimate_logical_rate(3, "hypercube", noise, 5,
+                                                  **budget))
+    for short, long in ((3, 6), (2, 3)):
+        (phases, a), (_, b) = runs[short], runs[long]
+        assert phases == 1_000_000
+        ratio = a / b
+        exact = SETTLE_EXACT[short] / SETTLE_EXACT[long]
+        assert abs(ratio - exact) <= 4 * ratio * math.sqrt(1 / a + 1 / b), (
+            short, long, ratio, exact)
+
+
 # min_flips and max_phases: caps that end mid-phase (3001 is no multiple
 # of any lockstep width), caps below one phase's replicas, and min_flips
 # stops that make the points leave the stack in different blocks
@@ -600,7 +634,7 @@ def test_any_split_into_stacks_gives_the_same_records(wiring, monkeypatch):
         assert estimate_logical_rates(2, wiring, points, **budget) == whole
 
 
-@pytest.mark.parametrize("bad", [0.1, None, PhysicalNoise.from_p(0.05)])
+@pytest.mark.parametrize("bad", [0.1, None, PhysicalNoise(0.05)])
 def test_estimator_refuses_unknown_noise_before_any_draw(bad, monkeypatch):
     def drawing(*args):
         raise AssertionError("drew masks")

@@ -67,7 +67,7 @@ def test_rejects_out_of_range_p():
         derive_rates(1.0000001)
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
-            PhysicalNoise(p=bad, p_c=0.0, wire_prep=0.0)
+            PhysicalNoise(bad)
 
 
 def test_stable_eta_endpoints():

@@ -12,8 +12,7 @@ from majmux.cli import RunConfig
 from majmux.netsim import Componentwise, Idealized, TrialStats
 from majmux.rates import PhysicalNoise, SweepRecord, derive_rates, pfail_bound
 
-NOISE_REPR = ("PhysicalNoise(p=0.06, p_c=0.05333333333333333, "
-              "wire_prep=0.039999999999999994)")
+NOISE_REPR = "PhysicalNoise(p=0.06)"
 
 
 def test_reprs_name_every_field():
@@ -21,7 +20,7 @@ def test_reprs_name_every_field():
     for record, text in (
             (Idealized(0.1), "Idealized(epsilon=0.1)"),
             (Componentwise.from_p(0.06), f"Componentwise(noise={NOISE_REPR})"),
-            (PhysicalNoise.from_p(0.06), NOISE_REPR),
+            (PhysicalNoise(0.06), NOISE_REPR),
             (SweepRecord(0.1, 0.2, 0.1, 0.3, "level3", 3, 7),
              "SweepRecord(x=0.1, y=0.2, y_lo=0.1, y_hi=0.3, model='level3', "
              "n=3, seed=7, note='')"),
@@ -61,7 +60,7 @@ def test_value_records_pickle_whole(record):
 
 def test_checked_records_check_every_construction():
     with pytest.raises(ValueError):
-        PhysicalNoise.from_p(0.1)._replace(p=1.5)
+        PhysicalNoise(0.1)._replace(p=1.5)
     with pytest.raises(ValueError):
         Idealized(0.1)._replace(epsilon=-0.1)
 
