@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .rates import SweepRecord, bisect, derive_rates, linspace
+from .rates import SweepRecord, bisect, derive_rates
 
 if TYPE_CHECKING:
     from .chains import ErrorChain
 
-_CHAIN_EPS_MAX = 0.25  # self-consistency scan range for the analytic chains
+_CHAIN_EPS_MAX = 0.25  # eps domain of the analytic chains
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 
@@ -55,25 +55,19 @@ def chain_of(model: str) -> ErrorChain:
 def correction_threshold(chain: ErrorChain) -> float:
     """Largest eps below which the corrector suppresses its own noise.
 
-    Scans p_ss(eps) - eps down a 250-point grid over (0, 0.25) from the
-    top, brackets the highest sign change from below to above, and
-    bisects it to 1e-6.  Below the returned point the per-phase logical
-    failure rate is smaller than the per-gate rate feeding it, so adding
-    the corrector is a net win.
+    Bisects p_ss(eps) - eps on (1e-3, 0.2499) to float resolution; for
+    the level-2 and level-3 chains it changes sign there once.  Below
+    the returned point the per-phase logical failure rate is smaller
+    than the per-gate rate feeding it, so adding the corrector is a net
+    win.
 
     Raises:
-        RuntimeError: if p_ss(eps) - eps never changes sign in range.
+        RuntimeError: if p_ss(eps) - eps is not negative at 1e-3 and
+            positive at 0.2499.
     """
     from .chains import steady_state
-    g = lambda e: steady_state(chain, e).p_ss - e
-    grid = linspace(1e-3, _CHAIN_EPS_MAX - 1e-4, 250)
-    above = g(grid[-1])
-    for a, b in zip(grid[-2::-1], grid[::-1]):
-        below = g(a)
-        if below < 0.0 <= above:
-            return bisect(g, a, b)
-        above = below
-    raise RuntimeError("no crossing of p_ss(eps) = eps in (0, 0.25)")
+    return bisect(lambda e: steady_state(chain, e).p_ss - e, 1e-3,
+                  _CHAIN_EPS_MAX - 1e-4)
 
 
 def p_target(p: float) -> float:
@@ -95,10 +89,10 @@ def p_target(p: float) -> float:
 def universal_threshold() -> tuple[float, float]:
     """Largest physical rate at which computation steps stay correctable.
 
-    Bisects p_target(p) = 1/2 on (1e-6, 0.2) to 1e-6.  Returns the root
-    and the per-output gate error it maps to.  Above the root a single
-    computation step scrambles its output faster than the correctors can
-    clean it, regardless of code size.
+    Bisects p_target(p) = 1/2 on (1e-6, 0.2) to float resolution.
+    Returns the root and the per-output gate error it maps to.  Above the
+    root a single computation step scrambles its output faster than the
+    correctors can clean it, regardless of code size.
     """
     p_star = bisect(lambda p: p_target(p) - 0.5, 1e-6, 0.2)
     return p_star, derive_rates(p_star)[1].epsilon

@@ -102,15 +102,16 @@ class Idealized(_Idealized):
         return cls(*fields)
 
 
-class Componentwise(NamedTuple):
+class Componentwise(PhysicalNoise):
     """MAJ3 assembled from vote + fan-out gates, preps and wires (see module
-    docstring); per-output marginal error is at most epsilon(p)."""
+    docstring) at the checked gate error p; per-output marginal error is
+    at most epsilon(p)."""
 
-    noise: PhysicalNoise
+    __slots__ = ()
 
     @classmethod
     def from_p(cls, p: float) -> "Componentwise":
-        return cls(noise=PhysicalNoise(p))
+        return cls(p)
 
 
 GateNoise = Idealized | Componentwise
@@ -233,12 +234,12 @@ def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
     ideal = isinstance(noise, Idealized)
     vote = np.zeros((blocks, 1, gates), np.uint8)
     vote.reshape(-1)[_fault_hits(
-        rng, noise.epsilon if ideal else _VOTE_LINE0 * noise.noise.p_c,
+        rng, noise.epsilon if ideal else _VOTE_LINE0 * noise.p_c,
         blocks * gates)] = 1
     if ideal:
         return vote
     masks = vote.repeat(3, axis=1)
-    _fan_out_faults(masks.reshape(-1), noise.noise, rng, blocks, gates)
+    _fan_out_faults(masks.reshape(-1), noise, rng, blocks, gates)
     return masks
 
 

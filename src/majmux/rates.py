@@ -36,7 +36,6 @@ EPSILON_PER_P = 148.0 / 63.0
 _CLASSICAL_SHARE = 8.0 / 9.0      # p_c / p
 _WIRE_PREP_SHARE = 2.0 / 3.0      # per wire or prep location
 _GATE_MARGINAL = 4.0 / 7.0        # per-line marginal of one gate fault, in p_c
-_BISECT_TOL = 1e-6                # root tolerance of every bisection
 
 
 def _clamp01(x: float, name: str) -> float:
@@ -212,16 +211,19 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def bisect(g, lo: float, hi: float) -> float:
-    """Root of g on [lo, hi] given g(lo) < 0 < g(hi), to within 1e-6."""
+    """Root of g on [lo, hi] given g(lo) < 0 < g(hi), else RuntimeError.
+
+    Halves the bracket until its midpoint is no longer strictly inside,
+    once lo and hi are adjacent floats, and returns that midpoint; a NaN
+    from g reads as not below zero, so the loop still ends."""
     if not (g(lo) < 0.0 < g(hi)):
         raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 class EncodeBound(NamedTuple):
@@ -274,9 +276,10 @@ def pfail_bound(p: float) -> EncodeBound:
 def p_crit() -> float:
     """Physical rate where the encoding bound stops beating bare preparation.
 
-    Bisects p_fail(p) - p on (1e-6, 0.2).  Below the root the cascade's
-    failure bound is smaller than the raw preparation error; above it the
-    correlated build-up during amplification dominates.
+    Bisects p_fail(p) - p on (1e-6, 0.2) to adjacent floats.  Below the
+    root the cascade's failure bound is smaller than the raw preparation
+    error; above it the correlated build-up during amplification
+    dominates.
     """
     return bisect(lambda p: pfail_bound(p).p_fail - p, 1e-6, 0.2)
 

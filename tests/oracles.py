@@ -211,24 +211,23 @@ def gate_masks_loop(noise, rng, blocks: int, gates: int) -> np.ndarray:
     line but ``pick`` (slot 3-5) or all three (slot 6)."""
     ideal = isinstance(noise, netsim.Idealized)
     masks = np.zeros((blocks, 1 if ideal else 3, gates), np.uint8)
-    vote = noise.epsilon if ideal else 4.0 / 7.0 * noise.noise.p_c
+    vote = noise.epsilon if ideal else 4.0 / 7.0 * noise.p_c
     for f in netsim._fault_hits(rng, vote, blocks * gates).tolist():
         masks[f // gates, :, f % gates] = 1
     if ideal:
         return masks
-    pn = noise.noise
-    hits = netsim._fault_hits(rng, pn.p_c, blocks * gates).tolist()
+    hits = netsim._fault_hits(rng, noise.p_c, blocks * gates).tolist()
     classes = dict(zip(hits, rng.integers(0, 21, len(hits)).tolist()))
     for f, v in classes.items():
         slot, pick = divmod(v, 3)
         for j in range(3):
             if slot == 6 or (slot < 3) == (j == pick):
                 masks[f // gates, j, f % gates] ^= 1
-    preps = netsim._fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
+    preps = netsim._fault_hits(rng, noise.wire_prep, blocks * 2 * gates)
     for f in dict.fromkeys(preps.tolist()):
         b, r = divmod(f, 2 * gates)
         masks[b, 1 + r // gates, r % gates] ^= 1
-    wires = netsim._fault_hits(rng, pn.wire_prep, blocks * 3 * gates)
+    wires = netsim._fault_hits(rng, noise.wire_prep, blocks * 3 * gates)
     for f in dict.fromkeys(wires.tolist()):
         b, r = divmod(f, 3 * gates)
         masks[b, r // gates, r % gates] ^= 1

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from majmux import chains
 from majmux.analysis import (MEASUREMENT_SLOPE, SweepRecord, concat_baseline,
                              correction_threshold, feedback_constants,
                              mc_point, p_target, sweep, universal_threshold)
@@ -42,16 +44,18 @@ def test_dead_chain_has_no_threshold():
 
 
 @pytest.mark.parametrize("chain", [L2, L3], ids=["level2", "level3"])
-def test_threshold_scan_from_the_top_keeps_the_full_scans_bracket(chain):
-    # the last sign change from below to above over the whole 250-point
-    # grid, bisected, is the root the top-down scan returns, bit for bit
+def test_threshold_grid_has_one_bracket_and_the_root_is_its_bisection(chain):
+    # p_ss(eps) - eps changes sign from below to above exactly once over a
+    # 250-point grid of the search range, so bisecting the whole range
+    # finds the one root a grid scan could bracket, bit for bit
     grid = [float(x) for x in np.linspace(1e-3, 0.25 - 1e-4, 250)]
     g = lambda e: steady_state(chain, e).p_ss - e
     vals = [g(x) for x in grid]
     brackets = [(a, b) for a, b, ga, gb in zip(grid, grid[1:], vals, vals[1:])
-                if ga < 0.0 <= gb]
+                if (ga < 0.0) != (gb < 0.0)]
+    assert len(brackets) == 1 and vals[0] < 0.0 <= vals[-1]
     assert correction_threshold(chain).hex() == bisect(
-        g, *brackets[-1]).hex()
+        g, *brackets[0]).hex()
 
 
 def test_universal_threshold_frozen_values():
@@ -59,6 +63,34 @@ def test_universal_threshold_frozen_values():
     assert p_star == pytest.approx(0.055986, abs=5e-5)
     assert eps_star == pytest.approx(0.131522, abs=2e-4)
     assert eps_star == pytest.approx(epsilon_of_p(p_star), rel=1e-12)
+
+
+def _p_target_exact(p: Fraction) -> Fraction:
+    """p_target at a rational p in exact rationals: the rate shares as
+    exact fractions, eps = (148/63) p, eps' = eps / 2, one wire at
+    (2/3) p, and eta from the GTH solve of L3's refined view on
+    Fractions."""
+    eps = Fraction(148, 63) * p
+    eps_prime, wire = eps / 2, Fraction(2, 3) * p
+    view = L3.refined
+    pi, _ = chains._stationary(view.trans(eps))
+    eta = sum(q * mk for q, mk in zip(pi, view.marks)) / 9
+    p_in = eps_prime + (1 - eps_prime) * eta
+    return 1 - (1 - p_in) ** 2 * (1 - eps) * (1 - wire)
+
+
+def test_printed_universal_threshold_is_certified_in_exact_rationals():
+    # p_target(p) - 1/2, exactly, changes sign between the floats next to
+    # the printed p*, and the float p_target there is the exact one to a
+    # relative 1e-13
+    p_star = universal_threshold()[0]
+    for p, sign in ((math.nextafter(p_star, 0.0), -1),
+                    (math.nextafter(p_star, 1.0), 1)):
+        exact = _p_target_exact(Fraction(p))
+        assert type(exact) is Fraction
+        assert (exact - Fraction(1, 2)) * sign > 0, p
+        assert abs(Fraction(p_target(p)) - exact) <= (
+            Fraction(1, 10**13) * exact)
 
 
 def test_universal_threshold_inside_correction_margin():

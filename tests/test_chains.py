@@ -263,11 +263,11 @@ def test_horner_error_within_stated_bound():
                          ids=["level2", "level3"])
 def test_printed_threshold_is_certified_in_exact_rationals(chain):
     # the same Horner and GTH code on Fractions: p_ss(eps) - eps, exactly,
-    # changes sign within 1e-6 of the printed root, and the float solve
+    # changes sign within one ulp of the printed root, and the float solve
     # there is within a relative 1e-13 of the exact rate
-    root = Fraction(correction_threshold(chain))
-    for eps, sign in ((root - Fraction(1, 10**6), -1),
-                      (root + Fraction(1, 10**6), 1)):
+    root = correction_threshold(chain)
+    ulp = Fraction(math.ulp(root))
+    for eps, sign in ((Fraction(root) - ulp, -1), (Fraction(root) + ulp, 1)):
         trans, fail = chain.trans(eps), chain.fail(eps)
         assert {type(v) for v in (*trans[0], *fail)} == {Fraction}
         pi, residual = chains._stationary(trans)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,33 @@ def test_crossing_point():
     # below the crossing the bound beats bare preparation, above it loses
     assert pfail_bound(0.02).p_fail < 0.02
     assert pfail_bound(0.04).p_fail > 0.04
+
+
+def _p_fail_exact(p: Fraction) -> Fraction:
+    """pfail_bound(p).p_fail at a rational p in exact rationals, from the
+    shares p_c = (8/9) p and wire = (2/3) p and the gate marginals 4/7
+    and 1/7 of p_c."""
+    p_c, wire = Fraction(8, 9) * p, Fraction(2, 3) * p
+    q_i = Fraction(4, 7) * p_c
+    ap = q_i + 2 * wire + Fraction(1, 7) * p_c
+    keep = 1 - ap
+    alpha = 3 * ap**2 - 2 * ap**3
+    seed = 1 - keep**6 - 6 * ap * keep**5 - 3 * ap**2 * keep**4
+    return q_i + (1 - q_i) * (alpha + 3 * ap * keep**2 * seed
+                              + keep**3 * (3 * alpha**2 - 2 * alpha**3))
+
+
+def test_printed_p_crit_is_certified_in_exact_rationals():
+    # p_fail(p) - p, exactly, changes sign within four ulp of the printed
+    # p_crit (the exact root lies two to three ulp above it), and the
+    # float bound there is the exact one to a relative 1e-14
+    pc = p_crit()
+    ulp = math.ulp(pc)
+    for p, sign in ((pc - 4 * ulp, -1), (pc + 4 * ulp, 1)):
+        exact = _p_fail_exact(Fraction(p))
+        assert (exact - Fraction(p)) * sign > 0, p
+        assert abs(Fraction(pfail_bound(p).p_fail) - exact) <= (
+            Fraction(1, 10**14) * exact)
 
 
 def test_amp_layer_puts_top_branch_on_stride1_trit():

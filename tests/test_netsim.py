@@ -22,7 +22,8 @@ from majmux.rates import PhysicalNoise, epsilon_of_p
 
 class Shares(NamedTuple):
     """The two fan-out shares the gate kernels read, set apart from p so
-    that a probe can use shares that no gate error probability gives."""
+    that a probe can use shares that no gate error probability gives;
+    ``_gate_masks`` takes it as a Componentwise gate."""
 
     p_c: float
     wire_prep: float
@@ -166,12 +167,11 @@ def _odd_parity(probs):
 def test_componentwise_line_marginals():
     p = 0.02
     noise = Componentwise.from_p(p)
-    pn = noise.noise
     n = 10_000_000
     out = _gate_masks(noise, np.random.default_rng(42), 1, n)[0]
-    cls = 4.0 / 7.0 * pn.p_c  # marginal line hit of one gate-fault draw
-    expect0 = _odd_parity([cls, cls, pn.wire_prep])
-    expect12 = _odd_parity([cls, cls, pn.wire_prep, pn.wire_prep])
+    cls = 4.0 / 7.0 * noise.p_c  # marginal line hit of one gate-fault draw
+    expect0 = _odd_parity([cls, cls, noise.wire_prep])
+    expect12 = _odd_parity([cls, cls, noise.wire_prep, noise.wire_prep])
     for line, expect in ((0, expect0), (1, expect12), (2, expect12)):
         got = out[line].mean()
         sig = np.sqrt(expect * (1 - expect) / n)
@@ -211,8 +211,8 @@ def _xor_law(parts):
 # at p = 0.3 one fan-out hit in seven repeats a gate; with p_c = 0.9 and
 # no prep or wire flips most hit gates are hit again (Poisson mean 2.3),
 # so the pattern law shows whether each gate keeps one class
-@pytest.mark.parametrize("pn", [PhysicalNoise(0.02),
-                                PhysicalNoise(0.3),
+@pytest.mark.parametrize("pn", [Componentwise(0.02),
+                                Componentwise(0.3),
                                 Shares(p_c=0.9, wire_prep=0.0)],
                          ids=["p0.02", "p0.3", "classes_only"])
 def test_componentwise_mask_pattern_law(pn):
@@ -223,7 +223,7 @@ def test_componentwise_mask_pattern_law(pn):
              sum(_pattern_law({int(r): pn.p_c}) for r in rows) / len(rows)]
     parts += [_pattern_law({1 << j: pn.wire_prep}) for j in (1, 2, 0, 1, 2)]
     law = _xor_law(parts)
-    masks = _gate_masks(Componentwise(pn), np.random.default_rng(43),
+    masks = _gate_masks(pn, np.random.default_rng(43),
                         4, 250_000)
     got = np.bincount((masks[:, 0] | masks[:, 1] << 1
                        | masks[:, 2] << 2).ravel(), minlength=8)
@@ -235,6 +235,15 @@ def test_idealized_rejects_bad_epsilon():
     for bad in (-0.01, 1.5, float("nan")):
         with pytest.raises(ValueError):
             Idealized(bad)
+
+
+def test_componentwise_is_its_own_checked_p():
+    # a bare rate is the gate error p, checked when built, not a field
+    # that fails later inside the mask draw
+    with pytest.raises(ValueError, match=r"p=1\.5"):
+        Componentwise(1.5)
+    assert Componentwise(0.05) == Componentwise.from_p(0.05)
+    assert Componentwise(0.05).p_c == PhysicalNoise(0.05).p_c
 
 
 @pytest.mark.parametrize("n, budget", [
@@ -458,7 +467,7 @@ def test_estimator_mask_memory_is_bounded(monkeypatch):
 @pytest.mark.parametrize("noise", [
     Idealized(0.0), Idealized(0.05), Idealized(1.0),
     Componentwise.from_p(0.0), Componentwise.from_p(0.05),
-    Componentwise.from_p(1.0), Componentwise(Shares(1.0, 1.0))],
+    Componentwise.from_p(1.0), Shares(1.0, 1.0)],
     ids=["ideal0", "ideal0.05", "ideal1", "comp0", "comp0.05", "comp1",
          "comp_all_hit"])
 def test_gate_masks_match_a_hit_by_hit_loop(noise, blocks):

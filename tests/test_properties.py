@@ -108,7 +108,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(lo=-5e-324, hi=1e-323, steps=2000)  # the step underflows to 0
 @example(lo=-1.7e308, hi=1.7e308, steps=5)    # hi - lo overflows
 @example(lo=0.001, hi=0.2, steps=28)
-@example(lo=0.001, hi=0.25 - 1e-4, steps=250)  # correction_threshold's scan
+@example(lo=0.001, hi=0.25 - 1e-4, steps=250)  # the one-bracket check's grid
 def test_grid_equals_numpy_linspace_bit_for_bit(lo, hi, steps):
     # artifacts are compared as bytes, and the benchmark checks the x
     # column against np.linspace with !=

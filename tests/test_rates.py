@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from majmux.rates import (EPSILON_PER_P, PhysicalNoise, derive_rates,
+from majmux.rates import (EPSILON_PER_P, PhysicalNoise, bisect, derive_rates,
                           epsilon_of_p, jvn_stable_eta, single_triple_map)
 
 
@@ -113,3 +113,30 @@ def test_map_rejects_out_of_range_input():
                      (math.nan, 0.1)):
         with pytest.raises(ValueError):
             single_triple_map(eta, eps)
+
+
+def test_bisect_stops_at_float_resolution():
+    # the root is bracketed by the two floats next to it, and sqrt(2) is
+    # the correctly rounded root of x^2 - 2
+    g = lambda x: x * x - 2.0
+    r = bisect(g, 1.0, 2.0)
+    assert g(math.nextafter(r, 0.0)) < 0.0 <= g(math.nextafter(r, 2.0))
+    assert abs(r - math.sqrt(2.0)) <= math.ulp(r)
+
+
+def test_bisect_terminates_on_nan_and_checks_the_bracket():
+    # a NaN inside reads as not below zero, so the bracket still halves
+    # down to two adjacent floats; a NaN end is no sign change
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+    assert 0.0 <= bisect(g, 0.0, 1.0) <= 1.0
+    assert len(calls) < 1100
+    for end in (0.0, 1.0):
+        with pytest.raises(RuntimeError, match="no sign change"):
+            bisect(lambda x: math.nan if x == end else x - 0.5, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="no sign change"):
+        bisect(lambda x: x + 1.0, 0.0, 1.0)
