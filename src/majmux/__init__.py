@@ -21,7 +21,7 @@ _HOME = {name: module for module, names in (
      "derive_rates epsilon_of_p jvn_stable_eta p_crit pfail_bound "
      "single_triple_map"),
     ("chains", "ErrorChain build_level2_chain build_level3_chain "
-     "pattern_class propagated_bit_error serialize_chain steady_state"),
+     "propagated_bit_error serialize_chain steady_state"),
     ("netsim", "Componentwise Idealized TrialStats cascade_mc "
      "estimate_logical_rate estimate_logical_rates hypercube_schedule "
      "randomized_schedule wilson_interval"),

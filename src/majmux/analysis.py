@@ -151,7 +151,7 @@ def mc_point(model: str, level: int, use_p: bool, points, seed: int,
                          + "|".join(model_tags("mc")))
     runs = {}  # position in points -> (noise, seed) of each point that runs
     for k, (x, index) in enumerate(points):
-        noise = Componentwise.from_p(x) if use_p else Idealized(x)
+        noise = Componentwise(x) if use_p else Idealized(x)
         if use_p or 0.0 < x < 0.5:
             runs[k] = (noise, substream(seed, index))
     stats = dict(zip(runs, estimate_logical_rates(

@@ -111,6 +111,7 @@ class Componentwise(PhysicalNoise):
 
     @classmethod
     def from_p(cls, p: float) -> "Componentwise":
+        """``Componentwise(p)`` (perfbench only)."""
         return cls(p)
 
 

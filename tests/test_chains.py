@@ -9,8 +9,8 @@ from majmux import chains
 from majmux.analysis import correction_threshold
 from majmux.chains import (REFINED_CLASS, REFINED_MARKS, REFINED_PROFILES,
                            ErrorChain, build_level2_chain, build_level3_chain,
-                           pattern_class, propagated_bit_error,
-                           serialize_chain, steady_state)
+                           propagated_bit_error, serialize_chain,
+                           steady_state)
 from majmux.rates import linspace
 
 import oracles
@@ -142,17 +142,38 @@ def test_refined_rows_substochastic():
 
 
 def test_refined_lumping_reproduces_class_chain():
-    # summing refined columns by class must give a row of the 7-state
-    # matrix whenever the class has a single refined representative
-    eps = 0.17
-    rt = np.array(L3.refined.trans_coeffs) @ eps ** np.arange(28)
-    t = L3.trans(eps)
-    cls = np.array(REFINED_CLASS)
-    for ci in range(4):  # classes 0..3 have one refined state each
-        ri = list(cls).index(ci)
-        for cj in range(7):
-            assert t[ci][cj] == pytest.approx(rt[ri, cls == cj].sum(),
-                                              abs=1e-12)
+    # exactly, as integer polynomials, for every refined state i of class
+    # c: its row is the row built from its own profile (the 2-mark and
+    # 3-mark profiles of a class share one), its columns summed by class
+    # are row c of the class chain, and its fail polynomial is class c's;
+    # each class row plus its fail polynomial sums to the constant 1
+    r = L3.refined
+    one = (1,) + (0,) * (len(L3.fail_coeffs[0]) - 1)
+    for i, (prof, c) in enumerate(zip(REFINED_PROFILES, REFINED_CLASS)):
+        built = chains._level3_row(chains._square_law(prof))
+        assert (*r.trans_coeffs[i], r.fail_coeffs[i]) == tuple(
+            map(tuple, built)), prof
+        lumped = tuple(
+            chains._padd(p for p, cj in zip(r.trans_coeffs[i], REFINED_CLASS)
+                         if cj == ck)
+            for ck in range(7))
+        assert lumped == L3.trans_coeffs[c], prof
+        assert r.fail_coeffs[i] == L3.fail_coeffs[c], prof
+    for row, f in zip(L3.trans_coeffs, L3.fail_coeffs, strict=True):
+        assert chains._padd((*row, f)) == one
+
+
+def test_every_count_vector_has_a_profile_or_is_a_logical_failure():
+    # the three squares' failure counts are the next line counts: each
+    # vector is None exactly when two or more lines hold >= 2 marks, and
+    # otherwise one of the ten refined profiles, its counts sorted
+    for counts in itertools.product(range(4), repeat=3):
+        prof = chains._profile_or_none(counts)
+        if sum(c >= 2 for c in counts) >= 2:
+            assert prof is None, counts
+        else:
+            assert prof in REFINED_PROFILES, counts
+            assert prof == tuple(sorted(counts, reverse=True))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(3, 20)])
@@ -175,32 +196,6 @@ def test_square_law_is_invariant_under_permuting_counts():
         law = chains._square_law(counts)
         for perm in itertools.permutations(counts):
             assert chains._square_law(perm) == law, perm
-
-
-def test_pattern_class_examples():
-    def cls(rows):
-        return pattern_class(np.array(rows, dtype=int))
-
-    assert cls([[0, 0, 0], [0, 0, 0], [0, 0, 0]]) == 0
-    assert cls([[1, 0, 0], [0, 0, 0], [0, 0, 0]]) == 1
-    assert cls([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) == 2
-    assert cls([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert cls([[1, 1, 0], [0, 0, 0], [0, 0, 0]]) == 4
-    assert cls([[1, 1, 1], [0, 0, 0], [0, 0, 0]]) == 4
-    assert cls([[1, 1, 0], [0, 0, 1], [0, 0, 0]]) == 5
-    assert cls([[1, 1, 1], [1, 0, 0], [0, 1, 0]]) == 6
-    assert cls([[1, 1, 0], [1, 1, 0], [0, 0, 0]]) is None
-    assert cls([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) is None
-
-
-def test_pattern_class_permutation_invariant():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        g = (rng.random((3, 3)) < 0.4).astype(int)
-        base = pattern_class(g)
-        pr = rng.permutation(3)
-        pc = rng.permutation(3)
-        assert pattern_class(g[pr][:, pc]) == base
 
 
 def test_one_step_distribution_matches_oracle():
@@ -276,6 +271,48 @@ def test_printed_threshold_is_certified_in_exact_rationals(chain):
         assert (p_ss - eps) * sign > 0, (chain.name, float(eps))
         approx = steady_state(chain, float(eps)).p_ss
         assert abs(Fraction(approx) - p_ss) <= Fraction(1, 10**13) * p_ss
+
+
+def _leading_coefficients(chain, lead):
+    """The first three series coefficients of p_ss in eps, from lead on.
+
+    One exact solve at eps = 1e-40: p_ss / eps**lead = c0 + c1 eps +
+    c2 eps**2 + eps**3 r, and each round peels one integer off.  The
+    remainder r is returned too; a small r makes every round exact."""
+    eps = Fraction(1, 10**40)
+    pi, _ = chains._stationary(chain.trans(eps))
+    x = sum(p * f for p, f in zip(pi, chain.fail(eps))) / eps**lead
+    out = []
+    for _ in range(3):
+        out.append(round(x))
+        x = (x - out[-1]) / eps
+    return out, x
+
+
+@pytest.mark.parametrize("chain, lead, want", [
+    (L2, 4, [135, 288, -2466]), (L3, 8, [218943, 4857408, 59523984])],
+    ids=["level2", "level3"])
+def test_p_ss_leading_series_coefficients_are_exact_integers(chain, lead,
+                                                             want):
+    got, rest = _leading_coefficients(chain, lead)
+    assert got == want
+    assert abs(rest) < 10**12
+
+
+def test_level2_series_matches_the_two_state_closed_form():
+    # sympy's series of the closed form in build_level2_chain's docstring:
+    # the row-normalized two-state chain has pi_B / pi_A = M_AB / M_BA
+    import sympy
+    e = sympy.Symbol("e")
+    g = 3 * e**2 - 2 * e**3
+    p_ba, fail_a = 3 * g * (1 - g) ** 2, 3 * g**2 - 2 * g**3
+    p_ab, p_bb = (1 - e) ** 6, 6 * e * (1 - e) ** 5 + 3 * e**2 * (1 - e) ** 4
+    m_ab, m_ba = p_ba / (1 - fail_a), p_ab / (p_ab + p_bb)
+    pi_a = m_ba / (m_ab + m_ba)
+    p_ss = pi_a * fail_a + (1 - pi_a) * (1 - p_ab - p_bb)
+    series = sympy.series(p_ss, e, 0, 7).removeO()
+    assert [series.coeff(e, k) for k in range(7)] == [
+        0, 0, 0, 0, *_leading_coefficients(L2, 4)[0]]
 
 
 def _strided(a):

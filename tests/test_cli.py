@@ -220,7 +220,7 @@ def test_mc_records_follow_the_one_seed_rule(argv, capsys):
     xs = sorted({r.x for r in recs})
     assert len(recs) == len(xs) * (2 if config.command == "compare-vn" else 1)
     for r in recs:
-        noise = (Componentwise.from_p(r.x) if config.p is not None
+        noise = (Componentwise(r.x) if config.p is not None
                  else Idealized(r.x))
         stats = estimate_logical_rate(
             level, MODELS[r.model][2], noise, substream(6, xs.index(r.x)),

@@ -166,7 +166,7 @@ def _odd_parity(probs):
 
 def test_componentwise_line_marginals():
     p = 0.02
-    noise = Componentwise.from_p(p)
+    noise = Componentwise(p)
     n = 10_000_000
     out = _gate_masks(noise, np.random.default_rng(42), 1, n)[0]
     cls = 4.0 / 7.0 * noise.p_c  # marginal line hit of one gate-fault draw
@@ -184,7 +184,7 @@ def test_componentwise_line_marginals():
 def test_componentwise_lines_not_fully_correlated():
     rng = np.random.default_rng(9)
     triples = np.zeros((2_000_000, 3), np.uint8)
-    out = _gates(triples, Componentwise.from_p(0.05), rng)
+    out = _gates(triples, Componentwise(0.05), rng)
     diff = (out[:, 0] != out[:, 1]).mean()
     assert diff > 0.01  # preps and wires act per line
 
@@ -242,7 +242,8 @@ def test_componentwise_is_its_own_checked_p():
     # that fails later inside the mask draw
     with pytest.raises(ValueError, match=r"p=1\.5"):
         Componentwise(1.5)
-    assert Componentwise(0.05) == Componentwise.from_p(0.05)
+    # the alternate constructor perfbench reads is the same noise
+    assert Componentwise.from_p(0.05) == Componentwise(0.05)
     assert Componentwise(0.05).p_c == PhysicalNoise(0.05).p_c
 
 
@@ -452,7 +453,7 @@ def test_estimator_mask_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(netsim, "_gate_masks", drawing)
     monkeypatch.setattr(netsim, "_run_stack", running)
     for n in range(1, 6):
-        for noise in (Idealized(0.1), Componentwise.from_p(0.05)):
+        for noise in (Idealized(0.1), Componentwise(0.05)):
             for count in (1, 11):
                 drawn.clear()
                 stacked.clear()
@@ -466,8 +467,8 @@ def test_estimator_mask_memory_is_bounded(monkeypatch):
 @pytest.mark.parametrize("blocks", [1, 8])
 @pytest.mark.parametrize("noise", [
     Idealized(0.0), Idealized(0.05), Idealized(1.0),
-    Componentwise.from_p(0.0), Componentwise.from_p(0.05),
-    Componentwise.from_p(1.0), Shares(1.0, 1.0)],
+    Componentwise(0.0), Componentwise(0.05),
+    Componentwise(1.0), Shares(1.0, 1.0)],
     ids=["ideal0", "ideal0.05", "ideal1", "comp0", "comp0.05", "comp1",
          "comp_all_hit"])
 def test_gate_masks_match_a_hit_by_hit_loop(noise, blocks):
@@ -510,7 +511,7 @@ def test_estimator_below_level3_model():
 # their phase kernels with the settle rule (stationary flip flux)
 @pytest.mark.parametrize("n, wiring, noise, exact, phases", [
     (3, "hypercube", Idealized(0.10), 2.261e-3, 50_000),
-    (2, "hypercube", Componentwise.from_p(0.06), 9.227e-3, 25_000),
+    (2, "hypercube", Componentwise(0.06), 9.227e-3, 25_000),
     (3, "randomized", Idealized(0.10), 3.7572e-3, 50_000)],
     ids=["idealized_n3", "componentwise_n2", "randomized_n3"])
 def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
@@ -529,12 +530,12 @@ def test_pooled_rate_matches_the_exact_law(n, wiring, noise, exact, phases):
 @pytest.mark.parametrize("wiring", ["hypercube", "randomized"])
 @pytest.mark.parametrize("n, noise, min_flips, max_phases", [
     (1, Idealized(0.12), 10 ** 9, 3001),
-    (1, Componentwise.from_p(0.05), 10 ** 9, 1),
+    (1, Componentwise(0.05), 10 ** 9, 1),
     (2, Idealized(0.05), 10 ** 9, 100),
-    (2, Componentwise.from_p(0.05), 1, 10 ** 7),
+    (2, Componentwise(0.05), 1, 10 ** 7),
     (3, Idealized(0.2), 10 ** 9, 3001),
     (3, Idealized(0.12), 1, 10 ** 7),
-    (3, Componentwise.from_p(0.05), 5, 10 ** 7)],
+    (3, Componentwise(0.05), 5, 10 ** 7)],
     ids=["n1_mid_phase", "n1_cap1_componentwise", "n2_below_one_phase",
          "n2_first_flip_componentwise", "n3_mid_phase", "n3_first_flip",
          "n3_five_flips_componentwise"])
@@ -602,7 +603,7 @@ def test_stacked_runs_match_one_point_runs(n, wiring, kind):
     # rates far apart: at every n the middle point stops early and the
     # first runs on
     noises = ([Idealized(x) for x in (0.01, 0.3, 0.1)] if kind == "idealized"
-              else [Componentwise.from_p(p) for p in (0.005, 0.12, 0.05)])
+              else [Componentwise(p) for p in (0.005, 0.12, 0.05)])
     points = list(zip(noises, (3, 1, 2)))
     for min_flips, max_phases in _BUDGETS:
         got = estimate_logical_rates(n, wiring, points, min_flips=min_flips,
@@ -666,7 +667,7 @@ def test_run_parallel_refuses_workers_below_one(workers):
 def test_stack_refuses_mixed_noise_kinds():
     with pytest.raises(ValueError, match="one gate-noise kind"):
         estimate_logical_rates(2, "hypercube", [
-            (Idealized(0.1), 0), (Componentwise.from_p(0.05), 1)],
+            (Idealized(0.1), 0), (Componentwise(0.05), 1)],
             max_phases=1)
     assert estimate_logical_rates(2, "hypercube", []) == []
 

@@ -19,7 +19,7 @@ def test_reprs_name_every_field():
     # error messages quote these, e.g. an estimator's repr(noise)
     for record, text in (
             (Idealized(0.1), "Idealized(epsilon=0.1)"),
-            (Componentwise.from_p(0.06), "Componentwise(p=0.06)"),
+            (Componentwise(0.06), "Componentwise(p=0.06)"),
             (PhysicalNoise(0.06), NOISE_REPR),
             (SweepRecord(0.1, 0.2, 0.1, 0.3, "level3", 3, 7),
              "SweepRecord(x=0.1, y=0.2, y_lo=0.1, y_hi=0.3, model='level3', "
@@ -32,7 +32,7 @@ def _records():
     """One of each value record, built afresh on every call."""
     return [*derive_rates(0.02), pfail_bound(0.02),
             SweepRecord(0.1, 0.2, 0.1, 0.3, "level3", 3, 7, "a note"),
-            Idealized(0.1), Componentwise.from_p(0.06), TrialStats(10, 2),
+            Idealized(0.1), Componentwise(0.06), TrialStats(10, 2),
             steady_state(build_level2_chain(), 0.1),
             RunConfig("sweep", model="level3", eps=0.01, workers=3)]
 
