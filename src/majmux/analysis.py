@@ -172,13 +172,17 @@ def sweep(model: str, grid: Sequence[float], *,
     (stationary logical rate of the analytic chain, eps in [0, 0.25], one
     solve per point), or a ``"concat"`` tag, ``concat(t,L)``
     for t in 6, 7 and L in 2, 3, 4 (the concatenation baseline, eps in
-    [0, 1/t]).  Off-domain points come back as NaN records with an
-    explanatory note; ``seed`` is carried only for provenance.  A grid
-    that is not strictly increasing or any other tag raises ValueError.
+    [0, 1/t]).  Finite off-domain points come back as NaN records with an
+    explanatory note; ``seed`` is carried only for provenance.  A NaN or
+    infinite point, then a grid that is not strictly increasing, then any
+    other tag raises ValueError before any point is evaluated.
     Monte Carlo grids (the ``"mc"`` tags) are ``mc_point`` runs,
     ``majmux simulate --level 3`` on the command line.
     """
     xs = list(grid)
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"grid point {x} is not finite")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("grid must be strictly increasing")
     analytic = model_tags("chain") + model_tags("concat")

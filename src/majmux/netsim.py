@@ -244,12 +244,6 @@ def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
     return masks
 
 
-def _lines(noise: GateNoise) -> int:
-    """Lines of a gate-noise kind's masks: one per output, or one for all
-    three when a fault flips them together."""
-    return 1 if isinstance(noise, Idealized) else 3
-
-
 def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
     """Noisy MAJ3 gates in place on a (G, 3, L) view of a register.
 
@@ -281,20 +275,13 @@ def _majority(bits: np.ndarray) -> np.ndarray:
     in the narrowest type that holds the size, exactly.
 
     bits is one register (size, replicas) or a stack of them (points,
-    size, replicas); the majorities come back flat, point by point.  On
-    replica-major rows, a register whose transpose is C-contiguous as the
-    randomized wiring stores it, each replica is counted by one
-    ``np.add.reduceat`` segment of the flat array, about twice as fast as
-    ``sum`` over rows of 27 to 243 bits.
+    size, replicas), in any memory layout: the hypercube stack, the
+    randomized wiring's replica-major rows read transposed, the encoder's
+    unpacked register.  One ``np.einsum`` counts down the size axis; the
+    majorities come back flat, point by point.
     """
     size = bits.shape[-2]
-    dtype = np.min_scalar_type(size)
-    if bits.ndim == 2 and bits.T.flags.c_contiguous:
-        flat = bits.T.reshape(-1)
-        count = np.add.reduceat(flat, np.arange(0, flat.size, size),
-                                dtype=dtype)
-    else:
-        count = bits.sum(axis=-2, dtype=dtype)
+    count = np.einsum("...ij->...j", bits, dtype=np.min_scalar_type(size))
     return (count > size // 2).astype(np.uint8).reshape(-1)
 
 
@@ -459,12 +446,13 @@ def estimate_logical_rates(n: int, wiring: str, points, *,
     replicas shuffled from its own stream.  So each phase is one call of
     the gate kernel for the whole stack.  Each point draws its own
     contiguous masks from its own stream, as a run alone does
-    (_gate_masks), and they are copied into its columns of one mask buffer
-    of at most _STACK * 165,888 bytes; the majority, the block settle rule
-    and the tallies each run once over the stack, and a point leaves the
-    stack when its run stops.  Every record is therefore bit for bit the
-    one-point call's.  Every point's noise must be Idealized or
-    Componentwise, all of one kind, or ValueError before any draw.
+    (_gate_masks), and the draws are concatenated into the stack's masks,
+    each point's in its own columns, at most _STACK * 165,888 bytes; the
+    majority, the block settle rule and the tallies each run once over the
+    stack, and a point leaves the stack when its run stops.  Every record
+    is therefore bit for bit the one-point call's.  Every point's noise
+    must be Idealized or Componentwise, all of one kind, or ValueError
+    before any draw.
     """
     check_budget(n, min_flips, max_phases)
     if wiring not in ("hypercube", "randomized"):
@@ -475,7 +463,7 @@ def estimate_logical_rates(n: int, wiring: str, points, *,
         if not isinstance(noise, GateNoise):
             raise ValueError(f"gate noise {noise!r} is neither Idealized nor "
                              "Componentwise")
-    if len({_lines(noise) for noise, _ in points}) > 1:
+    if len({isinstance(noise, Idealized) for noise, _ in points}) > 1:
         raise ValueError("a stack's points must share one gate-noise kind, "
                          "Idealized or Componentwise")
     return [stats for k in range(0, len(points), _STACK)
@@ -494,10 +482,8 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
     # once; the count is sized for 3-line masks, so an Idealized draw (one
     # line per gate) fills a third of _MASK_BYTES
     block = max(1, _MASK_BYTES // (size * replicas))
-    lines = _lines(points[0][0])
     streams = [(noise, _generator(seed)) for noise, seed in points]
     live = list(range(len(points)))  # the points still running, in order
-    buf = np.empty(block * lines * len(points) * gates, np.uint8)
     # stack[j] holds live[j]'s replicas: (size, replicas), or (replicas,
     # size) for the randomized wiring, which shuffles within replicas
     stack = np.zeros((len(points), *((size, replicas) if wiring == "hypercube"
@@ -514,11 +500,10 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
     phase_idx = 0
     while live:
         k = len(live)
-        masks = buf[:block * lines * k * gates].reshape(block, lines,
-                                                        k * gates)
-        for j, p in enumerate(live):
-            masks[:, :, j * gates:(j + 1) * gates] = _gate_masks(
-                *streams[p], block, gates)
+        # (block, 1 or 3 lines, k * gates): each live point's masks in its
+        # own columns
+        masks = np.concatenate([_gate_masks(*streams[p], block, gates)
+                                for p in live], axis=2)
         rngs = [streams[p][1] for p in live]
         for i, mask in enumerate(masks):
             if wiring == "hypercube":

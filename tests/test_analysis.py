@@ -197,6 +197,13 @@ def test_sweep_validates_grid_and_model():
         sweep("level2", [0.1, 0.1])
     with pytest.raises(ValueError):
         sweep("level2", [0.2, 0.1])
+    # a NaN orders against nothing, so it is refused by name, alone or
+    # inside an increasing grid, as are both infinities
+    for bad in (math.nan, math.inf, -math.inf):
+        for grid in ([bad], [0.1, bad, 0.2], [0.1, 0.2, bad]):
+            for model in ("level3", "concat(6,2)"):
+                with pytest.raises(ValueError, match=f"{bad} is not finite"):
+                    sweep(model, grid)
     # a concat tag outside t in 6, 7 and L in 2, 3, 4, or spelled with a
     # space, is no model: it raises rather than giving NaN rows
     for model in ("voodoo", "concat(5,2)", "concat(6,9)", "concat(6,1)",

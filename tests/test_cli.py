@@ -564,16 +564,25 @@ def test_missing_grid_is_an_error(capsys):
 
 def test_malformed_grid_is_an_error(tmp_path, capsys):
     # no steps, a decreasing grid, one step that would drop hi, and an
-    # infinite end: a single point is --eps or --p
+    # infinite end: a single point is --eps or --p; a non-finite single
+    # point is refused too, not written as a NaN row
     out = tmp_path / "artifact.csv"
-    for argv in (["sweep", "--model", "level2", "--grid", "oops"],
-                 ["sweep", "--model", "level3", "--grid", "0.1:0.2:0"],
-                 ["sweep", "--model", "level3", "--grid", "0:inf:3"],
-                 ["simulate", "--model", "hypercube_mc", "--level", "1",
-                  "--grid", "0.2:0.1:2", "--min-flips", "5"],
-                 ["sweep", "--model", "level2", "--grid", "0.1:0.5:1"]):
+    bad_grid = "error: bad --grid"
+    for argv, error in (
+            (["sweep", "--model", "level2", "--grid", "oops"], bad_grid),
+            (["sweep", "--model", "level3", "--grid", "0.1:0.2:0"], bad_grid),
+            (["sweep", "--model", "level3", "--grid", "0:inf:3"], bad_grid),
+            (["simulate", "--model", "hypercube_mc", "--level", "1",
+              "--grid", "0.2:0.1:2", "--min-flips", "5"], bad_grid),
+            (["sweep", "--model", "level2", "--grid", "0.1:0.5:1"], bad_grid),
+            (["sweep", "--model", "level3", "--eps", "nan"],
+             "error: grid point nan is not finite"),
+            (["sweep", "--model", "level3", "--eps", "inf"],
+             "error: grid point inf is not finite"),
+            (["sweep", "--model", "level3", "--eps=-inf"],
+             "error: grid point -inf is not finite")):
         assert main([*argv, "--out", str(out)]) == 1
-        assert "error: bad --grid" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
 

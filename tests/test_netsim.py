@@ -350,6 +350,13 @@ def test_majority_count_is_exact(size):
         _majority(np.stack([cols, cols[:, ::-1]])), both)
     np.testing.assert_array_equal(
         _majority(np.concatenate([rows, rows[::-1]]).T), both)
+    # a strided view over ones it must not count, and the encoder's
+    # register unpacked from trials packed eight to a byte
+    wide = np.ones((2 * size, 15), np.uint8)
+    wide[::2, ::3] = cols
+    np.testing.assert_array_equal(_majority(wide[::2, ::3]), want)
+    np.testing.assert_array_equal(_majority(np.unpackbits(
+        np.packbits(cols, axis=1), axis=1, count=cols.shape[1])), want)
 
 
 def test_randomized_phase_groups_two_ones_uniformly():
@@ -436,8 +443,8 @@ def test_estimator_cap_is_exact(n, wiring):
 def test_estimator_mask_memory_is_bounded(monkeypatch):
     # each point's draw stays at the 8 phases x 81 x 256 three-line masks
     # of the n=3 lockstep, 165,888 bytes, however wide the register grows,
-    # and a stack copies at most 8 (_STACK) points' draws into one buffer,
-    # 1,327,104 bytes, however many points it is given
+    # and a stack concatenates at most 8 (_STACK) points' draws into its
+    # masks, 1,327,104 bytes, however many points it is given
     drawn, stacked = [], []
     draw, run = netsim._gate_masks, netsim._run_stack
 
