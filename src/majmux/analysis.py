@@ -120,10 +120,11 @@ def feedback_constants(p: float) -> tuple[float, float]:
     """Error added by measuring a bit, and by feeding the result back.
 
     Measurement inherits the encoder's small-p slope, (32/63) p; acting on
-    the outcome costs one more gate, p + (32/63) p.
+    the outcome costs one more gate, p + (32/63) p.  A p outside [0, 1],
+    NaN included, is a ValueError.
     """
-    if p < 0.0:
-        raise ValueError(f"p must be nonnegative, got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     meas = MEASUREMENT_SLOPE * p
     return meas, p + meas
 

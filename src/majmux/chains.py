@@ -105,25 +105,15 @@ _FAIL_BY_COUNT = {0: _POLY_I, 1: _POLY_P, 2: _ONE, 3: _ONE}
 # --- configuration classes for the 81-bit corrector --------------------------
 
 # A state is the multiset of per-line mark counts of the 3x3 grid.  At most
-# one line may hold >= 2 marks (two such lines are already a logical error),
-# which leaves ten distinct count profiles.  Profiles that differ only in
-# whether the heavy line holds 2 or 3 marks behave identically (the gate on
-# that line fails with certainty either way), so they lump pairwise into the
-# seven coarse classes; the refined split is kept because the expected number
-# of marked positions differs between the two.
+# one line may hold >= 2 marks (two such lines are already a logical error).
+# A line with 2 or 3 marks fails with certainty either way, so the two
+# counts behave identically and one class holds both: the seven classes are
+# the sorted count profiles with each count capped at 2.
 
-REFINED_PROFILES: tuple[tuple[int, int, int], ...] = (
-    (0, 0, 0),
-    (1, 0, 0),
-    (1, 1, 0),
-    (1, 1, 1),
-    (2, 0, 0), (3, 0, 0),
-    (2, 1, 0), (3, 1, 0),
-    (2, 1, 1), (3, 1, 1),
-)
-REFINED_CLASS: tuple[int, ...] = (0, 1, 2, 3, 4, 4, 5, 5, 6, 6)
-REFINED_MARKS: tuple[int, ...] = tuple(sum(q) for q in REFINED_PROFILES)
-_PROFILE_INDEX = {q: i for i, q in enumerate(REFINED_PROFILES)}
+_CLASS_PROFILES: tuple[tuple[int, int, int], ...] = (
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0),
+    (2, 1, 1))
+_CLASS_INDEX = {q: i for i, q in enumerate(_CLASS_PROFILES)}
 
 LEVEL3_LABELS: tuple[str, ...] = (
     "no propagated errors",
@@ -134,9 +124,6 @@ LEVEL3_LABELS: tuple[str, ...] = (
     "one saturated line plus one stray error",
     "one saturated line plus two strays in distinct lines",
 )
-LEVEL3_REFINED_LABELS: tuple[str, ...] = tuple(
-    f"line counts {q}" for q in REFINED_PROFILES
-)
 
 LEVEL2_LABELS: tuple[str, ...] = (
     "no propagated errors",
@@ -144,11 +131,12 @@ LEVEL2_LABELS: tuple[str, ...] = (
 )
 
 
-def _profile_or_none(counts) -> tuple[int, int, int] | None:
-    """Sorted line-count profile of a grid, or None for a logical failure."""
+def _class_or_none(counts) -> int | None:
+    """Class of a grid's line counts, or None for a logical failure."""
     if sum(c >= 2 for c in counts) >= 2:
         return None
-    return tuple(sorted(counts, reverse=True))
+    return _CLASS_INDEX[tuple(sorted((min(c, 2) for c in counts),
+                                     reverse=True))]
 
 
 # --- chain container ----------------------------------------------------------
@@ -160,31 +148,34 @@ class ErrorChain:
     trans(eps) is the row-substochastic transition matrix among non-failure
     states, fail(eps) the per-state logical-failure probabilities; for every
     eps in [0, 1] each row of trans plus its fail entry sums to one exactly
-    (the underlying integer polynomials sum to the constant 1).  The
-    coefficients are nested tuples of integers, constant term first, every
-    polynomial of one length D; any other number, a float or a Fraction,
-    raises TypeError.  marks counts the marked (erroneous-bundle)
-    positions of each state, None where a state lumps different counts;
-    refined is the finer chain that resolves them, None for chains that
-    need no splitting.  A chain is immutable and equal only to itself.
+    (the underlying integer polynomials sum to the constant 1).  marks
+    holds one polynomial N_i(eps) per state: the probability of each
+    surviving step out of state i times the number of marked
+    (erroneous-bundle) positions it leaves, summed over those steps, so
+    N_i / rowsum_i(T) is the mean mark count one surviving step after
+    state i; None for a chain without mark counts.  The coefficients are
+    nested tuples of integers, constant term first, every polynomial of
+    one length D; any other number, a float or a Fraction, raises
+    TypeError.  A chain is immutable and equal only to itself.
     """
 
     def __init__(self, name: str, labels: tuple[str, ...],
                  trans_coeffs: tuple[tuple[Poly, ...], ...],  # (k, k, D)
                  fail_coeffs: tuple[Poly, ...],               # (k, D)
-                 marks: tuple[int, ...] | None = None,
-                 refined: ErrorChain | None = None):
-        # the trans entries row by row, then the fail entries, as int
-        # tuples without their high zero coefficients (Horner skips them)
+                 marks: tuple[Poly, ...] | None = None):      # (k, D)
+        # the trans entries row by row, then the fail and the marks
+        # entries, as int tuples without their high zero coefficients
+        # (Horner skips them)
         polys = []
-        for p in (*(p for row in trans_coeffs for p in row), *fail_coeffs):
+        for p in (*(p for row in trans_coeffs for p in row), *fail_coeffs,
+                  *(() if marks is None else marks)):
             cs = [index(c) for c in p]
             while cs and cs[-1] == 0:
                 cs.pop()
             polys.append(tuple(cs))
         vars(self).update(name=name, labels=labels, trans_coeffs=trans_coeffs,
                           fail_coeffs=fail_coeffs, marks=marks,
-                          refined=refined, _polys=tuple(polys))
+                          _polys=tuple(polys))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -192,8 +183,7 @@ class ErrorChain:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        return (f"ErrorChain(name={self.name!r}, labels={self.labels!r}, "
-                f"marks={self.marks!r})")
+        return f"ErrorChain(name={self.name!r}, labels={self.labels!r})"
 
     @property
     def n_states(self) -> int:
@@ -207,7 +197,8 @@ class ErrorChain:
 
     def fail(self, epsilon) -> list:
         """Per-state logical failure probabilities, k of them."""
-        return _horner(self._polys[self.n_states ** 2:], epsilon)
+        k = self.n_states
+        return _horner(self._polys[k * k:k * (k + 1)], epsilon)
 
 
 class SteadyState(NamedTuple):
@@ -243,9 +234,10 @@ def build_level2_chain() -> ErrorChain:
     trans = tuple(law[:2] for law in laws)
     fail = tuple(_padd(law[2:]) for law in laws)
     _check_substochastic_identity(trans, fail)
-    # state B holds one erroneous bundle out of the nine in the square
+    # state B holds one erroneous bundle out of the nine in the square, so
+    # a step's mark count is one exactly when it leads to B
     return ErrorChain(name="level2", labels=LEVEL2_LABELS, trans_coeffs=trans,
-                      fail_coeffs=fail, marks=(0, 1))
+                      fail_coeffs=fail, marks=tuple(row[1] for row in trans))
 
 
 def _square_law(counts: tuple[int, int, int]) -> tuple[Poly, ...]:
@@ -264,21 +256,25 @@ def _square_law(counts: tuple[int, int, int]) -> tuple[Poly, ...]:
 
 
 def _level3_row(law: tuple[Poly, ...]) -> list[list[int]]:
-    """Refined transition row of a grid whose squares follow ``law``.
+    """Transition row of a grid whose squares follow ``law``.
 
     The three squares fail independently, and their failure counts
-    (c0, c1, c2) are the line counts of the next step.  Returns 11 lists
-    of 28 polynomial coefficients: entries 0..9 are the refined-profile
-    targets, entry 10 is logical failure.  Each multiset of counts adds
-    its number of orderings times q(c0) q(c1) q(c2).
+    (c0, c1, c2) are the line counts of the next step.  Returns 9 lists
+    of 28 polynomial coefficients: entries 0..6 are the class targets,
+    entry 7 is logical failure and entry 8 the marks polynomial.  Each
+    multiset of counts adds its number of orderings times
+    q(c0) q(c1) q(c2) to its target and, when it survives, that times
+    its mark count c0 + c1 + c2 to the marks.
     """
-    row = [[0] * 28 for _ in range(11)]
+    row = [[0] * 28 for _ in range(9)]
     for c0, c1, c2 in itertools.combinations_with_replacement(range(4), 3):
-        prof = _profile_or_none((c0, c1, c2))
+        cls = _class_or_none((c0, c1, c2))
         orderings = len(set(itertools.permutations((c0, c1, c2))))
-        target = row[10 if prof is None else _PROFILE_INDEX[prof]]
+        target = row[7 if cls is None else cls]
+        marks = 0 if cls is None else c0 + c1 + c2
         for d, c in enumerate(_pmul(law[c0], law[c1], law[c2])):
             target[d] += orderings * c
+            row[8][d] += orderings * marks * c
     return row
 
 
@@ -286,46 +282,23 @@ def _level3_row(law: tuple[Poly, ...]) -> list[list[int]]:
 def build_level3_chain() -> ErrorChain:
     """Seven-state chain of the 81-bit corrector, from one square's law.
 
-    One law serves each coarse class.  A line that holds 2 or 3 marks
-    fails with certainty, so a class's 2-mark and 3-mark profiles have the
-    same square law and the same refined row, and the ten refined profiles
-    lump exactly into the seven classes (Kemeny & Snell, Finite Markov
-    Chains, 1960).  Each class's row is built once, from its first
-    profile, and every refined state of the class takes it; the coarse
-    row sums its columns by class.  The substochastic identity is checked
-    exactly on the refined rows, and summing columns keeps it.  One law
-    also stands for every ordering of a profile's line counts: the square
-    law is a product of one factor per gate, so their order cannot change
-    it.
+    Each class's row is built once, from its own profile.  A line that
+    holds 2 or 3 marks fails with certainty, so the 2-mark and 3-mark
+    grids of a class have the same square law and the same row: the ten
+    line-count profiles lump exactly into the seven classes (Kemeny &
+    Snell, Finite Markov Chains, 1960), and only their mark counts
+    differ, which the marks polynomials carry.  The substochastic
+    identity is checked exactly on the seven rows.  One law also stands
+    for every ordering of a profile's line counts: the square law is a
+    product of one factor per gate, so their order cannot change it.
     """
-    class_rows = [
-        _level3_row(_square_law(REFINED_PROFILES[REFINED_CLASS.index(c)]))
-        for c in range(7)]
-    rows = [class_rows[c] for c in REFINED_CLASS]
-
-    refined_trans = tuple(tuple(map(tuple, row[:10])) for row in rows)
-    refined_fail = tuple(tuple(row[10]) for row in rows)
-    _check_substochastic_identity(refined_trans, refined_fail)
-
-    trans = tuple(
-        tuple(_padd(p for p, cls in zip(row[:10], REFINED_CLASS) if cls == c)
-              for c in range(7))
-        for row in class_rows)
-    fail = tuple(tuple(row[10]) for row in class_rows)
-
-    return ErrorChain(
-        name="level3",
-        labels=LEVEL3_LABELS,
-        trans_coeffs=trans,
-        fail_coeffs=fail,
-        refined=ErrorChain(
-            name="level3 refined",
-            labels=LEVEL3_REFINED_LABELS,
-            trans_coeffs=refined_trans,
-            fail_coeffs=refined_fail,
-            marks=REFINED_MARKS,
-        ),
-    )
+    rows = [_level3_row(_square_law(q)) for q in _CLASS_PROFILES]
+    trans = tuple(tuple(map(tuple, row[:7])) for row in rows)
+    fail = tuple(tuple(row[7]) for row in rows)
+    _check_substochastic_identity(trans, fail)
+    return ErrorChain(name="level3", labels=LEVEL3_LABELS, trans_coeffs=trans,
+                      fail_coeffs=fail,
+                      marks=tuple(tuple(row[8]) for row in rows))
 
 
 def _check_substochastic_identity(trans, fail) -> None:
@@ -408,8 +381,7 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     which returns pi = e_0, p_ss = 0 and residual 0 exactly.
 
     Args:
-        chain: a chain from build_level2_chain or build_level3_chain, or
-            the refined view of one.
+        chain: a chain from build_level2_chain or build_level3_chain.
         epsilon: per-bundle incipient error probability, 0 <= eps < 1,
             or ValueError (NaN included).
     """
@@ -423,57 +395,54 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
 def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     """Stationary erroneous-bit fraction eta of the corrected code.
 
-    Weights the stationary occupancies of the refined view (of the chain
-    itself when it has none) by each state's count of marked positions
-    out of nine.  Inside the chain's own model a marked position is a
-    wrong bundle in every square, and a wrong bundle is wrong in all
-    three bits, so there the bundle fraction and the bit fraction
-    coincide; the universal threshold p* (``analysis.p_target``) rests on
-    that convention.  The simulated register's wrong-bit share is not
-    eta: on the exact 27-bit hypercube law the share of gates whose
-    noiseless vote is wrong is 3.0 to 4.5 times L2's eta at eps 0.01 to
-    0.13.  A view without mark counts is a ValueError.
+    eta = (1/9) sum_i pi_i N_i / rowsum_i(T), with N_i the chain's marks
+    polynomials and rowsum_i(T) = 1 - fail_i exactly: the mean share of
+    marked positions, out of nine, one surviving step after the
+    stationary law.  Every grid that a class holds steps by the class's
+    row, so the grids' stationary law is one step of the row-normalized
+    chain M from pi = pi M, and eta is its mark share (Kemeny & Snell,
+    Finite Markov Chains, 1960); for the level-2 chain it is pi_B / 9.
+    Inside the chain's own model a marked position is a wrong bundle in
+    every square, and a wrong bundle is wrong in all three bits, so there
+    the bundle fraction and the bit fraction coincide; the universal
+    threshold p* (``analysis.p_target``) rests on that convention.  The
+    simulated register's wrong-bit share is not eta: on the exact 27-bit
+    hypercube law the share of gates whose noiseless vote is wrong is 3.0
+    to 4.5 times L2's eta at eps 0.01 to 0.13.  A chain without mark
+    counts is a ValueError.
     """
-    view = chain.refined or chain
-    if view.marks is None:
-        raise ValueError(f"chain {view.name!r} has no mark counts")
-    pi = steady_state(view, epsilon).pi
-    return math.fsum(p * mk for p, mk in zip(pi, view.marks)) / 9.0
+    if chain.marks is None:
+        raise ValueError(f"chain {chain.name!r} has no mark counts")
+    pi = steady_state(chain, epsilon).pi
+    k = chain.n_states
+    marks = _horner(chain._polys[k * (k + 1):], epsilon)
+    return math.fsum(p * n / (1.0 - f) for p, n, f
+                     in zip(pi, marks, chain.fail(epsilon))) / 9.0
 
 
 # --- serialization ------------------------------------------------------------
-
-
-def _rows(prefix: str, labels, trans, fail) -> list[str]:
-    """The label, trans and fail lines of one view of a chain."""
-    k = len(labels)
-    return ([f"{prefix}label {i} {lab}" for i, lab in enumerate(labels)]
-            + [f"{prefix}trans {i} {j} " + " ".join(map(str, trans[i][j]))
-               for i in range(k) for j in range(k)]
-            + [f"{prefix}fail {i} " + " ".join(map(str, fail[i]))
-               for i in range(k)])
 
 
 def serialize_chain(chain: ErrorChain) -> str:
     """Render a chain as a line-oriented text table.
 
     Format: one ``chain``/``states``/``degree`` header; ``label i text``
-    lines; then ``trans i j c0 c1 ...`` and ``fail i c0 c1 ...`` rows of
-    integer polynomial coefficients in eps, constant term first.  Chains
-    with a refined view repeat the sections with a ``refined_`` prefix plus
-    ``refined_marks i m`` rows.
+    lines; then ``trans i j c0 c1 ...``, ``fail i c0 c1 ...`` and, for a
+    chain with mark counts, ``marks i c0 c1 ...`` rows of integer
+    polynomial coefficients in eps, constant term first.
     """
-    lines = [
+    k = chain.n_states
+    rows = [(f"trans {i} {j}", chain.trans_coeffs[i][j])
+            for i in range(k) for j in range(k)]
+    for tag, polys in (("fail", chain.fail_coeffs), ("marks", chain.marks)):
+        if polys is not None:
+            rows += [(f"{tag} {i}", p) for i, p in enumerate(polys)]
+    return "\n".join([
         "# majmux error chain; integer polynomial coefficients in eps,",
         "# constant term first",
         f"chain {chain.name}",
-        f"states {chain.n_states}",
+        f"states {k}",
         f"degree {len(chain.trans_coeffs[0][0]) - 1}",
-        *_rows("", chain.labels, chain.trans_coeffs, chain.fail_coeffs),
-    ]
-    if chain.refined is not None:
-        r = chain.refined
-        lines.append(f"refined_states {r.n_states}")
-        lines += _rows("refined_", r.labels, r.trans_coeffs, r.fail_coeffs)
-        lines += [f"refined_marks {i} {mk}" for i, mk in enumerate(r.marks)]
-    return "\n".join(lines) + "\n"
+        *(f"label {i} {lab}" for i, lab in enumerate(chain.labels)),
+        *(" ".join(map(str, (head, *p))) for head, p in rows),
+    ]) + "\n"

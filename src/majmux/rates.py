@@ -158,9 +158,9 @@ def jvn_stable_eta(epsilon: float) -> tuple[float, float]:
 
     Raises:
         ValueError: if epsilon > 1/6 (above the fixed-point threshold the
-            only real fixed point is 1/2) or epsilon < 0.
+            only real fixed point is 1/2), epsilon < 0 or epsilon is NaN.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if epsilon > 1.0 / 6.0:
         raise ValueError(

@@ -68,13 +68,13 @@ def test_universal_threshold_frozen_values():
 def _p_target_exact(p: Fraction) -> Fraction:
     """p_target at a rational p in exact rationals: the rate shares as
     exact fractions, eps = (148/63) p, eps' = eps / 2, one wire at
-    (2/3) p, and eta from the GTH solve of L3's refined view on
-    Fractions."""
+    (2/3) p, and eta from the GTH solve of L3's seven classes and their
+    marks polynomials on Fractions."""
     eps = Fraction(148, 63) * p
     eps_prime, wire = eps / 2, Fraction(2, 3) * p
-    view = L3.refined
-    pi, _ = chains._stationary(view.trans(eps))
-    eta = sum(q * mk for q, mk in zip(pi, view.marks)) / 9
+    pi, _ = chains._stationary(L3.trans(eps))
+    eta = sum(q * n / (1 - f) for q, n, f in zip(
+        pi, chains._horner(L3.marks, eps), L3.fail(eps))) / 9
     p_in = eps_prime + (1 - eps_prime) * eta
     return 1 - (1 - p_in) ** 2 * (1 - eps) * (1 - wire)
 
@@ -154,8 +154,12 @@ def test_feedback_constants():
     meas, act = feedback_constants(0.01)
     assert meas == pytest.approx(MEASUREMENT_SLOPE * 0.01, rel=1e-13)
     assert act == pytest.approx(0.01 + meas, rel=1e-13)
-    with pytest.raises(ValueError):
-        feedback_constants(-0.01)
+    assert feedback_constants(0.0) == (0.0, 0.0)
+    assert feedback_constants(1.0) == (MEASUREMENT_SLOPE,
+                                       1.0 + MEASUREMENT_SLOPE)
+    for bad in (-0.01, math.nan, math.inf, 2.0):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            feedback_constants(bad)
 
 
 def test_sweep_analytic_models():

@@ -7,8 +7,7 @@ import pytest
 
 from majmux import chains
 from majmux.analysis import correction_threshold
-from majmux.chains import (REFINED_CLASS, REFINED_MARKS, REFINED_PROFILES,
-                           ErrorChain, build_level2_chain, build_level3_chain,
+from majmux.chains import (ErrorChain, build_level2_chain, build_level3_chain,
                            propagated_bit_error, serialize_chain,
                            steady_state)
 from majmux.rates import linspace
@@ -21,6 +20,15 @@ L3 = build_level3_chain()
 
 def _gamma(eps):
     return 3.0 * eps**2 - 2.0 * eps**3
+
+
+def _eta_exact(chain, eps):
+    """eta of the chain at a Fraction eps, exactly: one surviving step of
+    the exact stationary law, weighted by the marks polynomials."""
+    pi, residual = chains._stationary(chain.trans(eps))
+    assert residual == 0
+    return sum(p * n / (1 - f) for p, n, f in zip(
+        pi, chains._horner(chain.marks, eps), chain.fail(eps))) / 9
 
 
 def test_level2_matches_closed_form():
@@ -48,14 +56,17 @@ def test_level2_matches_closed_form():
         return tuple(c[::-1] + [0] * (10 - len(c)))
 
     # exact Python ints, in tuples, as tuple equality below also checks
-    for chain in (L2, L3, L3.refined):
+    for chain in (L2, L3):
         assert {type(c) for row in chain.trans_coeffs for p in row
                 for c in p} == {int}
-        assert {type(c) for p in chain.fail_coeffs for c in p} == {int}
+        assert {type(c) for p in (*chain.fail_coeffs, *chain.marks)
+                for c in p} == {int}
     assert L2.trans_coeffs == (
         (coeffs(1 - p_ba - fail_a), coeffs(p_ba)),
         (coeffs(p_ab), coeffs(p_bb)))
     assert L2.fail_coeffs == (coeffs(fail_a), coeffs(1 - p_ab - p_bb))
+    # a step leaves one mark exactly when it leads to B
+    assert L2.marks == (coeffs(p_ba), coeffs(p_bb))
 
 
 def test_level2_failure_is_quartic_at_low_noise():
@@ -83,11 +94,8 @@ def test_steady_state_matches_50_digit_reference(eps):
                                                chain.fail_coeffs, eps)
         assert steady_state(chain, eps).p_ss == pytest.approx(
             float(p_ss), rel=1e-13, abs=0)
-    pi, _ = oracles.stationary_reference(L3.refined.trans_coeffs,
-                                         L3.refined.fail_coeffs, eps)
-    eta = sum(p * m for p, m in zip(pi, L3.refined.marks)) / 9
-    assert propagated_bit_error(L3, eps) == pytest.approx(
-        float(eta), rel=1e-13, abs=0)
+        assert propagated_bit_error(chain, eps) == pytest.approx(
+            float(_eta_exact(chain, Fraction(eps))), rel=1e-13, abs=0)
 
 
 def test_steady_state_reports_small_residual():
@@ -107,15 +115,14 @@ def test_level3_low_noise_scaling():
     assert 6**7 / 3 < ratio < 6**7 * 3
 
 
-def test_level3_refined_transitions_closed_form():
+def test_level3_transitions_closed_form():
+    # classes 0 and 1 are the profiles (0, 0, 0) and (1, 0, 0)
     eps = 0.1
     prop = 2.0 * eps - eps**2
     idle = _gamma(eps)
-    t = np.array(L3.refined.trans_coeffs) @ eps ** np.arange(28)
-    i000 = REFINED_PROFILES.index((0, 0, 0))
-    i100 = REFINED_PROFILES.index((1, 0, 0))
-    assert t[i000, i000] == pytest.approx((1.0 - idle) ** 9, abs=1e-13)
-    assert t[i100, i000] == pytest.approx(
+    t = np.array(L3.trans_coeffs) @ eps ** np.arange(28)
+    assert t[0, 0] == pytest.approx((1.0 - idle) ** 9, abs=1e-13)
+    assert t[1, 0] == pytest.approx(
         (1.0 - prop) ** 3 * (1.0 - idle) ** 6, abs=1e-13)
 
 
@@ -131,34 +138,19 @@ def test_rows_substochastic_and_nonnegative():
                                        np.ones(chain.n_states), atol=1e-12)
 
 
-def test_refined_rows_substochastic():
-    rng = np.random.default_rng(13)
-    k = len(REFINED_PROFILES)
-    for eps in rng.uniform(0.0, 0.25, size=200):
-        powers = eps ** np.arange(28)
-        t = np.array(L3.refined.trans_coeffs) @ powers
-        f = np.array(L3.refined.fail_coeffs) @ powers
-        np.testing.assert_allclose(t.sum(axis=1) + f, np.ones(k), atol=1e-12)
-
-
 def test_refined_lumping_reproduces_class_chain():
-    # exactly, as integer polynomials, for every refined state i of class
-    # c: its row is the row built from its own profile (the 2-mark and
-    # 3-mark profiles of a class share one), its columns summed by class
-    # are row c of the class chain, and its fail polynomial is class c's;
-    # each class row plus its fail polynomial sums to the constant 1
-    r = L3.refined
+    # exactly, as integer polynomials, for each of the ten line-count
+    # profiles, 3-mark ones included: the row built from its own square
+    # law is its class's trans row, fail polynomial and marks polynomial
+    # (a line with 2 or 3 marks fails with certainty, so the two share a
+    # row and a mean mark count alike); each class row plus its fail
+    # polynomial sums to the constant 1
     one = (1,) + (0,) * (len(L3.fail_coeffs[0]) - 1)
-    for i, (prof, c) in enumerate(zip(REFINED_PROFILES, REFINED_CLASS)):
-        built = chains._level3_row(chains._square_law(prof))
-        assert (*r.trans_coeffs[i], r.fail_coeffs[i]) == tuple(
-            map(tuple, built)), prof
-        lumped = tuple(
-            chains._padd(p for p, cj in zip(r.trans_coeffs[i], REFINED_CLASS)
-                         if cj == ck)
-            for ck in range(7))
-        assert lumped == L3.trans_coeffs[c], prof
-        assert r.fail_coeffs[i] == L3.fail_coeffs[c], prof
+    for prof, c in zip(oracles.PROFILES, oracles.CLASS_OF, strict=True):
+        built = tuple(map(tuple,
+                          chains._level3_row(chains._square_law(prof))))
+        assert built == (*L3.trans_coeffs[c], L3.fail_coeffs[c],
+                         L3.marks[c]), prof
     for row, f in zip(L3.trans_coeffs, L3.fail_coeffs, strict=True):
         assert chains._padd((*row, f)) == one
 
@@ -166,27 +158,49 @@ def test_refined_lumping_reproduces_class_chain():
 def test_every_count_vector_has_a_profile_or_is_a_logical_failure():
     # the three squares' failure counts are the next line counts: each
     # vector is None exactly when two or more lines hold >= 2 marks, and
-    # otherwise one of the ten refined profiles, its counts sorted
+    # otherwise the class of its sorted counts among the ten profiles
     for counts in itertools.product(range(4), repeat=3):
-        prof = chains._profile_or_none(counts)
+        cls = chains._class_or_none(counts)
         if sum(c >= 2 for c in counts) >= 2:
-            assert prof is None, counts
+            assert cls is None, counts
         else:
-            assert prof in REFINED_PROFILES, counts
-            assert prof == tuple(sorted(counts, reverse=True))
+            prof = tuple(sorted(counts, reverse=True))
+            assert cls == oracles.CLASS_OF[oracles.PROFILES.index(prof)]
+
+
+def _exact(coeffs, eps):
+    return sum(int(c) * eps ** i for i, c in enumerate(coeffs))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(3, 20)])
 def test_refined_rows_equal_exact_census_of_gate_failure_patterns(eps):
-    def exact(coeffs):
-        return sum(int(c) * eps ** i for i, c in enumerate(coeffs))
+    # every profile's census, summed by the class of each next profile,
+    # is its class's row; its fail entry is the class's fail polynomial,
+    # and its mark count, weighted over the surviving next profiles, the
+    # class's marks polynomial
+    for prof, c in zip(oracles.PROFILES, oracles.CLASS_OF, strict=True):
+        law = oracles.level3_step_exact(prof, eps)
+        by_class = [sum(law[q] for q, cq in zip(oracles.PROFILES,
+                                                oracles.CLASS_OF) if cq == j)
+                    for j in range(7)]
+        assert by_class == [_exact(p, eps) for p in L3.trans_coeffs[c]], prof
+        assert law[None] == _exact(L3.fail_coeffs[c], eps), prof
+        assert sum(law[q] * sum(q) for q in oracles.PROFILES) == _exact(
+            L3.marks[c], eps), prof
 
-    r = L3.refined
-    for i, prof in enumerate(REFINED_PROFILES):
-        got = {q: exact(r.trans_coeffs[i][j])
-               for j, q in enumerate(REFINED_PROFILES)}
-        got[None] = exact(r.fail_coeffs[i])
-        assert got == oracles.level3_step_exact(prof, eps), prof
+
+@pytest.mark.parametrize("eps", [Fraction(1, 100), Fraction(1, 10),
+                                 Fraction(3, 20), Fraction(1, 5)])
+def test_eta_is_the_ten_profile_census_eta_exactly(eps):
+    # the ten-profile chain of the census, with its own mark counts and
+    # no lumping, solved exactly: its stationary mark share is one
+    # surviving step of the seven classes
+    laws = [oracles.level3_step_exact(q, eps) for q in oracles.PROFILES]
+    trans = [[law[q] for q in oracles.PROFILES] for law in laws]
+    pi, residual = chains._stationary(trans)
+    assert residual == 0 and type(pi[0]) is Fraction
+    want = sum(p * sum(q) for p, q in zip(pi, oracles.PROFILES)) / 9
+    assert _eta_exact(L3, eps) == want
 
 
 def test_square_law_is_invariant_under_permuting_counts():
@@ -213,7 +227,7 @@ def test_one_step_distribution_matches_oracle():
 
 def test_steady_state_at_zero_noise():
     # the GTH solve itself, no special case: every state drains into 0
-    for chain in (L2, L3, L3.refined):
+    for chain in (L2, L3):
         ss = steady_state(chain, 0.0)
         assert ss.pi == (1.0,) + (0.0,) * (chain.n_states - 1)
         assert ss.p_ss == 0.0 and ss.residual == 0.0
@@ -234,14 +248,14 @@ def test_horner_error_within_stated_bound():
     # |fl(p(eps)) - p(eps)| <= gamma_2d sum_k |c_k| eps^k, with p(eps) and
     # the bound evaluated exactly in rationals at the float eps
     u = Fraction(1, 2**53)
-    for chain in (L2, L3, L3.refined):
+    for chain in (L2, L3):
         polys = [*(p for row in chain.trans_coeffs for p in row),
-                 *chain.fail_coeffs]
+                 *chain.fail_coeffs, *chain.marks]
         two_d = 2 * (len(polys[0]) - 1)
         gamma = two_d * u / (1 - two_d * u)
         for eps in (0.0, 0.005, 0.01, 0.06, 0.1494, 0.25):
             values = [*(v for row in chain.trans(eps) for v in row),
-                      *chain.fail(eps)]
+                      *chain.fail(eps), *chains._horner(chain.marks, eps)]
             assert {type(v) for v in values} == {float}
             x = Fraction(eps)
             for n, (coeffs, value) in enumerate(zip(polys, values,
@@ -324,8 +338,7 @@ def _strided(a):
 
 @pytest.mark.parametrize("layout", [np.asfortranarray, _strided],
                          ids=["fortran", "strided"])
-@pytest.mark.parametrize("chain", [L2, L3, L3.refined],
-                         ids=["level2", "level3", "level3_refined"])
+@pytest.mark.parametrize("chain", [L2, L3], ids=["level2", "level3"])
 def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
     # the solve reads each coefficient as an int, so the same coefficients
     # as int64 arrays, in any memory layout, give the tuples' bits (repr
@@ -335,15 +348,14 @@ def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
         chain.name, chain.labels,
         trans_coeffs=layout(np.array(chain.trans_coeffs)),
         fail_coeffs=layout(np.array(chain.fail_coeffs)),
-        marks=chain.marks, refined=chain.refined)
+        marks=layout(np.array(chain.marks)))
     for eps in linspace(1e-3, 0.25, 40):
         want = steady_state(chain, eps)
         assert repr(steady_state(copy, eps)) == repr(want)
         assert want.p_ss == math.fsum(
             p * f for p, f in zip(want.pi, chain.fail(eps)))
-    if chain.marks is not None:
-        assert (propagated_bit_error(copy, 0.05)
-                == propagated_bit_error(chain, 0.05))
+    assert (propagated_bit_error(copy, 0.05)
+            == propagated_bit_error(chain, 0.05))
 
 
 ZERO = (0,) * 10  # the zero polynomial, as long as L2's
@@ -388,10 +400,12 @@ def test_propagated_bit_error_monotone():
 
 
 def test_propagated_bit_error_level2_is_one_mark_in_nine():
+    # exactly, in rationals: a step leaves one mark when it leads to B,
+    # so one step of pi = pi M leaves pi_B marks in nine
     assert propagated_bit_error(L2, 0.0) == 0.0
-    for eps in (0.01, 0.1, 0.2):
-        assert propagated_bit_error(L2, eps) == \
-            steady_state(L2, eps).pi[1] / 9.0
+    for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 5)):
+        pi, _ = chains._stationary(L2.trans(eps))
+        assert _eta_exact(L2, eps) == pi[1] / 9
 
 
 def test_propagated_bit_error_needs_mark_counts():
@@ -408,11 +422,6 @@ def test_propagated_bit_error_matches_trajectory_oracle():
     mean, stderr = oracles.trajectory_mark_fraction(eps, 2000, rng,
                                                     batches=50)
     assert abs(mean - analytic) <= 4.0 * stderr + 1e-4
-
-
-def test_refined_marks_consistent_with_profiles():
-    assert REFINED_MARKS == tuple(sum(q) for q in REFINED_PROFILES)
-    assert len(REFINED_CLASS) == len(REFINED_PROFILES) == 10
 
 
 def test_serialized_level3_matches_golden_file(tmp_path):
@@ -434,29 +443,21 @@ def test_parse_round_trip():
         assert rows("chain") == [chain.name]
         assert rows("states") == [str(chain.n_states)]
         assert rows("degree") == [str(len(chain.trans_coeffs[0][0]) - 1)]
-        tags = {"chain", "states", "degree", "label", "trans", "fail"}
-        views = [("", chain.labels, chain.trans_coeffs, chain.fail_coeffs)]
-        if chain.refined is not None:
-            tags |= {"refined_states", "refined_label", "refined_trans",
-                     "refined_fail", "refined_marks"}
-            views.append(("refined_", chain.refined.labels,
-                          chain.refined.trans_coeffs,
-                          chain.refined.fail_coeffs))
-            assert rows("refined_states") == [str(len(chain.refined.labels))]
-            assert rows("refined_marks") == [
-                f"{i} {m}" for i, m in enumerate(chain.refined.marks)]
-        assert {t for t, _ in lines} == tags
-        for prefix, labels, trans, fail in views:
-            k = len(labels)
-            assert rows(prefix + "label") == [
-                f"{i} {lab}" for i, lab in enumerate(labels)]
-            t = [tuple(map(int, r.split())) for r in rows(prefix + "trans")]
-            assert [r[:2] for r in t] == list(itertools.product(range(k),
-                                                                repeat=2))
-            assert [r[2:] for r in t] == [p for row in trans for p in row]
-            f = [tuple(map(int, r.split())) for r in rows(prefix + "fail")]
+        assert {t for t, _ in lines} == {"chain", "states", "degree",
+                                         "label", "trans", "fail", "marks"}
+        k = chain.n_states
+        assert rows("label") == [
+            f"{i} {lab}" for i, lab in enumerate(chain.labels)]
+        t = [tuple(map(int, r.split())) for r in rows("trans")]
+        assert [r[:2] for r in t] == list(itertools.product(range(k),
+                                                            repeat=2))
+        assert [r[2:] for r in t] == [p for row in chain.trans_coeffs
+                                      for p in row]
+        for tag, polys in (("fail", chain.fail_coeffs),
+                           ("marks", chain.marks)):
+            f = [tuple(map(int, r.split())) for r in rows(tag)]
             assert [r[0] for r in f] == list(range(k))
-            assert [r[1:] for r in f] == list(fail)
+            assert [r[1:] for r in f] == list(polys)
 
 
 def test_dead_chain_has_zero_failure():

@@ -22,8 +22,8 @@ from majmux.rates import linspace, pfail_bound
 
 L2 = build_level2_chain()
 L3 = build_level3_chain()
-CHAINS = pytest.mark.parametrize("chain", [L2, L3, L3.refined],
-                                 ids=["level2", "level3", "level3_refined"])
+CHAINS = pytest.mark.parametrize("chain", [L2, L3],
+                                 ids=["level2", "level3"])
 derandomized = settings(derandomize=True, deadline=None, database=None,
                         max_examples=50)
 

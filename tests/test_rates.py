@@ -84,10 +84,10 @@ def test_stable_eta_hand_value():
 
 
 def test_stable_eta_above_threshold_rejected():
-    with pytest.raises(ValueError):
-        jvn_stable_eta(1.0 / 6.0 + 1e-9)
-    with pytest.raises(ValueError):
-        jvn_stable_eta(-0.01)
+    # NaN fails both range comparisons, so it must be refused on its own
+    for bad in (1.0 / 6.0 + 1e-9, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            jvn_stable_eta(bad)
 
 
 def test_both_branches_are_fixed_points():

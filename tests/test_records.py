@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from majmux.chains import (ErrorChain, build_level2_chain, build_level3_chain,
-                           steady_state)
+                           propagated_bit_error, steady_state)
 from majmux.cli import RunConfig
 from majmux.netsim import Componentwise, Idealized, TrialStats
 from majmux.rates import PhysicalNoise, SweepRecord, derive_rates, pfail_bound
@@ -71,24 +71,21 @@ def test_chain_is_equal_only_to_itself_and_repr_names_it():
                       l2.marks)
     assert l2 == l2 and twin != l2 and twin.trans(0.1) == l2.trans(0.1)
     assert repr(l2) == ("ErrorChain(name='level2', labels=('no propagated "
-                        "errors', 'one propagated bundle error'), "
-                        "marks=(0, 1))")
-    assert repr(build_level3_chain().refined).startswith(
-        "ErrorChain(name='level3 refined', labels=('line counts (0, 0, 0)'")
+                        "errors', 'one propagated bundle error'))")
     assert len(repr(build_level3_chain())) < 500  # no coefficient dump
 
 
 def test_chain_is_immutable_and_pickles_whole():
     l3 = build_level3_chain()
-    for name in ("name", "trans_coeffs", "refined", "n_states"):
+    for name in ("name", "trans_coeffs", "marks", "n_states"):
         with pytest.raises(AttributeError):
             setattr(l3, name, None)
     with pytest.raises(AttributeError):
         del l3.marks
     back = pickle.loads(pickle.dumps(l3))
-    for view, got in ((l3, back), (l3.refined, back.refined)):
-        assert (got.name, got.labels, got.trans_coeffs, got.fail_coeffs,
-                got.marks) == (view.name, view.labels, view.trans_coeffs,
-                               view.fail_coeffs, view.marks)
-        assert got.trans(0.1) == view.trans(0.1)
-        assert got.fail(0.1) == view.fail(0.1)
+    assert (back.name, back.labels, back.trans_coeffs, back.fail_coeffs,
+            back.marks) == (l3.name, l3.labels, l3.trans_coeffs,
+                            l3.fail_coeffs, l3.marks)
+    assert back.trans(0.1) == l3.trans(0.1)
+    assert back.fail(0.1) == l3.fail(0.1)
+    assert propagated_bit_error(back, 0.1) == propagated_bit_error(l3, 0.1)
