@@ -23,7 +23,7 @@ from .rates import SweepRecord, bisect, derive_rates
 if TYPE_CHECKING:
     from .chains import ErrorChain
 
-_CHAIN_EPS_MAX = 0.25  # eps domain of the analytic chains
+_CHAIN_EPS_MAX = 0.25  # eps range of the chain sweeps and threshold searches
 
 MEASUREMENT_SLOPE = 32.0 / 63.0
 

@@ -29,7 +29,9 @@ two or more marks is a logical failure.
 All transition probabilities are exact integer-coefficient polynomials in
 eps, built once from the square law as tuples of Python ints: a square's
 three gates fail independently, so its failure count has one
-Poisson-binomial law.  The 27-bit chain steps on one square's count; in
+Poisson-binomial law.  A chain is one table of such polynomials, a row
+per state, and ``ErrorChain`` checks it when built: each row's
+transitions plus failure are exactly the constant 1.  The 27-bit chain steps on one square's count; in
 the 81-bit chain the three squares' counts are the next line counts.
 Evaluation is Horner's rule on those coefficients, one eps at a time, so
 the leading-order cancellations are exact and failure rates stay accurate
@@ -68,6 +70,13 @@ def _pmul(*polys: Poly) -> Poly:
 def _padd(polys) -> Poly:
     """The coefficientwise sum of integer polynomials of one length."""
     return tuple(map(sum, zip(*polys)))
+
+
+def _trim(p: Poly) -> Poly:
+    """p without its high zero coefficients."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
 
 
 def _horner(polys, epsilon) -> list:
@@ -145,37 +154,46 @@ def _class_or_none(counts) -> int | None:
 class ErrorChain:
     """A substochastic jump process over propagated-error classes.
 
-    trans(eps) is the row-substochastic transition matrix among non-failure
-    states, fail(eps) the per-state logical-failure probabilities; for every
-    eps in [0, 1] each row of trans plus its fail entry sums to one exactly
-    (the underlying integer polynomials sum to the constant 1).  marks
-    holds one polynomial N_i(eps) per state: the probability of each
-    surviving step out of state i times the number of marked
-    (erroneous-bundle) positions it leaves, summed over those steps, so
-    N_i / rowsum_i(T) is the mean mark count one surviving step after
-    state i; None for a chain without mark counts.  The coefficients are
-    nested tuples of integers, constant term first, every polynomial of
-    one length D; any other number, a float or a Fraction, raises
-    TypeError.  A chain is immutable and equal only to itself.
+    ``rows`` is its table: k rows, one per state, of k + 2 integer
+    polynomials in eps of one length D, constant term first.  Row i holds
+    the transitions T_i0 .. T_i(k-1) among non-failure states, the
+    logical-failure probability fail_i and the marks polynomial N_i: the
+    probability of each surviving step out of state i times the number of
+    marked (erroneous-bundle) positions it leaves, summed over those
+    steps, so N_i / rowsum_i(T) is the mean mark count one surviving step
+    after state i.  The table is checked here, once: a coefficient that
+    is not an integer (a float, a Fraction) raises TypeError; a table of
+    another shape, or a row whose transitions plus failure are not the
+    constant 1 as exact integer polynomials, raises ValueError.
+    ``trans_coeffs``, ``fail_coeffs`` and ``marks`` are its three column
+    blocks as int tuples.  A chain is immutable and equal only to itself.
     """
 
-    def __init__(self, name: str, labels: tuple[str, ...],
-                 trans_coeffs: tuple[tuple[Poly, ...], ...],  # (k, k, D)
-                 fail_coeffs: tuple[Poly, ...],               # (k, D)
-                 marks: tuple[Poly, ...] | None = None):      # (k, D)
-        # the trans entries row by row, then the fail and the marks
-        # entries, as int tuples without their high zero coefficients
-        # (Horner skips them)
-        polys = []
-        for p in (*(p for row in trans_coeffs for p in row), *fail_coeffs,
-                  *(() if marks is None else marks)):
-            cs = [index(c) for c in p]
-            while cs and cs[-1] == 0:
-                cs.pop()
-            polys.append(tuple(cs))
-        vars(self).update(name=name, labels=labels, trans_coeffs=trans_coeffs,
-                          fail_coeffs=fail_coeffs, marks=marks,
-                          _polys=tuple(polys))
+    def __init__(self, name: str, labels: tuple[str, ...], rows):
+        k = len(labels)
+        table = tuple(tuple(tuple(map(index, p)) for p in row)
+                      for row in rows)
+        lengths = {len(p) for row in table for p in row}
+        if (len(table) != k or len(lengths) != 1
+                or any(len(row) != k + 2 for row in table)):
+            raise ValueError(f"chain {name!r} needs {k} rows of {k + 2} "
+                             "polynomials of one length")
+        one = (1,) + (0,) * (lengths.pop() - 1)
+        for i, row in enumerate(table):
+            if _padd(row[:k + 1]) != one:
+                raise ValueError(f"chain {name!r}: the transitions and "
+                                 f"failure of row {i} do not sum to one")
+        trans = tuple(row[:k] for row in table)
+        fail = tuple(row[k] for row in table)
+        marks = tuple(row[k + 1] for row in table)
+        # the blocks again without their high zero coefficients, which
+        # Horner skips
+        vars(self).update(name=name, labels=labels, trans_coeffs=trans,
+                          fail_coeffs=fail, marks=marks,
+                          _trans=tuple(tuple(map(_trim, row))
+                                       for row in trans),
+                          _fail=tuple(map(_trim, fail)),
+                          _marks=tuple(map(_trim, marks)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -191,14 +209,11 @@ class ErrorChain:
 
     def trans(self, epsilon) -> list[list]:
         """Transition matrix T(eps) among non-failure states, k rows of k."""
-        k = self.n_states
-        flat = _horner(self._polys[:k * k], epsilon)
-        return [flat[i * k:(i + 1) * k] for i in range(k)]
+        return [_horner(row, epsilon) for row in self._trans]
 
     def fail(self, epsilon) -> list:
         """Per-state logical failure probabilities, k of them."""
-        k = self.n_states
-        return _horner(self._polys[k * k:k * (k + 1)], epsilon)
+        return _horner(self._fail, epsilon)
 
 
 class SteadyState(NamedTuple):
@@ -230,14 +245,11 @@ def build_level2_chain() -> ErrorChain:
     propagated bundle is an input to all three gates, as the closed form
     P(A|B) = (1-eps)^6 = (1 - P)^3 says, P = 2 eps - eps^2.
     """
-    laws = [_square_law((0, 0, 0)), _square_law((1, 1, 1))]
-    trans = tuple(law[:2] for law in laws)
-    fail = tuple(_padd(law[2:]) for law in laws)
-    _check_substochastic_identity(trans, fail)
     # state B holds one erroneous bundle out of the nine in the square, so
     # a step's mark count is one exactly when it leads to B
-    return ErrorChain(name="level2", labels=LEVEL2_LABELS, trans_coeffs=trans,
-                      fail_coeffs=fail, marks=tuple(row[1] for row in trans))
+    laws = [_square_law((0, 0, 0)), _square_law((1, 1, 1))]
+    return ErrorChain("level2", LEVEL2_LABELS,
+                      [(q[0], q[1], _padd(q[2:]), q[1]) for q in laws])
 
 
 def _square_law(counts: tuple[int, int, int]) -> tuple[Poly, ...]:
@@ -287,26 +299,12 @@ def build_level3_chain() -> ErrorChain:
     grids of a class have the same square law and the same row: the ten
     line-count profiles lump exactly into the seven classes (Kemeny &
     Snell, Finite Markov Chains, 1960), and only their mark counts
-    differ, which the marks polynomials carry.  The substochastic
-    identity is checked exactly on the seven rows.  One law also stands
+    differ, which the marks polynomials carry.  One law also stands
     for every ordering of a profile's line counts: the square law is a
     product of one factor per gate, so their order cannot change it.
     """
-    rows = [_level3_row(_square_law(q)) for q in _CLASS_PROFILES]
-    trans = tuple(tuple(map(tuple, row[:7])) for row in rows)
-    fail = tuple(tuple(row[7]) for row in rows)
-    _check_substochastic_identity(trans, fail)
-    return ErrorChain(name="level3", labels=LEVEL3_LABELS, trans_coeffs=trans,
-                      fail_coeffs=fail,
-                      marks=tuple(tuple(row[8]) for row in rows))
-
-
-def _check_substochastic_identity(trans, fail) -> None:
-    """Assert rowsum(T) + fail == 1 as exact integer polynomials."""
-    for row, f in zip(trans, fail, strict=True):
-        if _padd((*row, f)) != (1,) + (0,) * (len(f) - 1):
-            raise RuntimeError("transition rows plus failure do not sum "
-                               "to one")
+    return ErrorChain("level3", LEVEL3_LABELS,
+                      [_level3_row(_square_law(q)) for q in _CLASS_PROFILES])
 
 
 # --- steady state -------------------------------------------------------------
@@ -382,11 +380,12 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
 
     Args:
         chain: a chain from build_level2_chain or build_level3_chain.
-        epsilon: per-bundle incipient error probability, 0 <= eps < 1,
-            or ValueError (NaN included).
+        epsilon: per-bundle incipient error probability, 0 <= eps <= 1/2
+            (above 1/2 a gate is wrong more often than right), or
+            ValueError, NaN included.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
     pi, residual = _stationary(chain.trans(epsilon))
     p_ss = math.fsum(p * f for p, f in zip(pi, chain.fail(epsilon)))
     return SteadyState(pi=tuple(pi), p_ss=p_ss, residual=residual)
@@ -408,16 +407,13 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     threshold p* (``analysis.p_target``) rests on that convention.  The
     simulated register's wrong-bit share is not eta: on the exact 27-bit
     hypercube law the share of gates whose noiseless vote is wrong is 3.0
-    to 4.5 times L2's eta at eps 0.01 to 0.13.  A chain without mark
-    counts is a ValueError.
+    to 4.5 times L2's eta at eps 0.01 to 0.13.  eps takes steady_state's
+    domain, [0, 1/2].
     """
-    if chain.marks is None:
-        raise ValueError(f"chain {chain.name!r} has no mark counts")
     pi = steady_state(chain, epsilon).pi
-    k = chain.n_states
-    marks = _horner(chain._polys[k * (k + 1):], epsilon)
     return math.fsum(p * n / (1.0 - f) for p, n, f
-                     in zip(pi, marks, chain.fail(epsilon))) / 9.0
+                     in zip(pi, _horner(chain._marks, epsilon),
+                            chain.fail(epsilon))) / 9.0
 
 
 # --- serialization ------------------------------------------------------------
@@ -427,16 +423,15 @@ def serialize_chain(chain: ErrorChain) -> str:
     """Render a chain as a line-oriented text table.
 
     Format: one ``chain``/``states``/``degree`` header; ``label i text``
-    lines; then ``trans i j c0 c1 ...``, ``fail i c0 c1 ...`` and, for a
-    chain with mark counts, ``marks i c0 c1 ...`` rows of integer
-    polynomial coefficients in eps, constant term first.
+    lines; then ``trans i j c0 c1 ...``, ``fail i c0 c1 ...`` and
+    ``marks i c0 c1 ...`` rows of integer polynomial coefficients in eps,
+    constant term first.
     """
     k = chain.n_states
     rows = [(f"trans {i} {j}", chain.trans_coeffs[i][j])
             for i in range(k) for j in range(k)]
     for tag, polys in (("fail", chain.fail_coeffs), ("marks", chain.marks)):
-        if polys is not None:
-            rows += [(f"{tag} {i}", p) for i, p in enumerate(polys)]
+        rows += [(f"{tag} {i}", p) for i, p in enumerate(polys)]
     return "\n".join([
         "# majmux error chain; integer polynomial coefficients in eps,",
         "# constant term first",

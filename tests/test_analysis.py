@@ -36,9 +36,9 @@ def test_threshold_separates_regimes():
 
 
 def test_dead_chain_has_no_threshold():
-    dead = ErrorChain(name="dead", labels=L2.labels,
-                      trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=((0,) * 10,) * 2)
+    # every step goes to state 0 and none fails, so p_ss(eps) - eps < 0
+    zero, one = (0,) * 10, (1,) + (0,) * 9
+    dead = ErrorChain("dead", L2.labels, [(one, zero, zero, zero)] * 2)
     with pytest.raises(RuntimeError):
         correction_threshold(dead)
 

@@ -18,6 +18,12 @@ L2 = build_level2_chain()
 L3 = build_level3_chain()
 
 
+def _rows(chain):
+    """The chain's table back from its three column blocks."""
+    return [(*t, f, n) for t, f, n
+            in zip(chain.trans_coeffs, chain.fail_coeffs, chain.marks)]
+
+
 def _gamma(eps):
     return 3.0 * eps**2 - 2.0 * eps**3
 
@@ -238,10 +244,16 @@ def test_steady_state_rejects_bad_epsilon():
         steady_state(L2, -0.01)
     with pytest.raises(ValueError):
         steady_state(L2, 1.01)
-    for bad in (-1e-3, 1.0, math.nan):
+    # above 1/2 a gate is wrong more often than right; at 0.95 the float
+    # level-3 rows no longer read as the irreducible chain they are
+    for bad in (-1e-3, 0.5000000000000001, 0.8, 0.95, 1.0, math.nan):
         with pytest.raises(ValueError,
-                           match=r"epsilon must lie in \[0, 1\)"):
+                           match=r"epsilon must lie in \[0, 1/2\]"):
             steady_state(L3, bad)
+        with pytest.raises(ValueError,
+                           match=r"epsilon must lie in \[0, 1/2\]"):
+            propagated_bit_error(L3, bad)
+    assert steady_state(L3, 0.5).residual <= 1e-15
 
 
 def test_horner_error_within_stated_bound():
@@ -344,11 +356,8 @@ def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
     # as int64 arrays, in any memory layout, give the tuples' bits (repr
     # round-trips every float); and p_ss is the correctly rounded sum of
     # pi * fail
-    copy = ErrorChain(
-        chain.name, chain.labels,
-        trans_coeffs=layout(np.array(chain.trans_coeffs)),
-        fail_coeffs=layout(np.array(chain.fail_coeffs)),
-        marks=layout(np.array(chain.marks)))
+    copy = ErrorChain(chain.name, chain.labels,
+                      layout(np.array(_rows(chain), dtype=np.int64)))
     for eps in linspace(1e-3, 0.25, 40):
         want = steady_state(chain, eps)
         assert repr(steady_state(copy, eps)) == repr(want)
@@ -359,6 +368,7 @@ def test_solve_is_bitwise_independent_of_coefficient_layout(chain, layout):
 
 
 ZERO = (0,) * 10  # the zero polynomial, as long as L2's
+ONE = (1, *ZERO[1:])
 
 
 def test_solve_rejects_a_dead_or_reducible_point():
@@ -366,12 +376,10 @@ def test_solve_rejects_a_dead_or_reducible_point():
     # which is exactly 0.0 at eps = 0.1; the rest of its row goes to
     # failure (dead) or stays in state 1 (reducible)
     to_zero, ten_eps = (1, -10, *ZERO[2:]), (0, 10, *ZERO[2:])
-    dead = ErrorChain(name="dead", labels=L2.labels,
-                      trans_coeffs=(L2.trans_coeffs[0], (to_zero, ZERO)),
-                      fail_coeffs=L2.fail_coeffs)
-    stuck = ErrorChain(name="stuck", labels=L2.labels,
-                       trans_coeffs=(L2.trans_coeffs[0], (to_zero, ten_eps)),
-                       fail_coeffs=(ZERO, ZERO))
+    dead = ErrorChain("dead", L2.labels,
+                      [_rows(L2)[0], (to_zero, ZERO, ten_eps, ZERO)])
+    stuck = ErrorChain("stuck", L2.labels,
+                       [_rows(L2)[0], (to_zero, ten_eps, ZERO, ZERO)])
     with pytest.raises(ValueError, match="no survivors"):
         steady_state(dead, 0.1)
     with pytest.raises(ValueError, match="reducible"):
@@ -388,9 +396,33 @@ def test_chain_refuses_a_coefficient_that_is_not_an_integer(half):
     # whose every row is dead
     row = (half, half, *ZERO[2:])
     with pytest.raises(TypeError):
-        ErrorChain(name="halves", labels=L2.labels,
-                   trans_coeffs=((row, ZERO), (ZERO, row)),
-                   fail_coeffs=(row, row))
+        ErrorChain("halves", L2.labels,
+                   [(row, ZERO, row, ZERO), (ZERO, row, row, ZERO)])
+
+
+def test_chain_refuses_a_table_of_the_wrong_shape():
+    # a row one polynomial short would otherwise read its marks as its
+    # failure, and three labels would read a 3-state chain out of a
+    # 2-state table
+    short = [row[:-1] for row in _rows(L2)]
+    uneven = [_rows(L2)[0], tuple(p[:-1] for p in _rows(L2)[1])]
+    for labels, rows in ((L2.labels, short), (L2.labels, _rows(L2)[:1]),
+                         (L2.labels + ("extra",), _rows(L2)),
+                         (L2.labels, uneven), ((), [])):
+        with pytest.raises(ValueError, match="rows of .* polynomials of "
+                           "one length"):
+            ErrorChain("bad", labels, rows)
+
+
+def test_chain_refuses_a_row_that_does_not_sum_to_one():
+    for chain in (L2, L3):
+        rows = _rows(chain)
+        last = rows[-1]
+        rows[-1] = (*last[:-2], (0,) * len(last[0]), last[-1])  # no failure
+        with pytest.raises(ValueError, match=(
+                rf"chain 'bad': the transitions and failure of row "
+                rf"{len(rows) - 1} do not sum to one")):
+            ErrorChain("bad", chain.labels, rows)
 
 
 def test_propagated_bit_error_monotone():
@@ -406,13 +438,6 @@ def test_propagated_bit_error_level2_is_one_mark_in_nine():
     for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 5)):
         pi, _ = chains._stationary(L2.trans(eps))
         assert _eta_exact(L2, eps) == pi[1] / 9
-
-
-def test_propagated_bit_error_needs_mark_counts():
-    bare = ErrorChain(name="x", labels=L2.labels, trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=L2.fail_coeffs)
-    with pytest.raises(ValueError, match="chain 'x' has no mark counts"):
-        propagated_bit_error(bare, 0.1)
 
 
 def test_propagated_bit_error_matches_trajectory_oracle():
@@ -461,17 +486,15 @@ def test_parse_round_trip():
 
 
 def test_dead_chain_has_zero_failure():
-    dead = ErrorChain(name="dead", labels=L2.labels,
-                      trans_coeffs=L2.trans_coeffs,
-                      fail_coeffs=(ZERO, ZERO))
+    # every step goes to state 0 and none fails
+    dead = ErrorChain("dead", L2.labels,
+                      [(ONE, ZERO, ZERO, ZERO), (ONE, ZERO, ZERO, ZERO)])
     assert steady_state(dead, 0.1).p_ss == 0.0
 
 
 def test_reducible_chain_is_rejected():
     # both states are absorbing, so the stationary law is not unique
-    one = (1, *ZERO[1:])
-    stuck = ErrorChain(name="stuck", labels=L2.labels,
-                       trans_coeffs=((one, ZERO), (ZERO, one)),
-                       fail_coeffs=(ZERO, ZERO))
+    stuck = ErrorChain("stuck", L2.labels,
+                       [(ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO)])
     with pytest.raises(ValueError, match="reducible"):
         steady_state(stuck, 0.1)

@@ -67,8 +67,9 @@ def test_checked_records_check_every_construction():
 
 def test_chain_is_equal_only_to_itself_and_repr_names_it():
     l2 = build_level2_chain()
-    twin = ErrorChain(l2.name, l2.labels, l2.trans_coeffs, l2.fail_coeffs,
-                      l2.marks)
+    twin = ErrorChain(l2.name, l2.labels, [
+        (*t, f, n) for t, f, n in zip(l2.trans_coeffs, l2.fail_coeffs,
+                                      l2.marks)])
     assert l2 == l2 and twin != l2 and twin.trans(0.1) == l2.trans(0.1)
     assert repr(l2) == ("ErrorChain(name='level2', labels=('no propagated "
                         "errors', 'one propagated bundle error'))")
