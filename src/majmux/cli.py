@@ -233,6 +233,10 @@ def _cmd_sweep(config: RunConfig) -> list[SweepRecord]:
 
 def _cmd_simulate(config: RunConfig) -> list[SweepRecord]:
     """Bit-level logical rate of the corrected register."""
+    from .analysis import model_tags
+    if config.model is None:
+        raise ValueError("simulate needs --model "
+                         + "|".join(model_tags("mc")))
     return _mc_grid(config, [config.model], config.level,
                     config.p is not None)
 

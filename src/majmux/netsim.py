@@ -28,11 +28,11 @@ majority XOR a uint8 mask, one line XORed once and copied onto the three
 outputs, or three lines XORed one output line each (_maj3_layer).  Every
 gate first draws its vote line, whose fault flips all three outputs
 alike.  That line is an Idealized gate's whole mask; a Componentwise
-gate repeats it onto its three output lines, then XORs in its fan-out
-gate's own faults.  The masks are built from a Poisson number of uniform
-hits, which by Poisson splitting hit every slot independently with
-exactly its Bernoulli probability (_fault_hits), so their cost grows
-with the number of faults, not with the number of gates.
+gate feeds it to a noisy fan-out layer (_fan_out), which copies it onto
+three output lines and adds its own faults.  The masks are built from a
+Poisson number of uniform hits, which by Poisson splitting hit every
+slot independently with exactly its Bernoulli probability (_fault_hits),
+so their cost grows with the number of faults, not of gates.
 
 A logical flip is a change of the register's strict majority relative to
 the tracked reference value; after each flip the reference is updated so
@@ -44,8 +44,8 @@ points' registers into one array, so each phase is one gate-kernel call
 for all of them, while every point keeps its own random stream, draws and
 tallies, and so the record it would give alone.
 
-The fan-out encoder cascade (``cascade_mc``) reuses these kernels: fan-out
-faults in its amplification, hypercube phases and the majority after it.
+The fan-out encoder cascade (``cascade_mc``) reuses these kernels: the
+fan-out layer, hypercube phases and the majority after it.
 Its phases run the same gate kernel on trials packed eight to a byte.
 
 Every estimator run and every encoder shard draws from its own PCG64
@@ -103,9 +103,9 @@ class Idealized(_Idealized):
 
 
 class Componentwise(PhysicalNoise):
-    """MAJ3 assembled from vote + fan-out gates, preps and wires (see module
-    docstring) at the checked gate error p; per-output marginal error is
-    at most epsilon(p)."""
+    """MAJ3 as a vote gate feeding a fan-out layer (_fan_out), with preps
+    and wires (see module docstring), at the checked gate error p;
+    per-output marginal error is at most epsilon(p)."""
 
     __slots__ = ()
 
@@ -196,10 +196,10 @@ def _fault_hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     return rng.integers(0, n, rng.poisson(-n * math.log1p(-p)))
 
 
-def _fan_out_faults(flat: np.ndarray, pn: PhysicalNoise,
-                    rng: np.random.Generator, blocks: int, gates: int) -> None:
-    """XOR the faults of ``blocks`` layers of ``gates`` noisy fan-out gates
-    into ``flat``, a C-ordered (blocks, 3, gates) mask read flat.
+def _fan_out(line: np.ndarray, pn: PhysicalNoise,
+             rng: np.random.Generator) -> np.ndarray:
+    """Noisy fan-out gates: entry [b, 0, g] of the (blocks, 1, gates) line
+    copied onto entries [b, j, g] of the (blocks, 3, gates) outputs.
 
     Per gate: a fault class with probability p_c (see _FAN_OUT_FLIPS), a
     flip of the ancilla prepared for each of lines 1 and 2, and a flip of
@@ -207,6 +207,9 @@ def _fan_out_faults(flat: np.ndarray, pn: PhysicalNoise,
     gate hit more than once (see _fault_hits) keeps one class: the class
     draws are written into a per-gate array and read back at every hit.
     """
+    blocks, _, gates = line.shape
+    out = line.repeat(3, axis=1)
+    flat = out.reshape(-1)
     hits = _fault_hits(rng, pn.p_c, blocks * gates)
     cls = np.zeros(blocks * gates, np.int8)
     cls[hits] = rng.integers(0, 21, hits.size)
@@ -216,32 +219,27 @@ def _fan_out_faults(flat: np.ndarray, pn: PhysicalNoise,
     preps = _fault_hits(rng, pn.wire_prep, blocks * 2 * gates)
     flat[preps + (preps // (2 * gates) + 1) * gates] ^= 1
     flat[_fault_hits(rng, pn.wire_prep, blocks * 3 * gates)] ^= 1
+    return out
 
 
 def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
                 gates: int) -> np.ndarray:
     """Output XOR masks of ``blocks`` layers of ``gates`` noisy MAJ3 gates.
 
-    Every gate first draws its vote line, one (blocks, 1, gates) line that
-    is hit with probability eps for Idealized gates and (4/7) p_c for
-    Componentwise ones.  An Idealized fault flips all three outputs alike,
-    so its mask is that line: entry [b, 0, g] flips every output of gate g
-    in layer b.  A Componentwise gate is a vote gate whose line 0 feeds a
-    fan-out gate: a vote fault on that line (4/7 of its faults) reaches all
-    three outputs, so the line is repeated onto three lines, entry [b, j,
-    g] flipping output line j, and the fan-out then adds its own faults
-    (_fan_out_faults).
+    Every gate first draws its vote line, one (blocks, 1, gates) line hit
+    with probability eps.  An Idealized fault flips all three outputs
+    alike, so its mask is that line: entry [b, 0, g] flips every output of
+    gate g in layer b.  A Componentwise gate is a vote gate whose line 0
+    feeds a fan-out gate, and a vote fault on that line (4/7 of its
+    faults) reaches all three outputs: its mask is the fan-out layer
+    (_fan_out) on the Idealized vote mask at eps = (4/7) p_c.
     """
-    ideal = isinstance(noise, Idealized)
+    if not isinstance(noise, Idealized):
+        return _fan_out(_gate_masks(Idealized(_VOTE_LINE0 * noise.p_c), rng,
+                                    blocks, gates), noise, rng)
     vote = np.zeros((blocks, 1, gates), np.uint8)
-    vote.reshape(-1)[_fault_hits(
-        rng, noise.epsilon if ideal else _VOTE_LINE0 * noise.p_c,
-        blocks * gates)] = 1
-    if ideal:
-        return vote
-    masks = vote.repeat(3, axis=1)
-    _fan_out_faults(masks.reshape(-1), noise, rng, blocks, gates)
-    return masks
+    vote.reshape(-1)[_fault_hits(rng, noise.epsilon, blocks * gates)] = 1
+    return vote
 
 
 def _maj3_layer(gates: np.ndarray, mask: np.ndarray) -> None:
@@ -585,40 +583,35 @@ def _amp_layer(bits: np.ndarray, pn: PhysicalNoise,
                rng: np.random.Generator) -> np.ndarray:
     """One fan-out level: (C, R) -> (3C, R), new branch trit on the high digit.
 
-    Each of the C * R gates copies its bit onto three lines, XOR the
-    fan-out faults of _fan_out_faults, drawn for the whole level at once.
-    Since each level adds the high digit, the first (top) level's branch
-    ends up on the stride-1 trit: every stride-1 triple {3k, 3k+1, 3k+2}
-    holds one leaf from each top branch, and the first correction phase
-    votes across the three independently amplified thirds of the code.
+    One fan-out layer (_fan_out) of the C * R bits, output line j becoming
+    rows jC to jC + C - 1.  Since each level adds the high digit, the first
+    (top) level's branch ends up on the stride-1 trit: every stride-1
+    triple {3k, 3k+1, 3k+2} holds one leaf from each top branch, and the
+    first correction phase votes across the three independently amplified
+    thirds of the code.
     """
     c, r = bits.shape
-    mask = np.zeros(3 * c * r, np.uint8)
-    _fan_out_faults(mask, pn, rng, 1, c * r)
-    lines = mask.reshape(3, c, r)
-    lines ^= bits
-    return lines.reshape(3 * c, r)
+    return _fan_out(bits.reshape(1, 1, c * r), pn, rng).reshape(3 * c, r)
 
 
-def _cascade_shard(p: float, seed: int, shard: int, size: int, phases: int,
-                   input_bit: int) -> int:
-    """Failures among ``size`` trials on the shard's own RNG substream."""
+def _cascade_shard(p: float, seed: int, shard: int, size: int) -> int:
+    """Failures of ``size`` trials of the input 0 on the shard's stream."""
     rng = _generator(substream(seed, shard))
     pn = PhysicalNoise(p)
     corrector = Idealized(epsilon_of_p(p))
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
-    bits = np.full((1, size), input_bit, np.uint8)
+    bits = np.zeros((1, size), np.uint8)
     for _ in range(CASCADE_DEPTH):
         bits = _amp_layer(bits, pn, rng)
     rows = bits.shape[0] // 3  # gate rows per phase
     bits = np.packbits(bits, axis=1)  # frees the byte register
-    for k in range(phases):
+    for k in range(_CASCADE_PHASES):
         mask = _gate_masks(corrector, rng, 1, rows * size).reshape(rows, size)
         _hypercube_phase(bits, k % CASCADE_DEPTH,
                          np.packbits(mask, axis=1).reshape(1, -1))
     bits = np.unpackbits(bits, axis=1, count=size)
-    return int((_majority(bits) != input_bit).sum())
+    return int(_majority(bits).sum())
 
 
 def cascade_mc(p: float, seed: int, trials: int, *,
@@ -635,8 +628,9 @@ def cascade_mc(p: float, seed: int, trials: int, *,
     those of a register of one byte per bit, so the failure count is that
     register's, bit for bit.  Twelve phases, three full axis cycles, are
     enough for the propagated-error population to relax; the estimate
-    moves by well under a standard deviation between 8 and 24 phases, and
-    the input 1 fails as often.
+    moves by well under a standard deviation between 8 and 24 phases.  On
+    the same draws the input 1 fails in exactly the same trials: MAJ3 is
+    self-dual and every fault an XOR, so its register is the complement.
 
     Trials are processed in fixed-size shards, each on its own PCG64
     stream seeded by a substream of ``seed``, so the result is identical
@@ -645,7 +639,7 @@ def cascade_mc(p: float, seed: int, trials: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK), _CASCADE_PHASES, 0)
+    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK))
             for i in range((trials + _CHUNK - 1) // _CHUNK)]
     return TrialStats(phases=trials,
                       flips=sum(run_parallel(_cascade_shard, jobs, workers)))

@@ -249,10 +249,13 @@ def test_unwritable_out_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
 
 def test_simulate_rejects_unknown_model(tmp_path, capsys):
     out = tmp_path / "artifact.csv"
-    for model in (["--model", "bogus"], []):
-        assert main(["simulate", *model, "--eps", "0.1",
+    for command, model, message in (
+            ("simulate", ["--model", "bogus"], "unknown Monte Carlo model"),
+            ("simulate", [], "simulate needs --model hypercube_mc|vn_mc"),
+            ("sweep", [], "sweep needs --model")):
+        assert main([command, *model, "--eps", "0.1",
                      "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

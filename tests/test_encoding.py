@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from majmux import netsim
 from majmux.netsim import (CASCADE_DEPTH, TrialStats, _CHUNK, _amp_layer,
                            _cascade_shard, cascade_mc)
 from majmux.rates import EncodeBound, derive_rates, p_crit, pfail_bound
@@ -127,15 +128,16 @@ def test_amp_layer_line_marginals():
 
 
 # a full shard, the last shard of 20,000 trials, and a size that is not a
-# multiple of 8, so every packed row ends in pad bits
+# multiple of 8, so every packed row ends in pad bits; the shard encodes 0,
+# and the replay of the input 1 on the same draws fails in the same trials
 @pytest.mark.parametrize("size", [8192, 3616, 8229])
 @pytest.mark.parametrize("input_bit", [0, 1])
 def test_packed_phases_match_the_byte_replay(size, input_bit):
     for p in (0.02, 0.05):
         want = cascade_shard_bytes(p, 4, 2, size, 12, input_bit)
         assert want > 0
-        assert _cascade_shard(p, 4, 2, size, 12, input_bit) == want
-    assert _cascade_shard(0.0, 4, 2, size, 12, input_bit) == 0
+        assert _cascade_shard(p, 4, 2, size) == want
+    assert _cascade_shard(0.0, 4, 2, size) == 0
 
 
 def test_mc_validation():
@@ -173,25 +175,16 @@ def test_mc_monotone_in_p():
     assert hi.p_hat - lo.p_hat > gap
 
 
-def _shards(p, seed, trials, phases, input_bit):
-    """cascade_mc's stats from the shards it makes, with the phase count
-    and the input bit it fixes at 12 and 0 set by the caller."""
+def _shards(p, seed, trials):
+    """cascade_mc's stats from the shards it makes."""
     sizes = [min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK)]
-    return TrialStats(trials, sum(
-        _cascade_shard(p, seed, k, size, phases, input_bit)
-        for k, size in enumerate(sizes)))
+    return TrialStats(trials, sum(_cascade_shard(p, seed, k, size)
+                                  for k, size in enumerate(sizes)))
 
 
 def test_shards_sum_to_cascade_mc():
-    assert (_shards(0.02, 11, 20_000, 12, 0)
-            == cascade_mc(0.02, seed=11, trials=20_000))
-
-
-def test_mc_symmetric_in_input_bit():
-    a = cascade_mc(0.02, seed=11, trials=100_000)
-    b = _shards(0.02, 12, 100_000, 12, 1)
-    sig = math.sqrt(2.0) * _sigma(a.p_hat, 100_000)
-    assert abs(a.p_hat - b.p_hat) <= 4 * sig
+    assert _shards(0.02, 11, 20_000) == cascade_mc(0.02, seed=11,
+                                                   trials=20_000)
 
 
 def test_mc_worker_invariant():
@@ -200,8 +193,9 @@ def test_mc_worker_invariant():
     assert one == many
 
 
-def test_mc_phase_count_insensitive():
+def test_mc_phase_count_insensitive(monkeypatch):
     a = cascade_mc(0.02, seed=31, trials=100_000)
-    b = _shards(0.02, 32, 100_000, 24, 0)
+    monkeypatch.setattr(netsim, "_CASCADE_PHASES", 24)
+    b = cascade_mc(0.02, seed=32, trials=100_000)
     sig = math.sqrt(2.0) * _sigma(a.p_hat, 100_000)
     assert abs(a.p_hat - b.p_hat) <= 3 * sig

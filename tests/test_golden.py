@@ -10,10 +10,13 @@ per-seed numbers on purpose reruns every command in ``CASES`` with
 which rewrites only the files whose bytes differ and prints ``rewrote``
 or ``unchanged`` for each, so the diff names exactly the files that moved.
 It does the same for ``tests/data/level3_chain.txt``, the serialized
-level-3 chain that ``test_chains`` pins.
+level-3 chain that ``test_chains`` pins.  With ``--check`` it writes
+nothing: it prints ``differs`` or ``unchanged`` for each file and exits 1
+if any differs, so a refactor can show byte identity.
 """
 
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -79,20 +82,28 @@ def test_artifact_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _pin(path: pathlib.Path, new: bytes) -> None:
+def _pin(path: pathlib.Path, new: bytes, check: bool) -> bool:
+    """Whether ``path`` holds ``new``; unless ``check``, rewrite it if not."""
     if path.exists() and path.read_bytes() == new:
         print("unchanged", path)
-    else:
+        return True
+    if not check:
         path.write_bytes(new)
-        print("rewrote", path)
+    print("differs" if check else "rewrote", path)
+    return False
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        raise SystemExit("usage: python tests/test_golden.py [--check]")
+    check = sys.argv[1:] == ["--check"]
+    same = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in sorted(CASES.items()):
             out = pathlib.Path(tmp) / name
             if main(argv + ["--out", str(out)]) != 0:
                 raise SystemExit(f"{name}: command failed")
-            _pin(GOLDEN / name, out.read_bytes())
-    _pin(GOLDEN.parent / "level3_chain.txt",
-         serialize_chain(build_level3_chain()).encode())
+            same.append(_pin(GOLDEN / name, out.read_bytes(), check))
+    same.append(_pin(GOLDEN.parent / "level3_chain.txt",
+                     serialize_chain(build_level3_chain()).encode(), check))
+    raise SystemExit(1 if check and not all(same) else 0)
