@@ -35,9 +35,12 @@ transitions plus failure are exactly the constant 1.  The 27-bit chain steps on 
 the 81-bit chain the three squares' counts are the next line counts.
 Evaluation is Horner's rule on those coefficients, one eps at a time, so
 the leading-order cancellations are exact and failure rates stay accurate
-down to ~1e-16.  Building, evaluating and solving use plain Python
-numbers and no numpy, so the analytic commands never load it; the same
-evaluation and solve run in exact rationals on a ``fractions.Fraction``.
+down to ~1e-16.  A float eps runs on exact float64 copies of the integers
+(each below 2**53 in magnitude), rounded step for step alike, and any
+other number type on the integers.  Building, evaluating and solving use
+plain Python numbers and no numpy, so the analytic commands never load
+it; the same evaluation and solve run in exact rationals on a
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -72,11 +75,13 @@ def _padd(polys) -> Poly:
     return tuple(map(sum, zip(*polys)))
 
 
-def _trim(p: Poly) -> Poly:
-    """p without its high zero coefficients."""
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+def _floats(p: Poly) -> tuple[float, ...]:
+    """p as floats without its high zero coefficients, which Horner
+    skips; exact for coefficients below 2**53 in magnitude."""
+    n = len(p)
+    while n and p[n - 1] == 0:
+        n -= 1
+    return tuple(map(float, p[:n]))
 
 
 def _horner(polys, epsilon) -> list:
@@ -85,7 +90,9 @@ def _horner(polys, epsilon) -> list:
     Each polynomial (constant term first) is acc * eps + c_k from the top
     coefficient down, every step rounded as written; a float eps gives
     floats, a ``fractions.Fraction`` exact Fractions.  High zero
-    coefficients may be cut beforehand: they add exact zeros.
+    coefficients may be cut beforehand: they add exact zeros.  Exact
+    float64 copies of the ints give a float eps the same floats: float +
+    int converts the int to that same double before it adds.
 
     Error: the coefficients are integers below 2**53, exact in float64,
     and Horner's rule on a degree-d polynomial (d = D - 1 for D
@@ -164,9 +171,13 @@ class ErrorChain:
     after state i.  The table is checked here, once: a coefficient that
     is not an integer (a float, a Fraction) raises TypeError; a table of
     another shape, or a row whose transitions plus failure are not the
-    constant 1 as exact integer polynomials, raises ValueError.
+    constant 1 as exact integer polynomials, raises ValueError, as does
+    a coefficient of magnitude 2**53 or more, inexact in float64.
     ``trans_coeffs``, ``fail_coeffs`` and ``marks`` are its three column
-    blocks as int tuples.  A chain is immutable and equal only to itself.
+    blocks as int tuples; a float eps (``numpy.float64`` too) is evaluated
+    on their exact float64 copies, bit for bit as on the ints, and any
+    other number type on the ints.  A chain is immutable and equal only
+    to itself.
     """
 
     def __init__(self, name: str, labels: tuple[str, ...], rows):
@@ -180,20 +191,21 @@ class ErrorChain:
                              "polynomials of one length")
         one = (1,) + (0,) * (lengths.pop() - 1)
         for i, row in enumerate(table):
+            if any(abs(c) >= 2**53 for p in row for c in p):
+                raise ValueError(f"chain {name!r}: row {i} has a "
+                                 "coefficient of magnitude 2**53 or more")
             if _padd(row[:k + 1]) != one:
                 raise ValueError(f"chain {name!r}: the transitions and "
                                  f"failure of row {i} do not sum to one")
         trans = tuple(row[:k] for row in table)
         fail = tuple(row[k] for row in table)
         marks = tuple(row[k + 1] for row in table)
-        # the blocks again without their high zero coefficients, which
-        # Horner skips
         vars(self).update(name=name, labels=labels, trans_coeffs=trans,
                           fail_coeffs=fail, marks=marks,
-                          _trans=tuple(tuple(map(_trim, row))
+                          _trans=tuple(tuple(map(_floats, row))
                                        for row in trans),
-                          _fail=tuple(map(_trim, fail)),
-                          _marks=tuple(map(_trim, marks)))
+                          _fail=tuple(map(_floats, fail)),
+                          _marks=tuple(map(_floats, marks)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -209,11 +221,13 @@ class ErrorChain:
 
     def trans(self, epsilon) -> list[list]:
         """Transition matrix T(eps) among non-failure states, k rows of k."""
-        return [_horner(row, epsilon) for row in self._trans]
+        rows = self._trans if isinstance(epsilon, float) else self.trans_coeffs
+        return [_horner(row, epsilon) for row in rows]
 
     def fail(self, epsilon) -> list:
         """Per-state logical failure probabilities, k of them."""
-        return _horner(self._fail, epsilon)
+        return _horner(self._fail if isinstance(epsilon, float)
+                       else self.fail_coeffs, epsilon)
 
 
 class SteadyState(NamedTuple):
@@ -411,8 +425,9 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     domain, [0, 1/2].
     """
     pi = steady_state(chain, epsilon).pi
+    marks = chain._marks if isinstance(epsilon, float) else chain.marks
     return math.fsum(p * n / (1.0 - f) for p, n, f
-                     in zip(pi, _horner(chain._marks, epsilon),
+                     in zip(pi, _horner(marks, epsilon),
                             chain.fail(epsilon))) / 9.0
 
 

@@ -280,6 +280,33 @@ def test_horner_error_within_stated_bound():
                 assert err <= gamma * scale, (chain.name, eps, n)
 
 
+@pytest.mark.parametrize("chain", [L2, L3], ids=["level2", "level3"])
+def test_float_eps_evaluates_bit_for_bit_as_on_the_integers(chain):
+    # a float eps runs on float64 copies of the integer blocks; a float
+    # plus an int converts the int to that same double, so every Horner
+    # step rounds alike, numpy.float64 eps included
+    def bits(values):
+        return [float.hex(v) for v in values]
+
+    for i in range(501):
+        for eps in (i / 1000, np.float64(i / 1000)):
+            got = [*(v for row in chain.trans(eps) for v in row),
+                   *chain.fail(eps), *chains._horner(chain._marks, eps)]
+            want = [*(v for row in chain.trans_coeffs
+                      for v in chains._horner(row, eps)),
+                    *chains._horner(chain.fail_coeffs, eps),
+                    *chains._horner(chain.marks, eps)]
+            assert bits(got) == bits(want), (chain.name, eps)
+    # any other number type runs on the integers: a Fraction entry mixed
+    # with a float coefficient would come out a float
+    eps = Fraction(3, 20)
+    t, f = chain.trans(eps), chain.fail(eps)
+    assert {type(v) for row in t for v in row} | {type(v) for v in f} == {
+        Fraction}
+    assert t == [chains._horner(row, eps) for row in chain.trans_coeffs]
+    assert f == chains._horner(chain.fail_coeffs, eps)
+
+
 @pytest.mark.parametrize("chain", [L2, L3],
                          ids=["level2", "level3"])
 def test_printed_threshold_is_certified_in_exact_rationals(chain):
@@ -398,6 +425,24 @@ def test_chain_refuses_a_coefficient_that_is_not_an_integer(half):
     with pytest.raises(TypeError):
         ErrorChain("halves", L2.labels,
                    [(row, ZERO, row, ZERO), (ZERO, row, row, ZERO)])
+
+
+def test_chain_refuses_a_coefficient_float64_cannot_hold():
+    # float(2**53 + 1) is 2**53: the float copies a float eps runs on would
+    # no longer be the table, and Horner's error bound assumes them exact
+    zero, one = (0, 0), (1, 0)
+    for i, c in ((0, 2**53), (1, -2**53)):
+        rows = [(one, zero, zero, zero), (zero, one, zero, zero)]
+        rows[i] = ((1, c), zero, (0, -c), zero)  # still sums to one
+        with pytest.raises(ValueError, match=(
+                rf"chain 'big': row {i} has a coefficient of magnitude "
+                r"2\*\*53 or more")):
+            ErrorChain("big", L2.labels, rows)
+    # the largest exact coefficient builds, and stays exact
+    top = 2**53 - 1
+    chain = ErrorChain("top", L2.labels, [((1, top), zero, (0, -top), zero),
+                                          (zero, one, zero, zero)])
+    assert chain.trans(1.0)[0][0] == 2**53 and chain.fail(1.0)[0] == -top
 
 
 def test_chain_refuses_a_table_of_the_wrong_shape():
