@@ -29,18 +29,19 @@ two or more marks is a logical failure.
 All transition probabilities are exact integer-coefficient polynomials in
 eps, built once from the square law as tuples of Python ints: a square's
 three gates fail independently, so its failure count has one
-Poisson-binomial law.  A chain is one table of such polynomials, a row
-per state, and ``ErrorChain`` checks it when built: each row's
-transitions plus failure are exactly the constant 1.  The 27-bit chain steps on one square's count; in
-the 81-bit chain the three squares' counts are the next line counts.
-Evaluation is Horner's rule on those coefficients, one eps at a time, so
-the leading-order cancellations are exact and failure rates stay accurate
-down to ~1e-16.  A float eps runs on exact float64 copies of the integers
-(each below 2**53 in magnitude), rounded step for step alike, and any
-other number type on the integers.  Building, evaluating and solving use
-plain Python numbers and no numpy, so the analytic commands never load
-it; the same evaluation and solve run in exact rationals on a
-``fractions.Fraction``.
+Poisson-binomial law.  A chain is one table of such polynomials, a row per
+state, and ``ErrorChain`` checks it when built: each row's transitions
+plus failure are exactly the constant 1.  The 27-bit chain steps on one
+square's count; in the 81-bit chain the three squares' counts are the next
+line counts.  Evaluation is Horner's rule on those coefficients, one eps
+at a time, so the leading-order cancellations are exact and failure rates
+stay accurate down to ~1e-16.  The chain picks its table once per eps: a
+float runs on exact float64 copies of the integers (each below 2**53 in
+magnitude), rounded step for step alike, and any other number type on the
+integers; a solve evaluates each polynomial once.  Building, evaluating
+and solving use plain Python numbers and no numpy, so the analytic
+commands never load it; the same evaluation and solve run in exact
+rationals on a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -174,10 +175,10 @@ class ErrorChain:
     constant 1 as exact integer polynomials, raises ValueError, as does
     a coefficient of magnitude 2**53 or more, inexact in float64.
     ``trans_coeffs``, ``fail_coeffs`` and ``marks`` are its three column
-    blocks as int tuples; a float eps (``numpy.float64`` too) is evaluated
-    on their exact float64 copies, bit for bit as on the ints, and any
-    other number type on the ints.  A chain is immutable and equal only
-    to itself.
+    blocks as int tuples; ``_blocks`` alone picks what an eps runs on: a
+    float (``numpy.float64`` too) their exact float64 copies, bit for bit
+    as on the ints, any other number type the ints.  A chain is immutable
+    and equal only to itself.
     """
 
     def __init__(self, name: str, labels: tuple[str, ...], rows):
@@ -202,10 +203,10 @@ class ErrorChain:
         marks = tuple(row[k + 1] for row in table)
         vars(self).update(name=name, labels=labels, trans_coeffs=trans,
                           fail_coeffs=fail, marks=marks,
-                          _trans=tuple(tuple(map(_floats, row))
-                                       for row in trans),
-                          _fail=tuple(map(_floats, fail)),
-                          _marks=tuple(map(_floats, marks)))
+                          _float64=(tuple(tuple(map(_floats, row))
+                                          for row in trans),
+                                    tuple(map(_floats, fail)),
+                                    tuple(map(_floats, marks))))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -219,15 +220,20 @@ class ErrorChain:
     def n_states(self) -> int:
         return len(self.labels)
 
+    def _blocks(self, epsilon) -> tuple:
+        """The (trans, fail, marks) blocks that eps is evaluated on: their
+        float64 copies for a float, the integers for any other type."""
+        if isinstance(epsilon, float):
+            return self._float64
+        return self.trans_coeffs, self.fail_coeffs, self.marks
+
     def trans(self, epsilon) -> list[list]:
         """Transition matrix T(eps) among non-failure states, k rows of k."""
-        rows = self._trans if isinstance(epsilon, float) else self.trans_coeffs
-        return [_horner(row, epsilon) for row in rows]
+        return [_horner(row, epsilon) for row in self._blocks(epsilon)[0]]
 
     def fail(self, epsilon) -> list:
         """Per-state logical failure probabilities, k of them."""
-        return _horner(self._fail if isinstance(epsilon, float)
-                       else self.fail_coeffs, epsilon)
+        return _horner(self._blocks(epsilon)[1], epsilon)
 
 
 class SteadyState(NamedTuple):
@@ -380,6 +386,13 @@ def _stationary(trans) -> tuple[list, object]:
     return pi, residual
 
 
+def _solve(chain: ErrorChain, epsilon) -> tuple[list, object, list]:
+    """pi, residual and fail(eps) of one solve at eps in [0, 1/2]."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
+    return (*_stationary(chain.trans(epsilon)), chain.fail(epsilon))
+
+
 def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
     """Stationary state of the chain at eps, conditioned on survival.
 
@@ -398,10 +411,8 @@ def steady_state(chain: ErrorChain, epsilon: float) -> SteadyState:
             (above 1/2 a gate is wrong more often than right), or
             ValueError, NaN included.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
-    pi, residual = _stationary(chain.trans(epsilon))
-    p_ss = math.fsum(p * f for p, f in zip(pi, chain.fail(epsilon)))
+    pi, residual, fail = _solve(chain, epsilon)
+    p_ss = math.fsum(p * f for p, f in zip(pi, fail))
     return SteadyState(pi=tuple(pi), p_ss=p_ss, residual=residual)
 
 
@@ -422,13 +433,13 @@ def propagated_bit_error(chain: ErrorChain, epsilon: float) -> float:
     simulated register's wrong-bit share is not eta: on the exact 27-bit
     hypercube law the share of gates whose noiseless vote is wrong is 3.0
     to 4.5 times L2's eta at eps 0.01 to 0.13.  eps takes steady_state's
-    domain, [0, 1/2].
+    domain, [0, 1/2]; the solve's failure column gives 1 - fail_i, so each
+    polynomial of the table is evaluated once.
     """
-    pi = steady_state(chain, epsilon).pi
-    marks = chain._marks if isinstance(epsilon, float) else chain.marks
-    return math.fsum(p * n / (1.0 - f) for p, n, f
-                     in zip(pi, _horner(marks, epsilon),
-                            chain.fail(epsilon))) / 9.0
+    pi, _, fail = _solve(chain, epsilon)
+    marks = _horner(chain._blocks(epsilon)[2], epsilon)
+    return math.fsum(p * n / (1.0 - f)
+                     for p, n, f in zip(pi, marks, fail)) / 9.0
 
 
 # --- serialization ------------------------------------------------------------

@@ -293,9 +293,12 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
         return [SweepRecord(root, bound, bound, bound, "encode_pcrit", 3,
                             config.seed)]
     grid = _parse_grid(config)
-    if config.bound:
-        return [SweepRecord(x, y, y, y, "encode_bound", 3, config.seed)
-                for x, y in zip(grid, [pfail_bound(x).p_fail for x in grid])]
+    if config.bound:  # a non-finite p still raises in pfail_bound
+        ys = [math.nan if math.isfinite(x) and not 0.0 <= x <= 0.2
+              else pfail_bound(x).p_fail for x in grid]
+        return [SweepRecord(x, y, y, y, "encode_bound", 3, config.seed,
+                            "p outside [0, 0.2]" if math.isnan(y) else "")
+                for x, y in zip(grid, ys)]
     from .netsim import cascade_mc
     stats = [cascade_mc(x, seed=config.seed, trials=config.trials,
                         workers=config.workers) for x in grid]

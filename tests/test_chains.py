@@ -291,7 +291,8 @@ def test_float_eps_evaluates_bit_for_bit_as_on_the_integers(chain):
     for i in range(501):
         for eps in (i / 1000, np.float64(i / 1000)):
             got = [*(v for row in chain.trans(eps) for v in row),
-                   *chain.fail(eps), *chains._horner(chain._marks, eps)]
+                   *chain.fail(eps),
+                   *chains._horner(chain._blocks(eps)[2], eps)]
             want = [*(v for row in chain.trans_coeffs
                       for v in chains._horner(row, eps)),
                     *chains._horner(chain.fail_coeffs, eps),
@@ -305,6 +306,28 @@ def test_float_eps_evaluates_bit_for_bit_as_on_the_integers(chain):
         Fraction}
     assert t == [chains._horner(row, eps) for row in chain.trans_coeffs]
     assert f == chains._horner(chain.fail_coeffs, eps)
+
+
+@pytest.mark.parametrize("chain, n_ss, n_eta", [(L2, 6, 8), (L3, 56, 63)],
+                         ids=["level2", "level3"])
+@pytest.mark.parametrize("eps", [0.1, Fraction(1, 10)], ids=str)
+def test_a_solve_evaluates_each_polynomial_once(monkeypatch, chain, n_ss,
+                                                n_eta, eps):
+    # p_ss reads the k*k transitions and k failures; eta adds the k marks
+    # and takes its conditioning 1 - fail_i from the solve's own column
+    count = 0
+    horner = chains._horner
+
+    def counting(polys, epsilon):
+        nonlocal count
+        count += len(polys)
+        return horner(polys, epsilon)
+
+    monkeypatch.setattr(chains, "_horner", counting)
+    for solve, want in ((steady_state, n_ss), (propagated_bit_error, n_eta)):
+        count = 0
+        solve(chain, eps)
+        assert count == want, solve.__name__
 
 
 @pytest.mark.parametrize("chain", [L2, L3],

@@ -192,6 +192,21 @@ def test_encode_bound_rows(capsys):
     assert ys[-1] == pytest.approx(pfail_bound(0.02).p_fail, rel=1e-12)
 
 
+def test_encode_bound_writes_a_nan_row_outside_its_domain(capsys):
+    # like sweep: a finite p outside [0, 0.2] is a noted NaN row, and the
+    # rows inside the domain are still written; a non-finite p is an error
+    assert main(["encode", "--bound", "--grid", "0.1:0.3:3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "note: x=0.29999999999999999: p outside [0, 0.2]"]
+    _, recs = parse_table(captured.out)
+    assert [r.y for r in recs[:2]] == [pfail_bound(x).p_fail
+                                       for x in (0.1, 0.2)]
+    assert math.isnan(recs[2].y) and recs[2].model == "encode_bound"
+    assert main(["encode", "--bound", "--p", "nan"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_compare_vn_rows_paired_and_sorted(capsys):
     assert main(["compare-vn", "--grid", "0.1:0.12:2",
                  "--min-flips", "30", "--seed", "2"]) == 0

@@ -10,7 +10,9 @@ per-seed numbers on purpose reruns every command in ``CASES`` with
 which rewrites only the files whose bytes differ and prints ``rewrote``
 or ``unchanged`` for each, so the diff names exactly the files that moved.
 It does the same for ``tests/data/level3_chain.txt``, the serialized
-level-3 chain that ``test_chains`` pins.  With ``--check`` it writes
+level-3 chain that ``test_chains`` pins, and for
+``tests/data/chain_values.txt``, p_ss and eta of both chains on a grid
+of eps, pinned bit for bit below.  With ``--check`` it writes
 nothing: it prints ``differs`` or ``unchanged`` for each file and exits 1
 if any differs, so a refactor can show byte identity.
 """
@@ -21,10 +23,13 @@ import tempfile
 
 import pytest
 
-from majmux.chains import build_level3_chain, serialize_chain
+from majmux.chains import (build_level2_chain, build_level3_chain,
+                           propagated_bit_error, serialize_chain,
+                           steady_state)
 from majmux.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+CHAIN_VALUES = GOLDEN.parent / "chain_values.txt"
 
 CASES = {
     "simulate_hypercube_eps.csv": [
@@ -82,6 +87,23 @@ def test_artifact_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def chain_values() -> str:
+    """One line per eps = i/200, 0 <= i <= 100: eps, then p_ss and eta of
+    the level-2 chain and of the level-3 chain, all as ``float.hex``."""
+    lines = ["# eps p_ss(level2) eta(level2) p_ss(level3) eta(level3)"]
+    for i in range(101):
+        eps, vals = i / 200, []
+        for chain in (build_level2_chain(), build_level3_chain()):
+            vals += [steady_state(chain, eps).p_ss,
+                     propagated_bit_error(chain, eps)]
+        lines.append(" ".join(map(float.hex, [eps, *vals])))
+    return "\n".join(lines) + "\n"
+
+
+def test_chain_values_match_golden():
+    assert chain_values() == CHAIN_VALUES.read_text()
+
+
 def _pin(path: pathlib.Path, new: bytes, check: bool) -> bool:
     """Whether ``path`` holds ``new``; unless ``check``, rewrite it if not."""
     if path.exists() and path.read_bytes() == new:
@@ -106,4 +128,5 @@ if __name__ == "__main__":
             same.append(_pin(GOLDEN / name, out.read_bytes(), check))
     same.append(_pin(GOLDEN.parent / "level3_chain.txt",
                      serialize_chain(build_level3_chain()).encode(), check))
+    same.append(_pin(CHAIN_VALUES, chain_values().encode(), check))
     raise SystemExit(1 if check and not all(same) else 0)

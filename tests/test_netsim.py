@@ -514,6 +514,22 @@ def test_estimator_below_level3_model():
     assert 0.0 < stats.p_hat <= analytic
 
 
+# the chain bounds the register where the paper operates too, not only
+# near threshold: the exact-law ratios at eps 0.05 are 0.88 (n=2) and
+# 0.53 (n=3), and the flip dispersion is at most 1.09
+@pytest.mark.parametrize("n, chain, eps, min_flips, seed", [
+    (2, build_level2_chain(), 0.05, 1000, 21),
+    (2, build_level2_chain(), 0.08, 1000, 22),
+    (3, build_level3_chain(), 0.05, 100, 23),
+    (3, build_level3_chain(), 0.08, 300, 24),
+], ids=["n2-eps0.05", "n2-eps0.08", "n3-eps0.05", "n3-eps0.08"])
+def test_chain_bounds_the_register_below_threshold(n, chain, eps, min_flips,
+                                                   seed):
+    stats = estimate_logical_rate(n, "hypercube", Idealized(eps),
+                                  seed=seed, min_flips=min_flips)
+    assert 0.0 < stats.p_hat <= steady_state(chain, eps).p_ss
+
+
 # exact renewal rates of the registers, from the small Markov chains of
 # their phase kernels with the settle rule (stationary flip flux)
 @pytest.mark.parametrize("n, wiring, noise, exact, phases", [
