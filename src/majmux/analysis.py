@@ -139,14 +139,13 @@ def mc_point(model: str, level: int, use_p: bool, points, seed: int,
     set, each seeded by ``substream(seed, index)``.  The points run as
     stacks (``netsim.estimate_logical_rates``), and each record is the
     one-point ``estimate_logical_rate`` with that seed.  A gate error x
-    outside (0, 0.5) gives a NaN record with a note.  An empty run
-    budget, then an unknown tag, then a gate error outside [0, 1] or a
-    physical rate outside its domain raises ValueError.  It alone loads
-    ``netsim``, which no analytic run needs.
+    outside (0, 0.5) gives a NaN record with a note.  An unknown tag,
+    then a gate error outside [0, 1] or a physical rate outside its
+    domain, then an empty run budget, at NaN points too, raises
+    ValueError.  It alone loads ``netsim``, which no analytic run needs.
     """
-    from .netsim import (Componentwise, Idealized, check_budget,
-                         estimate_logical_rates, substream)
-    check_budget(level, min_flips, max_phases)
+    from .netsim import (Componentwise, Idealized, estimate_logical_rates,
+                         substream)
     if model not in model_tags("mc"):
         raise ValueError(f"unknown Monte Carlo model {model!r}; use "
                          + "|".join(model_tags("mc")))

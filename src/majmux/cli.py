@@ -217,7 +217,10 @@ def _parse_grid(config: RunConfig) -> list[float]:
             raise ValueError(f"bad --grid {config.grid!r}: {err}") from None
         return linspace(lo, hi, steps)
     if given:
-        return [config.eps if config.eps is not None else config.p]
+        x = config.eps if config.eps is not None else config.p
+        if not math.isfinite(x):
+            raise ValueError(f"grid point {x} is not finite")
+        return [x]
     raise ValueError("need " + " or ".join(
         f"--{k}" for k in ("eps", "p", "grid")
         if k in _OPTIONS[_row(config._asdict())]))
@@ -293,8 +296,8 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
         return [SweepRecord(root, bound, bound, bound, "encode_pcrit", 3,
                             config.seed)]
     grid = _parse_grid(config)
-    if config.bound:  # a non-finite p still raises in pfail_bound
-        ys = [math.nan if math.isfinite(x) and not 0.0 <= x <= 0.2
+    if config.bound:
+        ys = [math.nan if not 0.0 <= x <= 0.2
               else pfail_bound(x).p_fail for x in grid]
         return [SweepRecord(x, y, y, y, "encode_bound", 3, config.seed,
                             "p outside [0, 0.2]" if math.isnan(y) else "")

@@ -356,8 +356,6 @@ def _randomized_phase(bits: np.ndarray, mask: np.ndarray, keys: np.ndarray,
     replica contiguous.
     """
     size, r = bits.shape
-    if size % 3:
-        raise ValueError(f"register size {size} is not divisible by 3")
     rows = bits.T
     for run, rng in zip(rows.reshape(len(rngs), -1, size), rngs):
         _shuffle_rows(run, rng, keys)
@@ -371,13 +369,6 @@ _WARMUP = 50          # phases discarded per replica before tallying
 _LANES = 20_736       # register bits stepped per phase (81 bits x 256)
 _MASK_BYTES = 165_888  # 3-line mask bytes per draw: 8 phases of 81 x 256
 _STACK = 8            # points stepped together, at most
-
-
-def check_budget(n: int, min_flips: int, max_phases: int) -> None:
-    """Raise ValueError unless n >= 0 and both run budgets are >= 1."""
-    if n < 0 or min_flips < 1 or max_phases < 1:
-        raise ValueError(f"need n >= 0 and a budget >= 1: {n=}, "
-                         f"{min_flips=}, {max_phases=}")
 
 
 def estimate_logical_rate(n: int, wiring: str, noise: GateNoise,
@@ -448,11 +439,13 @@ def estimate_logical_rates(n: int, wiring: str, points, *,
     each point's in its own columns, at most _STACK * 165,888 bytes; the
     majority, the block settle rule and the tallies each run once over the
     stack, and a point leaves the stack when its run stops.  Every record
-    is therefore bit for bit the one-point call's.  Every point's noise
-    must be Idealized or Componentwise, all of one kind, or ValueError
-    before any draw.
+    is therefore bit for bit the one-point call's.  The run budget is
+    checked here alone, first, then that every point's noise is Idealized
+    or Componentwise, all of one kind: ValueError before any draw.
     """
-    check_budget(n, min_flips, max_phases)
+    if n < 0 or min_flips < 1 or max_phases < 1:
+        raise ValueError(f"need n >= 0 and a budget >= 1: {n=}, "
+                         f"{min_flips=}, {max_phases=}")
     if wiring not in ("hypercube", "randomized"):
         raise ValueError(f"unknown wiring {wiring!r}; use hypercube or "
                          "randomized")
@@ -556,8 +549,8 @@ def substream(seed: int, index: int) -> np.random.SeedSequence:
 
 
 def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
-    """``[fn(*job) for job in jobs]``, on a process pool when workers > 1
-    (workers >= 1, or ValueError).
+    """``[fn(*job) for job in jobs]``, on a pool of min(workers, jobs)
+    processes when that is more than one (workers >= 1, or ValueError).
 
     Every job seeds itself from its own substream, so the results are the
     same for any worker count and any execution order.  The pool module
@@ -565,7 +558,8 @@ def run_parallel(fn, jobs: list[tuple], workers: int) -> list:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs)))

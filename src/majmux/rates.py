@@ -80,7 +80,9 @@ class Maj3Rates(NamedTuple):
     """Per-output error budgets of the composite MAJ3 gate."""
 
     epsilon: float        # full restorative-phase budget, (148/63) p
-    epsilon_prime: float  # computational-phase budget, exactly epsilon / 2
+    # computational-phase budget, epsilon - wire_prep - (4/7) p_c: epsilon / 2
+    # up to rounding while epsilon is unclamped (p <= 63/148), less above
+    epsilon_prime: float
     epsilon_zero: float   # encoding-equivalent incipient rate, (208/63) p
 
 
@@ -112,8 +114,7 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
     noise = PhysicalNoise(p)
     p_c, wire_prep = noise.p_c, noise.wire_prep
     epsilon = _clamp01(_epsilon(noise), "epsilon")
-    # the computational phase drops one wire/prep location and one gate
-    # marginal, which happens to halve the budget exactly
+    # the computational phase drops one wire/prep location and one marginal
     epsilon_prime = epsilon - wire_prep - _GATE_MARGINAL * p_c
 
     q_i = _GATE_MARGINAL * p_c

@@ -219,19 +219,25 @@ def test_sweep_validates_grid_and_model():
             sweep(model, [0.1])
 
 
-def test_mc_point_checks_budget_then_tag_then_domain():
+def test_mc_point_checks_tag_then_domain_then_budget():
     with pytest.raises(ValueError, match="unknown Monte Carlo model 'bogus'"):
         mc_point("bogus", 1, False, [(0.1, 0)], 0, 5, 1000)
-    with pytest.raises(ValueError, match="budget"):
+    # an unknown tag is refused before an empty budget, and before a gate
+    # error that would give a NaN row (0.7) or raise (1.5)
+    with pytest.raises(ValueError, match="'bogus'"):
         mc_point("bogus", 1, False, [(0.1, 0)], 0, 0, 1000)
-    # an unknown tag is refused before a gate error that would give a NaN
-    # row (0.7) or raise (1.5)
     for x in (0.7, 1.5):
         with pytest.raises(ValueError, match="'bogus'"):
             mc_point("bogus", 1, False, [(x, 0)], 0, 5, 1000)
-    # a bad point anywhere in the list refuses the whole list
+    # a bad point anywhere in the list refuses the whole list, before an
+    # empty budget
     with pytest.raises(ValueError, match="outside"):
-        mc_point("vn_mc", 1, False, [(0.1, 0), (1.5, 1)], 0, 5, 1000)
+        mc_point("vn_mc", 1, False, [(0.1, 0), (1.5, 1)], 0, 0, 1000)
+    # an empty budget is refused on a known tag, at a NaN point too
+    for x in (0.1, 0.7):
+        for budget in ((0, 1000), (5, 0)):
+            with pytest.raises(ValueError, match="budget"):
+                mc_point("vn_mc", 1, False, [(x, 0)], 0, *budget)
 
 
 def _mc_grid(model, grid, seed, min_flips, workers=1):

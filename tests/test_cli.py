@@ -583,7 +583,7 @@ def test_missing_grid_is_an_error(capsys):
 def test_malformed_grid_is_an_error(tmp_path, capsys):
     # no steps, a decreasing grid, one step that would drop hi, and an
     # infinite end: a single point is --eps or --p; a non-finite single
-    # point is refused too, not written as a NaN row
+    # point is refused too, by every command, not written as a NaN row
     out = tmp_path / "artifact.csv"
     bad_grid = "error: bad --grid"
     for argv, error in (
@@ -598,7 +598,15 @@ def test_malformed_grid_is_an_error(tmp_path, capsys):
             (["sweep", "--model", "level3", "--eps", "inf"],
              "error: grid point inf is not finite"),
             (["sweep", "--model", "level3", "--eps=-inf"],
-             "error: grid point -inf is not finite")):
+             "error: grid point -inf is not finite"),
+            (["simulate", "--model", "vn_mc", "--eps", "nan"],
+             "error: grid point nan is not finite"),
+            (["compare-vn", "--eps=-inf"],
+             "error: grid point -inf is not finite"),
+            (["encode", "--p", "inf"],
+             "error: grid point inf is not finite"),
+            (["encode", "--bound", "--p", "nan"],
+             "error: grid point nan is not finite")):
         assert main([*argv, "--out", str(out)]) == 1
         assert error in capsys.readouterr().err
         assert not out.exists()

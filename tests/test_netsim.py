@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import math
 import re
@@ -254,6 +255,10 @@ def test_estimator_rejects_an_empty_run(n, budget):
     with pytest.raises(ValueError, match="budget"):
         estimate_logical_rate(n, "hypercube", Idealized(0.1), 0,
                               **budget)
+    # with no point to run too: mc_point makes this call when every point
+    # of its share is a NaN row
+    with pytest.raises(ValueError, match="budget"):
+        estimate_logical_rates(n, "hypercube", [], **budget)
 
 
 def test_unknown_wiring_rejected():
@@ -685,6 +690,29 @@ def test_run_parallel_refuses_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers"):
         netsim.run_parallel(abs, [(1,), (-2,)], workers)
     assert netsim.run_parallel(abs, [(1,), (-2,)], 1) == [1, 2]
+
+
+def test_run_parallel_pool_is_no_larger_than_its_jobs(monkeypatch):
+    # a pool starts all its processes at the first submit, so one asked
+    # for more processes than jobs would fork idle ones
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert netsim.run_parallel(abs, [(1,), (-2,)], 3) == [1, 2]
+    assert asked == [2]
 
 
 def test_stack_refuses_mixed_noise_kinds():
