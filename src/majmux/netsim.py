@@ -9,8 +9,7 @@ gates under one of two wirings:
 * ``randomized``: each phase shuffles all bits afresh and applies MAJ3 to
   triples of the shuffled order (classic multiplexing).  Sorting 32-bit
   keys, 31 random bits above the bit itself, shuffles exactly uniformly,
-  redrawn on a tie; the keys live in one buffer of one register's size,
-  reused by every point of a stack and every phase, and their low bits
+  redrawn on a tie; the keys are the draw's own words, and their low bits
   go straight back into the register.  Outputs stay in shuffled order,
   with no write-back: the next phase shuffles afresh and the majority
   ignores order.
@@ -62,7 +61,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from .rates import PhysicalNoise, epsilon_of_p
+from .rates import GATE_MARGINAL, PhysicalNoise, epsilon_of_p
 
 # The package's one numpy import.  Unless the caller has set
 # OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, or has imported
@@ -170,7 +169,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 # --- gate kernels -------------------------------------------------------------
 
-_VOTE_LINE0 = 4.0 / 7.0  # share of vote-gate faults that hit line 0
 # Fan-out fault classes: row v = 3 * slot + pick of 21 equally likely draws.
 # Slots 0-2 flip line ``pick`` only, slots 3-5 every line but ``pick``, and
 # slot 6 all three: classes of 3/7, 3/7 and 1/7 of p_c with a uniform pick.
@@ -231,11 +229,12 @@ def _gate_masks(noise: GateNoise, rng: np.random.Generator, blocks: int,
     alike, so its mask is that line: entry [b, 0, g] flips every output of
     gate g in layer b.  A Componentwise gate is a vote gate whose line 0
     feeds a fan-out gate, and a vote fault on that line (4/7 of its
-    faults) reaches all three outputs: its mask is the fan-out layer
-    (_fan_out) on the Idealized vote mask at eps = (4/7) p_c.
+    faults, the per-line gate marginal) reaches all three outputs: its
+    mask is the fan-out layer (_fan_out) on the Idealized vote mask at
+    eps = GATE_MARGINAL * p_c.
     """
     if not isinstance(noise, Idealized):
-        return _fan_out(_gate_masks(Idealized(_VOTE_LINE0 * noise.p_c), rng,
+        return _fan_out(_gate_masks(Idealized(GATE_MARGINAL * noise.p_c), rng,
                                     blocks, gates), noise, rng)
     vote = np.zeros((blocks, 1, gates), np.uint8)
     vote.reshape(-1)[_fault_hits(rng, noise.epsilon, blocks * gates)] = 1
@@ -299,15 +298,14 @@ def _hypercube_phase(bits: np.ndarray, axis: int, mask: np.ndarray) -> None:
     _maj3_layer(bits.reshape(size // (3 * low), 3, low * r), mask)
 
 
-def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator,
-                  keys: np.ndarray) -> None:
-    """Shuffle each row of a 0/1 uint8 array in place, exactly uniformly,
-    through ``keys``, a uint32 buffer of the same shape.
+def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle each row of a 0/1 uint8 array in place, exactly uniformly.
 
     Each bit rides in bit 0 of a 32-bit key under 31 random bits, half of
-    one raw 64-bit word; sorting a row's keys shuffles its bits, and
-    ``keys & 1`` writes them back into ``rows``.  If two keys of any row
-    share their random bits (one row in about 7e5 at 81 bits, 8e3 at
+    one raw 64-bit word: the keys are the draw's own words, viewed as
+    uint32 in the row's shape.  Sorting a row's keys shuffles its bits,
+    and ``keys & 1`` writes them back into ``rows``.  If two keys of any
+    row share their random bits (one row in about 7e5 at 81 bits, 8e3 at
     729), all keys are redrawn: distinct i.i.d. keys come in uniformly
     random order.
 
@@ -326,39 +324,34 @@ def _shuffle_rows(rows: np.ndarray, rng: np.random.Generator,
                          "generator (PCG64, SFC64)")
     while True:
         raw = rng.bit_generator.random_raw(-(-rows.size // 2))
-        words = raw.view(np.uint32)
-        np.bitwise_and(words[:rows.size].reshape(rows.shape),
-                       np.uint32(0xFFFF_FFFE), out=keys)
+        flat = raw.view(np.uint32)[:rows.size]
+        keys = flat.reshape(rows.shape)
+        keys &= np.uint32(0xFFFF_FFFE)
         keys |= rows
         keys.sort(axis=1)
-        flat = keys.reshape(-1)
-        # the spent words hold the neighbours' XOR: no array is allocated
-        # past the draw itself
-        gaps = np.bitwise_xor(flat[1:], flat[:-1], out=words[:flat.size - 1])
-        if gaps.min() > 1:
+        if (flat[1:] ^ flat[:-1]).min() > 1:
             break
     np.bitwise_and(keys, 1, out=rows, casting="unsafe")
 
 
-def _randomized_phase(bits: np.ndarray, mask: np.ndarray, keys: np.ndarray,
+def _randomized_phase(bits: np.ndarray, mask: np.ndarray,
                       *rngs: np.random.Generator) -> None:
     """One multiplexing phase, in place on the (size, replicas) register.
 
     The replicas (columns) fall into ``len(rngs)`` equal runs, and each
-    run is shuffled from its own stream (_shuffle_rows) through ``keys``,
-    a (replicas / len(rngs), size) uint32 buffer that every run reuses, so
-    a stack of registers shuffles each one as it would alone.  Then MAJ3
-    acts on each replica's triples (k, k + size/3, k + 2 size/3), with
-    mask the layer's (3, bits.size // 3) or (1, bits.size // 3) output
-    mask (see _gate_masks).  The outputs stay in shuffled order: the next
-    phase shuffles afresh and the majority ignores order, so the law of
-    every tally is unchanged.  Any layout works; ``order="F"`` keeps each
-    replica contiguous.
+    run is shuffled from its own stream (_shuffle_rows, whose keys are the
+    stream's own draw), so a stack of registers shuffles each one as it
+    would alone.  Then MAJ3 acts on each replica's triples (k, k + size/3,
+    k + 2 size/3), with mask the layer's (3, bits.size // 3) or
+    (1, bits.size // 3) output mask (see _gate_masks).  The outputs stay
+    in shuffled order: the next phase shuffles afresh and the majority
+    ignores order, so the law of every tally is unchanged.  Any layout
+    works; ``order="F"`` keeps each replica contiguous.
     """
     size, r = bits.shape
     rows = bits.T
     for run, rng in zip(rows.reshape(len(rngs), -1, size), rngs):
-        _shuffle_rows(run, rng, keys)
+        _shuffle_rows(run, rng)
     _maj3_layer(rows.reshape(r, 3, size // 3), mask)
 
 
@@ -479,8 +472,6 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
     # size) for the randomized wiring, which shuffles within replicas
     stack = np.zeros((len(points), *((size, replicas) if wiring == "hypercube"
                                      else (replicas, size))), np.uint8)
-    # the randomized wiring's shuffle keys, for one point at a time
-    sort_keys = np.empty((replicas, size), np.uint32)
     # row 2 + i: the (points, replicas) majorities after phase i of the
     # block; rows 0 and 1 carry the block before's last two (zero at the
     # start, which holds no new majority against the zero references)
@@ -503,7 +494,7 @@ def _run_stack(n: int, wiring: str, points: list, min_flips: int,
                 bits = stack
             else:
                 bits = stack.reshape(-1, size).T
-                _randomized_phase(bits, mask, sort_keys, *rngs)
+                _randomized_phase(bits, mask, *rngs)
             maj[2 + i] = _majority(bits).reshape(k, replicas)
         # a phase holds when its majority matches the two before it; a
         # held phase settles when its majority differs from the reference,

@@ -35,7 +35,7 @@ EPSILON_PER_P = 148.0 / 63.0
 
 _CLASSICAL_SHARE = 8.0 / 9.0      # p_c / p
 _WIRE_PREP_SHARE = 2.0 / 3.0      # per wire or prep location
-_GATE_MARGINAL = 4.0 / 7.0        # per-line marginal of one gate fault, in p_c
+GATE_MARGINAL = 4.0 / 7.0         # per-line marginal of one gate fault, in p_c
 
 
 def _clamp01(x: float, name: str) -> float:
@@ -115,9 +115,9 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
     p_c, wire_prep = noise.p_c, noise.wire_prep
     epsilon = _clamp01(_epsilon(noise), "epsilon")
     # the computational phase drops one wire/prep location and one marginal
-    epsilon_prime = epsilon - wire_prep - _GATE_MARGINAL * p_c
+    epsilon_prime = epsilon - wire_prep - GATE_MARGINAL * p_c
 
-    q_i = _GATE_MARGINAL * p_c
+    q_i = GATE_MARGINAL * p_c
     q_o = 2.0 * wire_prep + (1.0 / 7.0) * p_c
     ap = q_i + q_o
 
@@ -131,7 +131,7 @@ def derive_rates(p: float) -> tuple[PhysicalNoise, Maj3Rates, EncodingRates]:
 
 def _epsilon(noise: PhysicalNoise) -> float:
     """Two wire/prep locations plus the per-line marginal of both gates."""
-    return 2.0 * noise.wire_prep + 2.0 * _GATE_MARGINAL * noise.p_c
+    return 2.0 * noise.wire_prep + 2.0 * GATE_MARGINAL * noise.p_c
 
 
 def epsilon_of_p(p: float) -> float:

@@ -207,6 +207,21 @@ def test_encode_bound_writes_a_nan_row_outside_its_domain(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_encode_grid_rows_share_their_streams(capsys):
+    # cascade_mc runs once per grid point, so shard i draws from
+    # substream(seed, i) at every p: each row is that p's one-point run
+    assert main(["encode", "--grid", "0.01:0.03:2", "--trials", "9000",
+                 "--seed", "20"]) == 0
+    _, rows = parse_table(capsys.readouterr().out)
+    alone = []
+    for p in ("0.01", "0.03"):
+        assert main(["encode", "--p", p, "--trials", "9000",
+                     "--seed", "20"]) == 0
+        alone += parse_table(capsys.readouterr().out)[1]
+    assert rows == alone
+    assert [r.y for r in rows] == [47 / 9000, 247 / 9000]
+
+
 def test_compare_vn_rows_paired_and_sorted(capsys):
     assert main(["compare-vn", "--grid", "0.1:0.12:2",
                  "--min-flips", "30", "--seed", "2"]) == 0

@@ -44,6 +44,11 @@ CASES = {
     "simulate_vn_p.csv": [
         "simulate", "--model", "vn_mc", "--level", "2", "--p", "0.05",
         "--min-flips", "30", "--max-phases", "32000", "--seed", "2"],
+    # 243 bits x 85 replicas: the shuffle's draw has a spare half word
+    "simulate_vn_l4.csv": [
+        "simulate", "--model", "vn_mc", "--level", "4",
+        "--grid", "0.15:0.17:2", "--min-flips", "20", "--max-phases",
+        "200000", "--seed", "19"],
     # Monte Carlo grids on the 81-bit register, named for the `sweep`
     # models they replace; `sweep` wrote the same data rows
     "sweep_hypercube.csv": [
@@ -85,6 +90,10 @@ def test_artifact_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_has_its_command():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
 
 def chain_values() -> str:

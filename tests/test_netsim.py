@@ -128,10 +128,8 @@ def test_one_line_mask_acts_as_three_equal_lines(kind):
                 _hypercube_phase(three, axis, np.repeat(mask, 3, axis=0))
             else:
                 twin = copy.deepcopy(rng)
-                keys = np.empty((r, size), np.uint32)
-                _randomized_phase(one, mask, keys, rng)
-                _randomized_phase(three, np.repeat(mask, 3, axis=0), keys,
-                                  twin)
+                _randomized_phase(one, mask, rng)
+                _randomized_phase(three, np.repeat(mask, 3, axis=0), twin)
             np.testing.assert_array_equal(one, three)
             bits = one
 
@@ -300,8 +298,7 @@ def test_randomized_phase_clears_sparse_errors():
     rng = np.random.default_rng(33)
     bits = np.zeros((9, 4), np.uint8)
     bits[0] = 1
-    _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0],
-                      np.empty((4, 9), np.uint32), rng)
+    _randomized_phase(bits, _gate_masks(Idealized(0.0), rng, 1, 12)[0], rng)
     assert bits.sum() == 0
 
 
@@ -322,16 +319,14 @@ def test_shuffle_redraws_a_tie():
     keys = second.view(np.uint32)[:bits.size].reshape(rows, size) >> 1
     want = np.take_along_axis(bits, np.argsort(keys, axis=1), axis=1)
     got = bits.copy()
-    _shuffle_rows(got, _scripted(tied, second),
-                  np.empty((rows, size), np.uint32))
+    _shuffle_rows(got, _scripted(tied, second))
     np.testing.assert_array_equal(got, want)
 
 
 def test_shuffle_refuses_32_bit_words():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(ValueError, match="MT19937"):
-        _shuffle_rows(np.zeros((4, 81), np.uint8), rng,
-                      np.empty((4, 81), np.uint32))
+        _shuffle_rows(np.zeros((4, 81), np.uint8), rng)
 
 
 @pytest.mark.parametrize("size", [255, 256, 729])
@@ -373,7 +368,7 @@ def test_randomized_phase_groups_two_ones_uniformly():
         bits = np.zeros((size, cols), np.uint8)
         bits[:2] = 1
         _randomized_phase(bits, np.zeros((3, size * cols // 3), np.uint8),
-                          np.empty((cols, size), np.uint32), rng)
+                          rng)
         ones = bits.sum(axis=0)
         assert set(np.unique(ones)) <= {0, 3}
         sigma = math.sqrt(share * (1 - share) / cols)
@@ -383,7 +378,6 @@ def test_randomized_phase_groups_two_ones_uniformly():
 def test_randomized_phase_size_must_be_triples():
     with pytest.raises(ValueError):
         _randomized_phase(np.zeros((8, 1), np.uint8), np.zeros((3, 2), np.uint8),
-                          np.empty((1, 8), np.uint32),
                           np.random.default_rng(0))
 
 
