@@ -302,9 +302,9 @@ def _cmd_encode(config: RunConfig) -> list[SweepRecord]:
         return [SweepRecord(x, y, y, y, "encode_bound", 3, config.seed,
                             "p outside [0, 0.2]" if math.isnan(y) else "")
                 for x, y in zip(grid, ys)]
-    from .netsim import cascade_mc
-    stats = [cascade_mc(x, seed=config.seed, trials=config.trials,
-                        workers=config.workers) for x in grid]
+    from .netsim import cascade_grid
+    stats = cascade_grid(grid, config.seed, config.trials,
+                         workers=config.workers)
     return [SweepRecord(x, st.p_hat, *st.ci95, "cascade_mc", 3, config.seed)
             for x, st in zip(grid, stats)]
 

@@ -579,11 +579,10 @@ def _amp_layer(bits: np.ndarray, pn: PhysicalNoise,
     return _fan_out(bits.reshape(1, 1, c * r), pn, rng).reshape(3 * c, r)
 
 
-def _cascade_shard(p: float, seed: int, shard: int, size: int) -> int:
+def _cascade_shard(pn: PhysicalNoise, corrector: Idealized, seed: int,
+                   shard: int, size: int) -> int:
     """Failures of ``size`` trials of the input 0 on the shard's stream."""
     rng = _generator(substream(seed, shard))
-    pn = PhysicalNoise(p)
-    corrector = Idealized(epsilon_of_p(p))
     # the bit to encode is a given input, not a fresh preparation; its own
     # history is outside the encoder's failure budget
     bits = np.zeros((1, size), np.uint8)
@@ -622,9 +621,20 @@ def cascade_mc(p: float, seed: int, trials: int, *,
     for any ``workers`` and any shard execution order.  In the returned
     stats ``phases`` counts scored trials and ``flips`` counts failures.
     """
+    return cascade_grid([p], seed, trials, workers=workers)[0]
+
+
+def cascade_grid(ps, seed: int, trials: int, *,
+                 workers: int = 1) -> list[TrialStats]:
+    """``cascade_mc`` at each p of ``ps``, in order.  Every p's noise is
+    built, and so checked, before any draw; then all the p's shards run
+    as one ``run_parallel`` job list, shard i on ``substream(seed, i)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    jobs = [(p, seed, i, min(_CHUNK, trials - i * _CHUNK))
-            for i in range((trials + _CHUNK - 1) // _CHUNK)]
-    return TrialStats(phases=trials,
-                      flips=sum(run_parallel(_cascade_shard, jobs, workers)))
+    sizes = [min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK)]
+    noises = [(PhysicalNoise(p), Idealized(epsilon_of_p(p))) for p in ps]
+    jobs = [(*noise, seed, i, size) for noise in noises
+            for i, size in enumerate(sizes)]
+    fails = run_parallel(_cascade_shard, jobs, workers)
+    return [TrialStats(phases=trials, flips=sum(fails[k:k + len(sizes)]))
+            for k in range(0, len(fails), len(sizes))]

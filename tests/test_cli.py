@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import majmux
+from majmux import netsim
 from majmux.analysis import MODELS
 from majmux.cli import (_OPTIONS, RunConfig, _build_parser, _fmt, main,
                         parse_table, run)
@@ -208,7 +209,7 @@ def test_encode_bound_writes_a_nan_row_outside_its_domain(capsys):
 
 
 def test_encode_grid_rows_share_their_streams(capsys):
-    # cascade_mc runs once per grid point, so shard i draws from
+    # every grid point's shards are one job list, and shard i draws from
     # substream(seed, i) at every p: each row is that p's one-point run
     assert main(["encode", "--grid", "0.01:0.03:2", "--trials", "9000",
                  "--seed", "20"]) == 0
@@ -220,6 +221,36 @@ def test_encode_grid_rows_share_their_streams(capsys):
         alone += parse_table(capsys.readouterr().out)[1]
     assert rows == alone
     assert [r.y for r in rows] == [47 / 9000, 247 / 9000]
+
+
+def test_encode_grid_runs_on_one_pool(pool_sizes, capsys):
+    assert main(["encode", "--grid", "0.01:0.03:5", "--trials", "20000",
+                 "--workers", "2"]) == 0
+    assert pool_sizes == [2]
+
+
+def test_encode_refuses_a_bad_grid_point_before_any_draw(monkeypatch,
+                                                         capsys):
+    shards = []
+    shard = netsim._cascade_shard
+    monkeypatch.setattr(netsim, "_cascade_shard",
+                        lambda *job: shards.append(job) or shard(*job))
+    with pytest.warns(UserWarning, match="clamped"):  # p=0.5 is built
+        assert main(["encode", "--grid", "0.5:1.5:2",
+                     "--trials", "20000"]) == 1
+    assert "error: p=1.5 outside [0, 1]" in capsys.readouterr().err
+    assert shards == []
+
+
+def test_encode_warns_of_a_clamped_epsilon_once():
+    # the noise is built in the calling process alone; a forked worker
+    # would write its own warning to fd 2, which only a fresh process sees
+    proc = _entry("module", ["encode", "--p", "0.5", "--trials", "20000",
+                             "--workers", "2"])
+    assert proc.returncode == 0
+    clamped = [line for line in proc.stderr.decode().splitlines()
+               if "clamped" in line]
+    assert len(clamped) == 1 and "epsilon = 1.1746" in clamped[0]
 
 
 def test_compare_vn_rows_paired_and_sorted(capsys):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from majmux import netsim
-from majmux.netsim import (CASCADE_DEPTH, TrialStats, _CHUNK, _amp_layer,
-                           _cascade_shard, cascade_mc)
-from majmux.rates import EncodeBound, derive_rates, p_crit, pfail_bound
+from majmux.netsim import (CASCADE_DEPTH, Idealized, TrialStats, _CHUNK,
+                           _amp_layer, _cascade_shard, cascade_mc)
+from majmux.rates import (EncodeBound, PhysicalNoise, derive_rates,
+                          epsilon_of_p, p_crit, pfail_bound)
 from oracles import cascade_shard_bytes
 
 MEAS_SLOPE = 32.0 / 63.0
@@ -15,6 +16,11 @@ MEAS_SLOPE = 32.0 / 63.0
 
 def _sigma(q, n):
     return math.sqrt(q * (1.0 - q) / n)
+
+
+def _noise(p):
+    """The fan-out noise and corrector gates that cascade_mc gives a shard."""
+    return PhysicalNoise(p), Idealized(epsilon_of_p(p))
 
 
 def test_bound_slope_at_zero():
@@ -136,8 +142,8 @@ def test_packed_phases_match_the_byte_replay(size, input_bit):
     for p in (0.02, 0.05):
         want = cascade_shard_bytes(p, 4, 2, size, 12, input_bit)
         assert want > 0
-        assert _cascade_shard(p, 4, 2, size) == want
-    assert _cascade_shard(0.0, 4, 2, size) == 0
+        assert _cascade_shard(*_noise(p), 4, 2, size) == want
+    assert _cascade_shard(*_noise(0.0), 4, 2, size) == 0
 
 
 def test_mc_validation():
@@ -178,7 +184,7 @@ def test_mc_monotone_in_p():
 def _shards(p, seed, trials):
     """cascade_mc's stats from the shards it makes."""
     sizes = [min(_CHUNK, trials - i) for i in range(0, trials, _CHUNK)]
-    return TrialStats(trials, sum(_cascade_shard(p, seed, k, size)
+    return TrialStats(trials, sum(_cascade_shard(*_noise(p), seed, k, size)
                                   for k, size in enumerate(sizes)))
 
 

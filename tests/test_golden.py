@@ -62,6 +62,10 @@ CASES = {
         "--seed", "3"],
     "encode.csv": [
         "encode", "--p", "0.02", "--trials", "20000", "--seed", "4"],
+    # every grid point's shards on one job list
+    "encode_grid.csv": [
+        "encode", "--grid", "0.01:0.03:3", "--trials", "20000",
+        "--seed", "23"],
     # analytic artifacts: chain solves, root finders and the encoding bound
     "sweep_level3.csv": [
         "sweep", "--model", "level3", "--grid", "0.005:0.16:32",

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from majmux.analysis import mc_point, model_tags
 from majmux.chains import build_level2_chain, build_level3_chain, steady_state
 from majmux.cli import RunConfig, _parse_grid
-from majmux.netsim import _shuffle_rows, cascade_mc, run_parallel
+from majmux.netsim import (_shuffle_rows, cascade_grid, cascade_mc,
+                           run_parallel)
 from majmux.rates import linspace, pfail_bound
 
 L2 = build_level2_chain()
@@ -82,12 +83,16 @@ def test_mc_points_do_not_depend_on_workers(seed, model, level, grid):
 
 
 @few
-@given(seed=SEEDS, p=st.floats(0.005, 0.05),
+@given(seed=SEEDS, ps=st.lists(st.floats(0.005, 0.05), min_size=2,
+                               max_size=3),
        trials=st.integers(8_193, 20_000))
-def test_cascade_does_not_depend_on_workers(seed, p, trials):
-    # at least two 8,192-trial shards, so two workers share the run
-    assert (cascade_mc(p, seed, trials, workers=1)
-            == cascade_mc(p, seed, trials, workers=2))
+def test_cascade_does_not_depend_on_workers(seed, ps, trials):
+    # at least two 8,192-trial shards per p, so two workers share the run;
+    # a grid's rows are its points' one-point runs, at any worker count
+    rows = [cascade_mc(p, seed, trials) for p in ps]
+    assert cascade_mc(ps[0], seed, trials, workers=2) == rows[0]
+    for workers in (1, 2):
+        assert cascade_grid(ps, seed, trials, workers=workers) == rows
 
 
 @derandomized
